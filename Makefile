@@ -1,6 +1,6 @@
 # Developer conveniences; everything is plain `go` underneath.
 
-.PHONY: all build vet test race check soak e2e bench bench-json bench-wire bench-scale bench-diff mon-smoke results quick-results examples clean
+.PHONY: all build vet test race check fmt-check bench-module soak e2e bench bench-json bench-wire bench-scale bench-diff mon-smoke results quick-results examples clean
 
 # Worker-pool width for the experiment engine; override with `make J=8 results`.
 J ?= $(shell nproc 2>/dev/null || echo 1)
@@ -20,6 +20,18 @@ test:
 race:
 	go test -race ./...
 
+# gofmt -l must print nothing.
+fmt-check:
+	@out="$$(gofmt -l *.go bench cmd examples internal)"; \
+	  if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+# bench/ is its own module (gsso/bench, replace gsso => ../), so the root
+# `go build ./... && go test ./...` never compiles it: an internal/...
+# rename could break the gate's benchmark unnoticed. Vet and test it here.
+bench-module:
+	go -C bench vet ./...
+	go -C bench test ./...
+
 # The full pre-merge gate: compile, vet, every test under the race detector,
 # the experiment engine hammered at a fixed pool width (GSSO_WORKERS sets
 # the default width so nested fan-out runs genuinely parallel even on
@@ -27,7 +39,7 @@ race:
 # membership machine (join/depart/crash interleavings must keep the split
 # tree invariant-clean), and of the wire codec (arbitrary frames must
 # never panic, hang, or round-trip lossily through the multiplexer).
-check: build vet race bench-diff
+check: build vet fmt-check bench-module race bench-diff
 	GSSO_WORKERS=4 go test -race -count=1 ./internal/experiment/... ./internal/netsim/...
 	go run ./cmd/topobench -run ext-scale -scale quick -seed $(SEED) > /dev/null
 	go test -fuzz FuzzMembership -fuzztime 10s -run '^$$' ./internal/can

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"gsso/internal/simrand"
 	"gsso/internal/topology"
@@ -125,7 +124,8 @@ type Member struct {
 	// instead of a map[*Member] lookup). The overlay never reads it.
 	Tag uint64
 
-	leaf *zone
+	leaf  *zone    // nil once the member has left
+	owner *Overlay // the overlay leaf belongs to
 }
 
 // Path returns the member's current zone path.
@@ -154,11 +154,13 @@ func (m *Member) ZoneCenter() Point {
 func (m *Member) Depth() int { return m.leaf.path.Len }
 
 // Neighbors returns the member's CAN neighbors (zones abutting its zone in
-// exactly one dimension and overlapping in all others). Fresh slice.
+// exactly one dimension and overlapping in all others). Fresh slice, in an
+// order that is deterministic for a given join/depart history but otherwise
+// unspecified.
 func (m *Member) Neighbors() []*Member {
-	out := make([]*Member, 0, len(m.leaf.neighbors))
-	for nb := range m.leaf.neighbors {
-		out = append(out, nb.member)
+	out := make([]*Member, len(m.leaf.neighbors))
+	for i, nb := range m.leaf.neighbors {
+		out[i] = nb.member
 	}
 	return out
 }
@@ -182,11 +184,51 @@ type zone struct {
 	splitDim int // dimension split at this node (internal zones)
 	children [2]*zone
 	member   *Member
-	// neighbors is maintained for leaves only.
-	neighbors map[*zone]struct{}
+	// neighbors is maintained for leaves only, each neighbor once. A slice,
+	// not a set: CAN degree is about 2d, so a linear scan beats hashing and
+	// the iteration order is reproducible.
+	neighbors []*zone
 }
 
 func (z *zone) isLeaf() bool { return z.children[0] == nil }
+
+// hasNeighbor reports whether nb is in z's neighbor list.
+func (z *zone) hasNeighbor(nb *zone) bool {
+	for _, x := range z.neighbors {
+		if x == nb {
+			return true
+		}
+	}
+	return false
+}
+
+// dropNeighbor removes nb from z's neighbor list if present.
+func (z *zone) dropNeighbor(nb *zone) {
+	for i, x := range z.neighbors {
+		if x == nb {
+			last := len(z.neighbors) - 1
+			z.neighbors[i] = z.neighbors[last]
+			z.neighbors[last] = nil
+			z.neighbors = z.neighbors[:last]
+			return
+		}
+	}
+}
+
+// link records a and b as each other's neighbors.
+func link(a, b *zone) {
+	a.neighbors = append(a.neighbors, b)
+	b.neighbors = append(b.neighbors, a)
+}
+
+// pathLess is the canonical order on zone paths: by bits, then length.
+// Leaf paths are prefix-free, so among leaves the bits alone decide.
+func pathLess(a, b Path) bool {
+	if a.Bits != b.Bits {
+		return a.Bits < b.Bits
+	}
+	return a.Len < b.Len
+}
 
 func (z *zone) contains(p Point) bool {
 	for k := range p {
@@ -207,9 +249,9 @@ func (z *zone) volume() float64 {
 
 // Overlay is a CAN over [0,1)^dim.
 type Overlay struct {
-	dim     int
-	root    *zone
-	members map[*Member]struct{}
+	dim  int
+	root *zone
+	size int // leaves that have a member
 }
 
 // New returns an empty CAN of the given dimensionality.
@@ -222,37 +264,36 @@ func New(dim int) (*Overlay, error) {
 	for i := range hi {
 		hi[i] = 1
 	}
-	return &Overlay{
-		dim:     dim,
-		root:    &zone{lo: lo, hi: hi, neighbors: map[*zone]struct{}{}},
-		members: make(map[*Member]struct{}),
-	}, nil
+	return &Overlay{dim: dim, root: &zone{lo: lo, hi: hi}}, nil
 }
 
 // Dim returns the overlay dimensionality.
 func (o *Overlay) Dim() int { return o.dim }
 
 // Size returns the number of members.
-func (o *Overlay) Size() int { return len(o.members) }
+func (o *Overlay) Size() int { return o.size }
 
 // Members returns all members ordered by zone path (a canonical,
 // deterministic order: leaf paths are unique). Fresh slice.
 //
 // Determinism here is load-bearing: experiments draw "random member"
-// samples by index into this slice, so iteration-order randomness of the
-// internal map must not leak into results.
+// samples by index into this slice. No sort is needed: leaf paths are
+// prefix-free, so two leaves first differ at a bit both have, and a
+// depth-first walk that takes child 0 before child 1 visits them in
+// increasing (Bits, Len) order.
 func (o *Overlay) Members() []*Member {
-	out := make([]*Member, 0, len(o.members))
-	for m := range o.members {
-		out = append(out, m)
+	return appendMembers(make([]*Member, 0, o.size), o.root)
+}
+
+// appendMembers appends the members under z in zone-path order.
+func appendMembers(out []*Member, z *zone) []*Member {
+	for !z.isLeaf() {
+		out = appendMembers(out, z.children[0])
+		z = z.children[1]
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].leaf.path, out[j].leaf.path
-		if a.Bits != b.Bits {
-			return a.Bits < b.Bits
-		}
-		return a.Len < b.Len
-	})
+	if z.member != nil {
+		out = append(out, z.member)
+	}
 	return out
 }
 
@@ -294,13 +335,13 @@ func (o *Overlay) Join(host topology.NodeID, p Point) (*Member, error) {
 	if !p.Valid(o.dim) {
 		return nil, fmt.Errorf("can: invalid join point %v for dim %d", p, o.dim)
 	}
-	m := &Member{Host: host, JoinPoint: append(Point(nil), p...)}
+	m := &Member{Host: host, JoinPoint: append(Point(nil), p...), owner: o}
 	leaf := o.leafAt(p)
 	if leaf.member == nil {
 		// First member adopts the whole space.
 		leaf.member = m
 		m.leaf = leaf
-		o.members[m] = struct{}{}
+		o.size++
 		return m, nil
 	}
 	if leaf.path.Len >= MaxDepth {
@@ -318,7 +359,7 @@ func (o *Overlay) Join(host topology.NodeID, p Point) (*Member, error) {
 	m.leaf = newSide
 	oldSide.member = old
 	old.leaf = oldSide
-	o.members[m] = struct{}{}
+	o.size++
 	return m, nil
 }
 
@@ -338,7 +379,7 @@ func (o *Overlay) split(leaf *zone) (left, right *zone) {
 			path:      leaf.path.child(bit),
 			lo:        lo,
 			hi:        hi,
-			neighbors: make(map[*zone]struct{}, len(leaf.neighbors)+1),
+			neighbors: make([]*zone, 0, len(leaf.neighbors)+1),
 		}
 	}
 	lhi := append(Point(nil), leaf.hi...)
@@ -353,18 +394,15 @@ func (o *Overlay) split(leaf *zone) (left, right *zone) {
 	leaf.children[1] = right
 
 	// The halves neighbor each other.
-	left.neighbors[right] = struct{}{}
-	right.neighbors[left] = struct{}{}
+	link(left, right)
 	// Redistribute the old neighbors.
-	for nb := range leaf.neighbors {
-		delete(nb.neighbors, leaf)
+	for _, nb := range leaf.neighbors {
+		nb.dropNeighbor(leaf)
 		if adjacent(left, nb) {
-			left.neighbors[nb] = struct{}{}
-			nb.neighbors[left] = struct{}{}
+			link(left, nb)
 		}
 		if adjacent(right, nb) {
-			right.neighbors[nb] = struct{}{}
-			nb.neighbors[right] = struct{}{}
+			link(right, nb)
 		}
 	}
 	leaf.neighbors = nil
@@ -396,8 +434,7 @@ type Handover struct {
 
 // IsMember reports whether m currently belongs to the overlay.
 func (o *Overlay) IsMember(m *Member) bool {
-	_, ok := o.members[m]
-	return ok
+	return m != nil && m.leaf != nil && m.owner == o
 }
 
 // Takeover removes member m without its cooperation — the CAN ungraceful
@@ -419,12 +456,12 @@ func (o *Overlay) TakeoverAvoiding(m *Member, avoid func(*Member) bool) (Handove
 }
 
 func (o *Overlay) takeover(m *Member, avoid func(*Member) bool) (Handover, error) {
-	if _, ok := o.members[m]; !ok {
+	if !o.IsMember(m) {
 		return Handover{}, errors.New("can: departing member is not in the overlay")
 	}
-	delete(o.members, m)
+	o.size--
 	leaf := m.leaf
-	m.leaf = nil
+	m.leaf, m.owner = nil, nil
 	if leaf == o.root {
 		leaf.member = nil // overlay now empty
 		return Handover{}, nil
@@ -527,16 +564,16 @@ func (o *Overlay) mergeChildren(parent *zone, survivor *Member) {
 	parent.children[0], parent.children[1] = nil, nil
 	parent.member = survivor
 	survivor.leaf = parent
-	parent.neighbors = make(map[*zone]struct{}, len(left.neighbors)+len(right.neighbors))
-	for _, child := range []*zone{left, right} {
-		for nb := range child.neighbors {
-			delete(nb.neighbors, child)
+	parent.neighbors = make([]*zone, 0, len(left.neighbors)+len(right.neighbors)-2)
+	for _, child := range [2]*zone{left, right} {
+		for _, nb := range child.neighbors {
 			if nb == left || nb == right {
 				continue
 			}
-			if adjacent(parent, nb) {
-				parent.neighbors[nb] = struct{}{}
-				nb.neighbors[parent] = struct{}{}
+			nb.dropNeighbor(child)
+			// A zone spanning the split plane neighbors both children.
+			if adjacent(parent, nb) && !parent.hasNeighbor(nb) {
+				link(parent, nb)
 			}
 		}
 	}
@@ -597,7 +634,9 @@ func boxDist(z *zone, p Point) float64 {
 // closest to p on the torus. It returns the member path including both
 // endpoints. Routing fails only if greedy forwarding exhausts all
 // neighbors (which cannot happen on a complete zone partition, but is
-// guarded to keep the API total).
+// guarded to keep the API total). Neighbors at equal distance are common on
+// uniform grids; the one with the lowest zone path wins, so a route is a
+// function of the overlay and the endpoints alone.
 func (o *Overlay) Route(from *Member, p Point) ([]*Member, error) {
 	if from == nil || from.leaf == nil {
 		return nil, errors.New("can: route from a non-member")
@@ -611,11 +650,12 @@ func (o *Overlay) Route(from *Member, p Point) ([]*Member, error) {
 	for !cur.contains(p) {
 		var best *zone
 		bestD := math.Inf(1)
-		for nb := range cur.neighbors {
+		for _, nb := range cur.neighbors {
 			if _, seen := visited[nb]; seen {
 				continue
 			}
-			if d := boxDist(nb, p); d < bestD {
+			d := boxDist(nb, p)
+			if d < bestD || (d == bestD && pathLess(nb.path, best.path)) {
 				best, bestD = nb, d
 			}
 		}
@@ -647,20 +687,7 @@ func (o *Overlay) MembersUnder(prefix Path) []*Member {
 	if !z.path.HasPrefix(prefix) {
 		return nil
 	}
-	var out []*Member
-	var walk func(*zone)
-	walk = func(z *zone) {
-		if z.isLeaf() {
-			if z.member != nil {
-				out = append(out, z.member)
-			}
-			return
-		}
-		walk(z.children[0])
-		walk(z.children[1])
-	}
-	walk(z)
-	return out
+	return appendMembers(nil, z)
 }
 
 // LeafAlong descends the split tree following the bits of path; if the
@@ -724,8 +751,9 @@ func (o *Overlay) LeafPaths() []Path {
 }
 
 // CheckInvariants exhaustively validates the overlay structure: leaf zones
-// tile the space, neighbor sets are symmetric and geometrically exact, and
-// member/leaf links are consistent. O(n^2); intended for tests.
+// tile the space, neighbor lists are duplicate-free, symmetric and
+// geometrically exact, member/leaf/owner links are consistent, and Size
+// matches the tree. O(n^2); intended for tests.
 func (o *Overlay) CheckInvariants() error {
 	var leaves []*zone
 	var walk func(*zone) error
@@ -734,8 +762,15 @@ func (o *Overlay) CheckInvariants() error {
 			if z.member == nil && z != o.root {
 				return fmt.Errorf("leaf %s has no member", z.path)
 			}
-			if z.member != nil && z.member.leaf != z {
+			if z.member != nil && (z.member.leaf != z || z.member.owner != o) {
 				return fmt.Errorf("leaf %s member back-link broken", z.path)
+			}
+			for i, nb := range z.neighbors {
+				for _, other := range z.neighbors[:i] {
+					if other == nb {
+						return fmt.Errorf("leaf %s lists neighbor %s twice", z.path, nb.path)
+					}
+				}
 			}
 			leaves = append(leaves, z)
 			return nil
@@ -768,8 +803,7 @@ func (o *Overlay) CheckInvariants() error {
 			if i == j {
 				continue
 			}
-			_, isNb := a.neighbors[b]
-			_, isNbBack := b.neighbors[a]
+			isNb, isNbBack := a.hasNeighbor(b), b.hasNeighbor(a)
 			if isNb != isNbBack {
 				return fmt.Errorf("asymmetric neighbor sets between %s and %s", a.path, b.path)
 			}
@@ -785,8 +819,8 @@ func (o *Overlay) CheckInvariants() error {
 			count++
 		}
 	}
-	if count != len(o.members) {
-		return fmt.Errorf("member count mismatch: %d leaves vs %d registered", count, len(o.members))
+	if count != o.size {
+		return fmt.Errorf("member count mismatch: %d leaves vs Size() = %d", count, o.size)
 	}
 	return nil
 }

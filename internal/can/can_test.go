@@ -178,6 +178,37 @@ func TestManyJoinsInvariants(t *testing.T) {
 	}
 }
 
+// TestCheckInvariantsRejectsCorruption: the checker the fuzz target leans
+// on must notice a neighbor listed twice and a Size() the tree disagrees
+// with — the two faults a slice-and-counter representation can have that
+// the map-based one could not.
+func TestCheckInvariantsRejectsCorruption(t *testing.T) {
+	build := func() *Overlay {
+		o, _ := New(2)
+		rng := simrand.New(4)
+		for i := 0; i < 16; i++ {
+			if _, err := o.JoinRandom(topology.NodeID(i), rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := o.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	o := build()
+	leaf := o.Members()[0].leaf
+	leaf.neighbors = append(leaf.neighbors, leaf.neighbors[0])
+	if err := o.CheckInvariants(); err == nil {
+		t.Error("duplicate neighbor entry accepted")
+	}
+	o = build()
+	o.size++
+	if err := o.CheckInvariants(); err == nil {
+		t.Error("stale Size() accepted")
+	}
+}
+
 func TestLookupFindsContainingZone(t *testing.T) {
 	o, _ := New(2)
 	rng := simrand.New(3)
@@ -282,6 +313,89 @@ func TestRouteHopScaling(t *testing.T) {
 		t.Fatalf("avg hops = %v, expected ~8", avg)
 	}
 	t.Logf("avg hops at N=256, d=2: %.2f", avg)
+}
+
+// uniformGrid builds an overlay of 2^depth equal zones: level by level,
+// every member's zone is halved by a join at the center of its upper half.
+func uniformGrid(t *testing.T, dim, depth int) *Overlay {
+	t.Helper()
+	o, _ := New(dim)
+	host := topology.NodeID(0)
+	if _, err := o.Join(host, make(Point, dim)); err != nil {
+		t.Fatal(err)
+	}
+	for level := 0; level < depth; level++ {
+		k := level % dim
+		for _, m := range o.Members() {
+			host++
+			p := m.ZoneCenter()
+			p[k] = (p[k] + m.ZoneHi()[k]) / 2
+			if _, err := o.Join(host, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := 1 << depth; o.Size() != want {
+		t.Fatalf("grid has %d zones, want %d", o.Size(), want)
+	}
+	return o
+}
+
+// TestRouteDeterministicOnUniformGrid: on a uniform grid many hops have
+// two neighbors at exactly the same distance from the target (a diagonal
+// step can go either way first). The choice among them must not depend on
+// anything but the overlay, so two identically built grids route the same
+// seeded pairs along the same members, and every tie goes to the neighbor
+// with the lowest zone path.
+func TestRouteDeterministicOnUniformGrid(t *testing.T) {
+	const pairs = 1000
+	routes := func() [][]*Member {
+		o := uniformGrid(t, 2, 10)
+		members := o.Members()
+		rng := simrand.New(11)
+		out := make([][]*Member, pairs)
+		for i := range out {
+			from := members[rng.Intn(len(members))]
+			to := members[rng.Intn(len(members))]
+			path, err := o.Route(from, to.ZoneCenter())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = path
+		}
+		return out
+	}
+	a, b := routes(), routes()
+	ties := 0
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			t.Fatalf("pair %d: %d hops, then %d hops", i, len(a[i])-1, len(b[i])-1)
+		}
+		target := a[i][len(a[i])-1].ZoneCenter()
+		visited := map[topology.NodeID]bool{}
+		for h, m := range a[i] {
+			if m.Host != b[i][h].Host {
+				t.Fatalf("pair %d hop %d: host %d, then host %d", i, h, m.Host, b[i][h].Host)
+			}
+			visited[m.Host] = true
+			if h+1 == len(a[i]) {
+				break
+			}
+			next := a[i][h+1]
+			for _, nb := range m.Neighbors() {
+				if nb == next || visited[nb.Host] || boxDist(nb.leaf, target) != boxDist(next.leaf, target) {
+					continue
+				}
+				ties++
+				if pathLess(nb.Path(), next.Path()) {
+					t.Fatalf("pair %d hop %d: took zone %s over the equally close %s", i, h, next.Path(), nb.Path())
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no hop had two equally close neighbors; the grid is not exercising the tie-break")
+	}
 }
 
 func TestDepartSiblingLeaf(t *testing.T) {

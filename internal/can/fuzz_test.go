@@ -21,8 +21,10 @@ import (
 // Whenever more than three members are marked crashed, a repair sweep
 // takes them all over while avoiding the crash set — the multi-crash
 // interleaving the self-healing loop must survive. After every single
-// operation the split tree must satisfy CheckInvariants and the member
-// zone volumes must sum to 1.
+// operation the split tree must satisfy CheckInvariants (which rejects a
+// neighbor listed twice and a Size() that disagrees with the tree),
+// Members() must come out in zone-path order, and the member zone volumes
+// must sum to 1.
 func runMembershipScript(t *testing.T, ops []byte) {
 	o, err := New(2)
 	if err != nil {
@@ -37,8 +39,18 @@ func runMembershipScript(t *testing.T, ops []byte) {
 		if err := o.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
+		members := o.Members()
+		if len(members) != o.Size() {
+			t.Fatalf("Size() = %d but the tree holds %d members", o.Size(), len(members))
+		}
 		sum := 0.0
-		for _, m := range o.Members() {
+		for i, m := range members {
+			if !o.IsMember(m) {
+				t.Fatalf("Members()[%d] fails IsMember", i)
+			}
+			if i > 0 && !pathLess(members[i-1].Path(), m.Path()) {
+				t.Fatalf("Members() out of zone-path order at %d", i)
+			}
 			sum += math.Ldexp(1, -m.Path().Len)
 		}
 		if o.Size() > 0 && math.Abs(sum-1) > 1e-9 {
@@ -136,10 +148,10 @@ func TestMembershipProperty(t *testing.T) {
 // for one that breaks the split tree. Run with a budget via
 // `go test -fuzz FuzzMembership -fuzztime 30s ./internal/can`.
 func FuzzMembership(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3})               // grow
-	f.Add([]byte{0, 0, 0, 1, 1, 0, 2, 1})               // join, depart, takeover
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3})                               // grow
+	f.Add([]byte{0, 0, 0, 1, 1, 0, 2, 1})                               // join, depart, takeover
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 0, 3, 3, 0, 3, 1, 3, 2, 3, 3, 3, 4}) // crash burst → repair
-	f.Add([]byte{0, 0, 2, 0, 0, 1, 2, 0})               // drain to empty and rejoin
+	f.Add([]byte{0, 0, 2, 0, 0, 1, 2, 0})                               // drain to empty and rejoin
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 2048 {
 			ops = ops[:2048]

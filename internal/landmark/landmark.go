@@ -92,11 +92,20 @@ type Vector []float64
 // through env (each probe is metered). This is the cost every node pays
 // once at join time.
 func Measure(env *netsim.Env, host topology.NodeID, set Set) Vector {
-	v := make(Vector, len(set.nodes))
-	for i, lm := range set.nodes {
-		v[i] = env.ProbeRTT(host, lm)
+	return MeasureInto(env, host, set, make(Vector, len(set.nodes)))
+}
+
+// MeasureInto is Measure into caller-provided storage: dst must have
+// length set.Len() and is returned filled. Callers measuring many hosts
+// carve their vectors from one backing array instead of allocating each.
+func MeasureInto(env *netsim.Env, host topology.NodeID, set Set, dst Vector) Vector {
+	if len(dst) != len(set.nodes) {
+		panic(fmt.Sprintf("landmark: MeasureInto dst has %d dims, set has %d", len(dst), len(set.nodes)))
 	}
-	return v
+	for i, lm := range set.nodes {
+		dst[i] = env.ProbeRTT(host, lm)
+	}
+	return dst
 }
 
 // Distance returns the Euclidean distance between two landmark vectors.

@@ -84,6 +84,36 @@ func TestMeasure(t *testing.T) {
 	}
 }
 
+func TestMeasureInto(t *testing.T) {
+	net := testNet(t)
+	env := netsim.New(net)
+	set, _ := Choose(net, 5, simrand.New(2))
+	hosts := net.StubHosts()[:3]
+	backing := make(Vector, len(hosts)*set.Len())
+	for i, h := range hosts {
+		dst := backing[i*set.Len() : (i+1)*set.Len()]
+		got := MeasureInto(env, h, set, dst)
+		if &got[0] != &dst[0] {
+			t.Fatal("MeasureInto did not fill the caller's storage")
+		}
+		want := Measure(netsim.New(net), h, set)
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("host %d dim %d: MeasureInto = %v, Measure = %v", h, k, got[k], want[k])
+			}
+		}
+	}
+	if env.Probes() != int64(len(hosts)*set.Len()) {
+		t.Fatalf("MeasureInto used %d probes, want %d", env.Probes(), len(hosts)*set.Len())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MeasureInto accepted a dst of the wrong length")
+		}
+	}()
+	MeasureInto(env, hosts[0], set, make(Vector, set.Len()+1))
+}
+
 func TestDistance(t *testing.T) {
 	if d := Distance(Vector{0, 0}, Vector{3, 4}); d != 5 {
 		t.Fatalf("Distance = %v", d)

@@ -90,8 +90,10 @@ type Env struct {
 	// Down hosts are tracked in a flat bitset indexed by the dense NodeID
 	// space rather than a map: at 10^6 hosts the bitset is 128 KB, cheap
 	// enough to size once and index without hashing on every probe.
-	down      []uint64
-	downCount int
+	down []uint64
+	// downCount is the number of set bits in down: written under mu, read
+	// without it, so the probe path skips the lock while no host is down.
+	downCount atomic.Int64
 }
 
 // New returns an Env over net with a fresh clock and no perturbation,
@@ -192,20 +194,22 @@ func (e *Env) SetDown(host topology.NodeID, down bool) {
 	was := e.down[w]&bit != 0
 	if down && !was {
 		e.down[w] |= bit
-		e.downCount++
+		e.downCount.Add(1)
 	} else if !down && was {
 		e.down[w] &^= bit
-		e.downCount--
+		e.downCount.Add(-1)
 	}
 }
 
-// IsDown reports whether a host is crashed.
+// IsDown reports whether a host is crashed. With no host down — every
+// experiment without manual crashes, 1.5M probes per 10^5-host world — it
+// is one atomic load; a call racing a SetDown may order itself before it.
 func (e *Env) IsDown(host topology.NodeID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.down == nil {
+	if e.downCount.Load() == 0 {
 		return false
 	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.down[int(host)/64]&(uint64(1)<<(uint(host)%64)) != 0
 }
 
@@ -215,7 +219,7 @@ func (e *Env) IsDown(host topology.NodeID) bool {
 func (e *Env) DownHosts() []topology.NodeID {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]topology.NodeID, 0, e.downCount)
+	out := make([]topology.NodeID, 0, e.downCount.Load())
 	for w, word := range e.down {
 		for word != 0 {
 			out = append(out, topology.NodeID(w*64+bits.TrailingZeros64(word)))

@@ -299,3 +299,80 @@ func TestPairHashSymmetric(t *testing.T) {
 		}
 	}
 }
+
+// TestSetDownSemantics pins SetDown/IsDown/DownHosts across the lock-free
+// "nobody is down" path and the locked path, including the way back.
+func TestSetDownSemantics(t *testing.T) {
+	e := testEnv(t)
+	hosts := e.Net().StubHosts()
+	a, b := hosts[0], hosts[len(hosts)-1]
+	if e.IsDown(a) || len(e.DownHosts()) != 0 {
+		t.Fatal("fresh env reports a down host")
+	}
+	e.SetDown(a, false) // recovering a live host is a no-op
+	e.SetDown(b, true)
+	e.SetDown(b, true) // idempotent
+	if e.IsDown(a) || !e.IsDown(b) {
+		t.Fatalf("IsDown(a)=%v IsDown(b)=%v, want false true", e.IsDown(a), e.IsDown(b))
+	}
+	if got := e.DownHosts(); len(got) != 1 || got[0] != b {
+		t.Fatalf("DownHosts = %v, want [%d]", got, b)
+	}
+	if rtt := e.ProbeRTT(a, b); !math.IsInf(rtt, 1) {
+		t.Fatalf("probe to a down host = %v, want +Inf", rtt)
+	}
+	e.SetDown(b, false)
+	if e.IsDown(b) || len(e.DownHosts()) != 0 {
+		t.Fatal("recovered host still down")
+	}
+	if rtt := e.ProbeRTT(a, b); math.IsInf(rtt, 1) || rtt <= 0 {
+		t.Fatalf("probe after recovery = %v", rtt)
+	}
+}
+
+// TestSetDownConcurrentWithProbes flips hosts down and up while other
+// goroutines probe (run under -race). A prober never sees anything but the
+// true RTT or a timeout, and a host nobody flips never times out.
+func TestSetDownConcurrentWithProbes(t *testing.T) {
+	e := testEnv(t)
+	hosts := e.Net().StubHosts()
+	stable, flipped := hosts[:2], hosts[2:6]
+	const rounds = 2000
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			h := flipped[i%len(flipped)]
+			e.SetDown(h, true)
+			e.SetDown(h, false)
+		}
+	}()
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				h := flipped[i%len(flipped)]
+				want := 2 * e.Latency(stable[0], h)
+				if rtt := e.ProbeRTT(stable[0], h); rtt != want && !math.IsInf(rtt, 1) {
+					t.Errorf("probe of a flipping host = %v, want %v or +Inf", rtt, want)
+					return
+				}
+				if rtt := e.ProbeRTT(stable[0], stable[1]); math.IsInf(rtt, 1) {
+					t.Error("probe between two hosts nobody set down timed out")
+					return
+				}
+				e.DownHosts()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := e.DownHosts(); len(got) != 0 {
+		t.Fatalf("DownHosts after every flip was undone = %v", got)
+	}
+	if got := e.Probes(); got != 3*2*rounds {
+		t.Fatalf("Probes = %d, want %d", got, 3*2*rounds)
+	}
+}

@@ -53,8 +53,13 @@ func BuildIndex(env *netsim.Env, space *landmark.Space, hosts []topology.NodeID)
 		byNum:   make([]int, len(hosts)),
 		pos:     make(map[topology.NodeID]int, len(hosts)),
 	}
+	// One backing array for every vector; the full slice expressions keep
+	// an append to one vector out of its neighbor's storage.
+	set := space.Set()
+	dims := set.Len()
+	backing := make(landmark.Vector, len(hosts)*dims)
 	for i, h := range ix.hosts {
-		vec := landmark.Measure(env, h, space.Set())
+		vec := landmark.MeasureInto(env, h, set, backing[i*dims:(i+1)*dims:(i+1)*dims])
 		num, err := space.Number(vec)
 		if err != nil {
 			return nil, fmt.Errorf("proximity: host %d: %w", h, err)

@@ -73,8 +73,27 @@ func TestBuildIndexMetersJoinCost(t *testing.T) {
 	if ix.Len() != 20 {
 		t.Fatalf("Len = %d", ix.Len())
 	}
-	if ix.VectorOf(h.hosts[0]) == nil {
-		t.Fatal("vector missing")
+	// The vectors share one backing array: each must still be exactly its
+	// host's measurement, and growing one must not write into the next.
+	oracle := netsim.New(h.net)
+	for i, host := range h.hosts {
+		got, want := ix.VectorOf(host), landmark.Measure(oracle, host, h.space.Set())
+		if len(got) != len(want) {
+			t.Fatalf("host %d: vector has %d dims, want %d", host, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("host %d dim %d: indexed %v, measured %v", host, k, got[k], want[k])
+			}
+		}
+		if i+1 < len(h.hosts) {
+			next := ix.VectorOf(h.hosts[i+1])
+			first := next[0]
+			_ = append(got, -1)
+			if next[0] != first {
+				t.Fatalf("appending to host %d's vector overwrote host %d's", host, h.hosts[i+1])
+			}
+		}
 	}
 	if ix.VectorOf(topology.NodeID(1)) != nil {
 		t.Fatal("vector for unindexed host")

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"gsso/internal/simrand"
@@ -147,19 +148,25 @@ func buildFixture(c goldenCell) (goldenFixture, error) {
 	return fx, nil
 }
 
+// goldenProcs are the GOMAXPROCS values every cell is generated at: the
+// inline stub solver (1), the benchmark's two workers, and more workers
+// than this box has cores.
+var goldenProcs = []int{1, 2, 4}
+
 // TestGoldenEquivalence is the differential gate: every fixture cell must
-// match the current implementation byte for byte.
+// match the current implementation byte for byte, however many workers
+// fill the stub matrices.
 func TestGoldenEquivalence(t *testing.T) {
 	write := os.Getenv("GSSO_GOLDEN_WRITE") == "1"
 	for _, c := range goldenCells(testing.Short()) {
 		c := c
 		t.Run(fmt.Sprintf("%s/%s/seed%d/x%v", c.preset, c.lat, c.seed, c.scale), func(t *testing.T) {
-			got, err := buildFixture(c)
-			if err != nil {
-				t.Fatal(err)
-			}
 			path := filepath.Join("testdata", goldenName(c))
 			if write {
+				got, err := buildFixture(c)
+				if err != nil {
+					t.Fatal(err)
+				}
 				data, err := json.MarshalIndent(got, "", "  ")
 				if err != nil {
 					t.Fatal(err)
@@ -180,24 +187,41 @@ func TestGoldenEquivalence(t *testing.T) {
 			if err := json.Unmarshal(data, &want); err != nil {
 				t.Fatal(err)
 			}
-			if got.Nodes != want.Nodes || got.Transit != want.Transit || got.Stubs != want.Stubs {
-				t.Fatalf("shape drift: got %d/%d/%d nodes/transit/stubs, want %d/%d/%d",
-					got.Nodes, got.Transit, got.Stubs, want.Nodes, want.Transit, want.Stubs)
-			}
-			if got.NodesSHA != want.NodesSHA {
-				t.Errorf("node class/domain/stub assignments diverged from the seed implementation")
-			}
-			if got.StubsSHA != want.StubsSHA {
-				t.Errorf("stub gateway assignments or uplink latencies diverged from the seed implementation")
-			}
-			if got.LatSHA != want.LatSHA {
-				t.Errorf("sampled latencies are not byte-identical to the seed implementation")
-				for i, p := range want.SpotPairs {
-					if i < len(got.SpotBits) && got.SpotBits[i] != want.SpotBits[i] {
-						t.Errorf("  pair (%d,%d): got bits %s want %s", p[0], p[1], got.SpotBits[i], want.SpotBits[i])
+			for _, procs := range goldenProcs {
+				procs := procs
+				t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+					prev := runtime.GOMAXPROCS(procs)
+					got, err := buildFixture(c)
+					runtime.GOMAXPROCS(prev)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
+					checkFixture(t, got, want)
+				})
 			}
 		})
+	}
+}
+
+// checkFixture reports every way got departs from the recorded fixture.
+func checkFixture(t *testing.T, got, want goldenFixture) {
+	t.Helper()
+	if got.Nodes != want.Nodes || got.Transit != want.Transit || got.Stubs != want.Stubs {
+		t.Fatalf("shape drift: got %d/%d/%d nodes/transit/stubs, want %d/%d/%d",
+			got.Nodes, got.Transit, got.Stubs, want.Nodes, want.Transit, want.Stubs)
+	}
+	if got.NodesSHA != want.NodesSHA {
+		t.Errorf("node class/domain/stub assignments diverged from the seed implementation")
+	}
+	if got.StubsSHA != want.StubsSHA {
+		t.Errorf("stub gateway assignments or uplink latencies diverged from the seed implementation")
+	}
+	if got.LatSHA != want.LatSHA {
+		t.Errorf("sampled latencies are not byte-identical to the seed implementation")
+		for i, p := range want.SpotPairs {
+			if i < len(got.SpotBits) && got.SpotBits[i] != want.SpotBits[i] {
+				t.Errorf("  pair (%d,%d): got bits %s want %s", p[0], p[1], got.SpotBits[i], want.SpotBits[i])
+			}
+		}
 	}
 }

@@ -60,6 +60,14 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) error {
 	return nil
 }
 
+// clearEdges removes every edge, keeping the adjacency lists' storage so a
+// graph refilled with a similar shape allocates nothing.
+func (g *Graph) clearEdges() {
+	for i := range g.adj {
+		g.adj[i] = g.adj[i][:0]
+	}
+}
+
 // Neighbors returns the adjacency list of u. The returned slice is owned by
 // the graph and must not be modified.
 func (g *Graph) Neighbors(u NodeID) []Arc { return g.adj[u] }
