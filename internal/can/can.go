@@ -179,10 +179,14 @@ func (m *Member) String() string {
 // zone is a node of the binary split tree. Internal zones have exactly two
 // children; leaf zones have a member (nil only for an empty overlay root).
 type zone struct {
+	// What leafAt reads per level comes first and shares a cache line; the
+	// midpoint is kept rather than recomputed from lo and hi, whose
+	// coordinates live in two more.
+	children [2]*zone
+	splitDim int     // dimension split at this node (internal zones)
+	splitAt  float64 // midpoint of the split (internal zones)
 	path     Path
 	lo, hi   Point
-	splitDim int // dimension split at this node (internal zones)
-	children [2]*zone
 	member   *Member
 	// neighbors is maintained for leaves only, each neighbor once. A slice,
 	// not a set: CAN degree is about 2d, so a linear scan beats hashing and
@@ -301,8 +305,7 @@ func appendMembers(out []*Member, z *zone) []*Member {
 func (o *Overlay) leafAt(p Point) *zone {
 	z := o.root
 	for !z.isLeaf() {
-		mid := (z.lo[z.splitDim] + z.hi[z.splitDim]) / 2
-		if p[z.splitDim] < mid {
+		if p[z.splitDim] < z.splitAt {
 			z = z.children[0]
 		} else {
 			z = z.children[1]
@@ -390,6 +393,7 @@ func (o *Overlay) split(leaf *zone) (left, right *zone) {
 	right = mk(1, rlo, leaf.hi)
 
 	leaf.splitDim = k
+	leaf.splitAt = mid
 	leaf.children[0] = left
 	leaf.children[1] = right
 

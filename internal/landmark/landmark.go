@@ -102,9 +102,7 @@ func MeasureInto(env *netsim.Env, host topology.NodeID, set Set, dst Vector) Vec
 	if len(dst) != len(set.nodes) {
 		panic(fmt.Sprintf("landmark: MeasureInto dst has %d dims, set has %d", len(dst), len(set.nodes)))
 	}
-	for i, lm := range set.nodes {
-		dst[i] = env.ProbeRTT(host, lm)
-	}
+	env.ProbeRTTs(host, set.nodes, dst)
 	return dst
 }
 

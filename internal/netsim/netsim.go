@@ -172,6 +172,35 @@ func (e *Env) ProbeRTT(a, b topology.NodeID) float64 {
 	return 2 * e.Latency(a, b)
 }
 
+// ProbeRTTs measures a against every target, dst[i] = the RTT to targets[i]:
+// the same results and the same probe count as len(targets) ProbeRTT calls
+// in order. dst must have length len(targets). With no fault plan the whole
+// vector is metered with one add per counter, so callers measuring many
+// vectors at once (proximity.BuildIndex) do not serialise on the probe
+// counter; with a plan installed each probe's sequence number feeds the loss
+// stream, and the vector falls back to the per-probe path.
+func (e *Env) ProbeRTTs(a topology.NodeID, targets []topology.NodeID, dst []float64) {
+	if len(dst) != len(targets) {
+		panic(fmt.Sprintf("netsim: ProbeRTTs dst has %d slots for %d targets", len(dst), len(targets)))
+	}
+	if e.plan != nil {
+		for i, b := range targets {
+			dst[i] = e.ProbeRTT(a, b)
+		}
+		return
+	}
+	atomic.AddInt64(&e.probes, int64(len(targets)))
+	e.probeMirror.Add(float64(len(targets)))
+	aDown := e.IsDown(a)
+	for i, b := range targets {
+		if aDown || e.IsDown(b) {
+			dst[i] = math.Inf(1)
+		} else {
+			dst[i] = 2 * e.Latency(a, b)
+		}
+	}
+}
+
 // Crashed reports whether a host is down, either manually (SetDown) or by
 // the fault plan's churn schedule at the current virtual time.
 func (e *Env) Crashed(host topology.NodeID) bool {

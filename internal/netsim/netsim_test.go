@@ -376,3 +376,65 @@ func TestSetDownConcurrentWithProbes(t *testing.T) {
 		t.Fatalf("Probes = %d, want %d", got, 3*2*rounds)
 	}
 }
+
+// TestProbeRTTsMatchesSingleProbes pins the batched probe to the per-probe
+// loop it replaces: same results bit for bit, same Probes(), same mirrored
+// telemetry — with nothing installed, with crashed hosts (which time out and
+// are still counted), and with a seeded fault plan, whose loss stream keys on
+// each probe's sequence number.
+func TestProbeRTTsMatchesSingleProbes(t *testing.T) {
+	net := testEnv(t).Net()
+	hosts := net.StubHosts()
+	targets := hosts[3:12]
+	cases := map[string]func(*Env){
+		"plain":   func(*Env) {},
+		"crashed": func(e *Env) { e.SetDown(targets[2], true); e.SetDown(hosts[1], true) },
+		"plan": func(e *Env) {
+			e.SetFaultPlan(&FaultPlan{Seed: 9, LossRate: 0.4,
+				Slow: []SlowWindow{{From: 0, Until: 100, Factor: 3}}})
+		},
+		"plan+crashed": func(e *Env) {
+			e.SetFaultPlan(&FaultPlan{Seed: 9, LossRate: 0.4})
+			e.SetDown(targets[0], true)
+		},
+	}
+	for name, install := range cases {
+		t.Run(name, func(t *testing.T) {
+			single, batched := NewRun(net, "rtts-single-"+name), NewRun(net, "rtts-batched-"+name)
+			install(single)
+			install(batched)
+			// The mirrors are process-global series: compare their growth.
+			single0, batched0 := single.probeMirror.Value(), batched.probeMirror.Value()
+			infs := 0
+			got := make([]float64, len(targets))
+			for _, a := range hosts[:3] { // hosts[1] is a crashed source in two cases
+				batched.ProbeRTTs(a, targets, got)
+				for i, b := range targets {
+					want := single.ProbeRTT(a, b)
+					if math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("ProbeRTTs(%d)[%d] = %v, ProbeRTT(%d,%d) = %v", a, i, got[i], a, b, want)
+					}
+					if math.IsInf(want, 1) {
+						infs++
+					}
+				}
+			}
+			if name != "plain" && infs == 0 {
+				t.Fatal("case never timed a probe out: it tests nothing beyond plain")
+			}
+			if want := int64(3 * len(targets)); batched.Probes() != want || single.Probes() != want {
+				t.Fatalf("Probes: batched %d, single %d, want %d", batched.Probes(), single.Probes(), want)
+			}
+			b, s := batched.probeMirror.Value()-batched0, single.probeMirror.Value()-single0
+			if b != s || b != float64(3*len(targets)) {
+				t.Fatalf("mirrored probe counters grew by: batched %v, single %v", b, s)
+			}
+		})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for mismatched dst length")
+		}
+	}()
+	New(net).ProbeRTTs(hosts[0], targets, make([]float64, 1))
+}

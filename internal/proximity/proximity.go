@@ -13,7 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 
 	"gsso/internal/can"
 	"gsso/internal/landmark"
@@ -38,6 +40,12 @@ type Index struct {
 // BuildIndex measures every host's landmark vector through env (metered:
 // this is the k-probes-per-node join cost every scheme pays) and builds
 // the index.
+//
+// Hosts are measured on GOMAXPROCS workers, each a contiguous share: a
+// vector depends on its host alone and the probe total on the host count
+// alone, so the index and env.Probes() are the same at any worker count.
+// With a fault plan installed the order of probes decides which are lost,
+// and the hosts are measured one after another on the calling goroutine.
 func BuildIndex(env *netsim.Env, space *landmark.Space, hosts []topology.NodeID) (*Index, error) {
 	if env == nil || space == nil {
 		return nil, errors.New("proximity: nil env or space")
@@ -58,14 +66,42 @@ func BuildIndex(env *netsim.Env, space *landmark.Space, hosts []topology.NodeID)
 	set := space.Set()
 	dims := set.Len()
 	backing := make(landmark.Vector, len(hosts)*dims)
-	for i, h := range ix.hosts {
-		vec := landmark.MeasureInto(env, h, set, backing[i*dims:(i+1)*dims:(i+1)*dims])
-		num, err := space.Number(vec)
-		if err != nil {
-			return nil, fmt.Errorf("proximity: host %d: %w", h, err)
+	measure := func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			vec := landmark.MeasureInto(env, ix.hosts[i], set, backing[i*dims:(i+1)*dims:(i+1)*dims])
+			num, err := space.Number(vec)
+			if err != nil {
+				return fmt.Errorf("proximity: host %d: %w", ix.hosts[i], err)
+			}
+			ix.vectors[i] = vec
+			ix.numbers[i] = num
 		}
-		ix.vectors[i] = vec
-		ix.numbers[i] = num
+		return nil
+	}
+	workers := runtime.GOMAXPROCS(0)
+	if env.FaultPlan() != nil {
+		workers = 1
+	}
+	if workers > len(hosts) {
+		workers = len(hosts)
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = measure(w*len(hosts)/workers, (w+1)*len(hosts)/workers)
+		}(w)
+	}
+	errs[0] = measure(0, len(hosts)/workers)
+	wg.Wait()
+	for _, err := range errs { // shares are in host order: the first error is the lowest host's
+		if err != nil {
+			return nil, err
+		}
+	}
+	for i, h := range ix.hosts {
 		ix.byNum[i] = i
 		ix.pos[h] = i
 	}

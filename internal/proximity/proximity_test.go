@@ -2,6 +2,8 @@ package proximity
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"gsso/internal/can"
@@ -102,6 +104,83 @@ func TestBuildIndexMetersJoinCost(t *testing.T) {
 	got[0] = 0 // must be a copy
 	if ix.Hosts()[0] == 0 && h.hosts[0] != 0 {
 		t.Fatal("Hosts leaked internal slice")
+	}
+}
+
+// TestBuildIndexSameAtAnyGOMAXPROCS: the hosts are measured on GOMAXPROCS
+// workers, and the index and the probe bill must not show it.
+func TestBuildIndexSameAtAnyGOMAXPROCS(t *testing.T) {
+	h := newHarness(t, 101) // not a multiple of 2 or 4: uneven shares
+	build := func(procs int, plan *netsim.FaultPlan) (*Index, int64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		env := netsim.New(h.net)
+		env.SetFaultPlan(plan)
+		ix, err := BuildIndex(env, h.space, h.hosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix, env.Probes()
+	}
+	same := func(t *testing.T, got, want *Index) {
+		t.Helper()
+		if !reflect.DeepEqual(got.numbers, want.numbers) || !reflect.DeepEqual(got.byNum, want.byNum) ||
+			!reflect.DeepEqual(got.pos, want.pos) {
+			t.Fatal("numbers/byNum/pos differ")
+		}
+		for i := range want.vectors {
+			for k := range want.vectors[i] {
+				if math.Float64bits(got.vectors[i][k]) != math.Float64bits(want.vectors[i][k]) {
+					t.Fatalf("host %d dim %d: %v, want %v", want.hosts[i], k, got.vectors[i][k], want.vectors[i][k])
+				}
+			}
+		}
+	}
+	want, wantProbes := build(1, nil)
+	if wantProbes != int64(len(h.hosts)*h.space.Set().Len()) {
+		t.Fatalf("sequential build spent %d probes", wantProbes)
+	}
+	for _, procs := range []int{2, 4} {
+		got, probes := build(procs, nil)
+		if probes != wantProbes {
+			t.Fatalf("GOMAXPROCS %d: %d probes, want %d", procs, probes, wantProbes)
+		}
+		same(t, got, want)
+	}
+
+	// With a fault plan the probe order decides which probes are lost, so
+	// the build must not fan out: the reference is the plain per-host,
+	// per-landmark ProbeRTT loop.
+	plan := &netsim.FaultPlan{Seed: 5, LossRate: 0.3}
+	ref := netsim.New(h.net)
+	ref.SetFaultPlan(plan)
+	lost := 0
+	var refVecs []float64
+	for _, host := range h.hosts {
+		for _, lm := range h.space.Set().Nodes() {
+			rtt := ref.ProbeRTT(host, lm)
+			if math.IsInf(rtt, 1) {
+				lost++
+			}
+			refVecs = append(refVecs, rtt)
+		}
+	}
+	if lost == 0 {
+		t.Fatal("plan lost no probe")
+	}
+	for _, procs := range []int{1, 4} {
+		got, probes := build(procs, plan)
+		if probes != ref.Probes() {
+			t.Fatalf("plan, GOMAXPROCS %d: %d probes, want %d", procs, probes, ref.Probes())
+		}
+		dims := h.space.Set().Len()
+		for i, vec := range got.vectors {
+			for k, rtt := range vec {
+				if math.Float64bits(rtt) != math.Float64bits(refVecs[i*dims+k]) {
+					t.Fatalf("plan, GOMAXPROCS %d: host %d dim %d = %v, sequential loop measured %v",
+						procs, got.hosts[i], k, rtt, refVecs[i*dims+k])
+				}
+			}
+		}
 	}
 }
 
@@ -353,4 +432,30 @@ func TestStretch(t *testing.T) {
 			t.Fatalf("stretch below 1: %v", s)
 		}
 	}
+}
+
+// BenchmarkBuildIndex100k is the landmark-index share of a 10^5-host world
+// build (the sim-scale benchmark workload): 15 landmarks, every stub host.
+func BenchmarkBuildIndex100k(b *testing.B) {
+	net := topology.MustGenerate(topology.TSKLarge(topology.GTITMLatency()).SizedWide(100_000), simrand.New(1))
+	rng := simrand.New(2)
+	set, err := landmark.Choose(net, 15, rng.Split("lm"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	space, err := landmark.NewSpace(set, 3, 6,
+		landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("est"), 32)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	hosts := net.StubHosts()
+	env := netsim.NewRun(net, "bench")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildIndex(env, space, hosts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
 }

@@ -33,7 +33,8 @@ func (n *Network) WriteDOT(w io.Writer) error {
 	}
 
 	// Stub domains as clusters of points.
-	for si, sd := range n.stubs {
+	for si := range n.stubs {
+		sd := &n.stubs[si]
 		fmt.Fprintf(bw, "  subgraph cluster_stub_%d {\n", si)
 		fmt.Fprintf(bw, "    label=\"stub %d\";\n", si)
 		for k := 0; k < sd.size; k++ {

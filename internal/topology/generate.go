@@ -22,7 +22,7 @@ import (
 // then stub hosts (stub by stub, contiguous within a stub).
 //
 // Every random draw and every edge insertion happens on the calling
-// goroutine in a fixed order; only the per-stub distance matrices, which
+// goroutine in a fixed order; only the per-stub egress columns, which
 // consume no randomness, are filled by a stubSolver's workers. The result
 // is the same bytes at any GOMAXPROCS.
 func Generate(spec Spec, rng *simrand.Source) (*Network, error) {
@@ -78,21 +78,23 @@ func Generate(spec Spec, rng *simrand.Source) (*Network, error) {
 		}
 	}
 
-	// Stub domains. Oversized stubs (see Spec.HubStubThreshold) take the
-	// factored hub-and-spoke path; preset-sized stubs keep the exact dense
-	// path, bit-identical to the pre-threshold implementation.
-	stubTotal := spec.TotalStubs()
+	// Stub domains. Oversized stubs (see Spec.HubStubThreshold) are wired
+	// hub-and-spoke, which makes the egress array the whole distance
+	// structure; preset-sized stubs are random local graphs whose egress
+	// column a stubSolver computes (see stubDomain).
 	hub := spec.NodesPerStub > spec.hubThreshold()
-	net.stubs = make([]stubDomain, 0, stubTotal)
+	net.hubStubs = hub
+	net.stubs = make([]stubDomain, spec.TotalStubs())
+	egress := make([]float64, len(net.stubs)*spec.NodesPerStub) // one backing array
 	ids := make([]NodeID, spec.NodesPerStub)
 	var solver *stubSolver
 	if !hub {
-		solver = newStubSolver(spec.NodesPerStub)
+		solver = newStubSolver(net.graph)
 		defer solver.wait() // before the caller sees net, also on error returns
 	}
+	stubIdx := 0
 	for t := 0; t < transitCount; t++ {
 		for k := 0; k < spec.StubsPerTransitNode; k++ {
-			stubIdx := len(net.stubs)
 			first := next
 			for i := range ids {
 				ids[i] = next
@@ -104,17 +106,14 @@ func Generate(spec Spec, rng *simrand.Source) (*Network, error) {
 				}
 				next++
 			}
-			sd := stubDomain{
-				first:   first,
-				size:    spec.NodesPerStub,
-				gateway: NodeID(t),
-			}
+			sd := &net.stubs[stubIdx]
+			sd.first, sd.size, sd.gateway = first, spec.NodesPerStub, NodeID(t)
+			sd.egress = egress[stubIdx*sd.size : (stubIdx+1)*sd.size : (stubIdx+1)*sd.size]
+			stubIdx++
 			if hub {
-				// Hub-and-spoke: every host wired straight to the stub's
-				// local hub (host 0), one intra-stub latency draw per
-				// spoke. The factored egress array IS the distance
-				// structure; no local Dijkstra, no dense matrix.
-				sd.egress = make([]float64, spec.NodesPerStub)
+				// Every host wired straight to the stub's local hub (host
+				// 0), one intra-stub latency draw per spoke, which is also
+				// the spoke's egress distance: no Dijkstra at all.
 				for i := 1; i < spec.NodesPerStub; i++ {
 					w := spec.Latency.IntraStub.Draw(latRNG)
 					if err := net.graph.AddEdge(ids[0], ids[i], w); err != nil {
@@ -123,23 +122,22 @@ func Generate(spec Spec, rng *simrand.Source) (*Network, error) {
 					net.edgeCounts[LinkIntraStub]++
 					sd.egress[i] = w
 				}
-			} else {
-				local := solver.graph()
-				if err := net.randomConnectedLocal(local, ids, first, spec.ExtraStubEdgeProb,
-					spec.Latency.IntraStub, wireRNG, latRNG); err != nil {
-					return nil, err
-				}
-				sd.dist = make([]float64, spec.NodesPerStub*spec.NodesPerStub)
-				solver.solve(local, sd.dist)
+			} else if err := net.randomConnected(nil, ids, spec.ExtraStubEdgeProb,
+				spec.Latency.IntraStub, LinkIntraStub, wireRNG, latRNG); err != nil {
+				return nil, err
 			}
-			// Gateway uplink: stub host 0 <-> sponsoring transit node.
+			// Gateway uplink: stub host 0 <-> sponsoring transit node. It goes
+			// in before the solver sees the stub, so no worker ever reads an
+			// adjacency list this goroutine still appends to.
 			gwLat := spec.Latency.TransitStub.Draw(latRNG)
 			if err := net.graph.AddEdge(ids[0], NodeID(t), gwLat); err != nil {
 				return nil, err
 			}
 			net.edgeCounts[LinkTransitStub]++
 			sd.gwLatency = gwLat
-			net.stubs = append(net.stubs, sd)
+			if !hub {
+				solver.solve(sd)
+			}
 		}
 	}
 	if int(next) != total {
@@ -148,79 +146,76 @@ func Generate(spec Spec, rng *simrand.Source) (*Network, error) {
 	return net, nil
 }
 
-// stubsInFlight bounds the stub-local graphs that exist at once, queued or
-// being solved. The producer outruns the workers, and an unbounded queue
-// would hold every stub's graph until the end (at 10^5 hosts the prototype
-// measured 320 MB peak RSS unbounded, 239 MB with eight); eight keeps
-// GOMAXPROCS workers fed.
-const stubsInFlight = 8
-
-// stubJob is one finished stub-local graph and the matrix its rows fill.
-type stubJob struct {
-	local *Graph
-	dist  []float64
-}
-
-// stubSolver computes stub-local all-pairs matrices: on GOMAXPROCS workers,
-// or inline on the caller when GOMAXPROCS is 1. Either way each row is one
-// DijkstraInto over the same graph, so the matrices do not depend on which
-// goroutine ran them. The local graphs are recycled through free.
+// stubSolver fills the egress columns of fully wired exact stubs: on
+// GOMAXPROCS workers, or inline on the caller when GOMAXPROCS is 1. Either
+// way egress[i] is the label a Dijkstra run from host i over the stub's node
+// range of the full graph gives host 0, so the values do not depend on which
+// goroutine ran them. One run out of host 0 cannot stand in for the column:
+// d(0,i) and d(i,0) sum the same path's weights from opposite ends and differ
+// in the last ulp now and then, and the goldens pin d(i,0). It can steer the
+// runs that do count, though — see dijkstraToward.
+//
+// Workers read only the adjacency lists of the stub they were handed, which
+// the producer finished before the hand-off; the lists it appends to
+// meanwhile belong to later stubs and to transit nodes.
 type stubSolver struct {
-	free    chan *Graph  // empty graphs ready for the producer
-	jobs    chan stubJob // nil when solving inline
+	g       *Graph
+	jobs    chan *stubDomain // nil when solving inline
 	wg      sync.WaitGroup
-	scratch DijkstraScratch // the inline path's queue
+	scratch stubScratch // the inline path's
 }
 
-func newStubSolver(nodesPerStub int) *stubSolver {
-	s := &stubSolver{free: make(chan *Graph, stubsInFlight)}
+// stubScratch is what solving one stub needs besides the graph.
+type stubScratch struct {
+	from []float64 // the run out of host 0 that steers the others
+	dist []float64 // labels of the run in progress
+	pq   DijkstraScratch
+}
+
+func newStubSolver(g *Graph) *stubSolver {
+	s := &stubSolver{g: g}
 	workers := runtime.GOMAXPROCS(0)
 	if workers == 1 {
-		s.free <- NewGraph(nodesPerStub)
 		return s
 	}
-	for i := 0; i < stubsInFlight; i++ {
-		s.free <- NewGraph(nodesPerStub)
-	}
-	// Sized to the graphs that exist, so solve never blocks.
-	s.jobs = make(chan stubJob, stubsInFlight)
+	// Room for a few stubs per worker, so the producer blocks only when
+	// the workers are behind; what queues is a pointer.
+	s.jobs = make(chan *stubDomain, 8*workers)
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go func() {
 			defer s.wg.Done()
-			var scratch DijkstraScratch
-			for j := range s.jobs {
-				s.run(j, &scratch)
+			var scratch stubScratch
+			for sd := range s.jobs {
+				s.run(sd, &scratch)
 			}
 		}()
 	}
 	return s
 }
 
-// graph returns an edgeless stub-local graph, waiting for a worker to
-// finish with one if all are in flight.
-func (s *stubSolver) graph() *Graph { return <-s.free }
-
-// solve fills dist (n*n, row-major) with local's all-pairs distances and
-// takes local back for reuse. dist must not be read before wait returns.
-func (s *stubSolver) solve(local *Graph, dist []float64) {
+// solve fills sd.egress. sd's edges, uplink included, must all be in the
+// graph; egress must not be read before wait returns.
+func (s *stubSolver) solve(sd *stubDomain) {
 	if s.jobs == nil {
-		s.run(stubJob{local, dist}, &s.scratch)
+		s.run(sd, &s.scratch)
 		return
 	}
-	s.jobs <- stubJob{local, dist}
+	s.jobs <- sd
 }
 
-func (s *stubSolver) run(j stubJob, scratch *DijkstraScratch) {
-	n := j.local.Len()
-	for i := 0; i < n; i++ {
-		j.local.DijkstraInto(NodeID(i), j.dist[i*n:(i+1)*n], scratch)
+func (s *stubSolver) run(sd *stubDomain, scratch *stubScratch) {
+	if len(scratch.dist) != sd.size {
+		scratch.dist = make([]float64, sd.size)
+		scratch.from = make([]float64, sd.size)
 	}
-	j.local.clearEdges()
-	s.free <- j.local
+	s.g.dijkstraRange(sd.first, sd.first, scratch.from, &scratch.pq)
+	for i := 1; i < sd.size; i++ {
+		sd.egress[i] = s.g.dijkstraToward(sd.first+NodeID(i), sd.first, sd.first, scratch.from, scratch.dist, &scratch.pq)
+	}
 }
 
-// wait returns once every solved matrix is complete.
+// wait returns once every egress column is complete.
 func (s *stubSolver) wait() {
 	if s.jobs != nil {
 		close(s.jobs)
@@ -240,15 +235,16 @@ func MustGenerate(spec Spec, rng *simrand.Source) *Network {
 
 // randomConnected wires ids (global IDs) into a connected random graph:
 // a random attachment tree guarantees connectivity, then every remaining
-// pair receives an edge with probability extraProb. Edges are mirrored
-// into both the full graph and the backbone graph (same IDs).
+// pair receives an edge with probability extraProb. Edges go into the full
+// graph and, when mirror is non-nil, into mirror as well (same IDs; the
+// transit domains mirror into the backbone graph).
 //
 // Duplicate suppression needs no per-pair map: the extra-edge double loop
 // visits each unordered pair at most once, so the only possible duplicate
 // is an extra edge re-proposing a tree edge — detected in O(1) against the
 // flat parent index. A suppressed pair draws no latency, exactly like the
 // map-based seed implementation.
-func (n *Network) randomConnected(backbone *Graph, ids []NodeID, extraProb float64,
+func (n *Network) randomConnected(mirror *Graph, ids []NodeID, extraProb float64,
 	dist Dist, class LinkClass, wireRNG, latRNG *simrand.Source) error {
 	add := func(u, v NodeID) error {
 		w := dist.Draw(latRNG)
@@ -256,44 +252,12 @@ func (n *Network) randomConnected(backbone *Graph, ids []NodeID, extraProb float
 			return err
 		}
 		n.edgeCounts[class]++
-		return backbone.AddEdge(u, v, w)
+		if mirror == nil {
+			return nil
+		}
+		return mirror.AddEdge(u, v, w)
 	}
 	parent := make([]int32, len(ids)) // parent[i]: tree parent of ids[i], by index
-	parent[0] = -1
-	for i := 1; i < len(ids); i++ {
-		p := wireRNG.Intn(i)
-		parent[i] = int32(p)
-		if err := add(ids[i], ids[p]); err != nil {
-			return err
-		}
-	}
-	if extraProb > 0 {
-		for i := 0; i < len(ids); i++ {
-			for j := i + 1; j < len(ids); j++ {
-				if wireRNG.Bool(extraProb) && int(parent[j]) != i {
-					if err := add(ids[i], ids[j]); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// randomConnectedLocal is randomConnected for a stub domain: edges are
-// mirrored into a stub-local graph indexed from 0 (id - first).
-func (n *Network) randomConnectedLocal(local *Graph, ids []NodeID, first NodeID,
-	extraProb float64, dist Dist, wireRNG, latRNG *simrand.Source) error {
-	add := func(u, v NodeID) error {
-		w := dist.Draw(latRNG)
-		if err := n.graph.AddEdge(u, v, w); err != nil {
-			return err
-		}
-		n.edgeCounts[LinkIntraStub]++
-		return local.AddEdge(u-first, v-first, w)
-	}
-	parent := make([]int32, len(ids))
 	parent[0] = -1
 	for i := 1; i < len(ids); i++ {
 		p := wireRNG.Intn(i)

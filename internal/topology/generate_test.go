@@ -352,3 +352,15 @@ func BenchmarkGenerateTSKLarge(b *testing.B) {
 		MustGenerate(TSKLarge(GTITMLatency()), simrand.New(uint64(i)))
 	}
 }
+
+// BenchmarkGenerateSizedWide100k is the topology layer's share of a
+// 10^5-host world build (the ext-scale trajectory and the sim-scale
+// benchmark workload): 2,560 preset-depth stubs.
+func BenchmarkGenerateSizedWide100k(b *testing.B) {
+	spec := TSKLarge(GTITMLatency()).SizedWide(100_000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		MustGenerate(spec, simrand.New(uint64(i)))
+	}
+	b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
+}

@@ -60,14 +60,6 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) error {
 	return nil
 }
 
-// clearEdges removes every edge, keeping the adjacency lists' storage so a
-// graph refilled with a similar shape allocates nothing.
-func (g *Graph) clearEdges() {
-	for i := range g.adj {
-		g.adj[i] = g.adj[i][:0]
-	}
-}
-
 // Neighbors returns the adjacency list of u. The returned slice is owned by
 // the graph and must not be modified.
 func (g *Graph) Neighbors(u NodeID) []Arc { return g.adj[u] }
@@ -95,8 +87,8 @@ func (g *Graph) Dijkstra(src NodeID) []float64 {
 
 // DijkstraScratch holds the priority-queue storage a Dijkstra run needs, so
 // callers computing many single-source trees over the same graph (the
-// generator's all-pairs precomputation sweeps every backbone and stub node)
-// can reuse one allocation instead of regrowing the heap per source. The
+// generator runs one out of every backbone node and every stub host) can
+// reuse one allocation instead of regrowing the heap per source. The
 // zero value is ready to use. Not safe for concurrent use.
 type DijkstraScratch struct {
 	pq arcHeap
@@ -109,31 +101,94 @@ func (g *Graph) DijkstraInto(src NodeID, dist []float64, scratch *DijkstraScratc
 	if len(dist) != len(g.adj) {
 		panic(fmt.Sprintf("topology: DijkstraInto dist length %d != node count %d", len(dist), len(g.adj)))
 	}
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
 	if scratch == nil {
 		scratch = new(DijkstraScratch)
 	}
+	g.dijkstraRange(src, 0, dist, scratch)
+}
+
+// dijkstraRange is Dijkstra over the subgraph induced by the contiguous
+// nodes [first, first+len(dist)): dist is indexed by id-first and arcs
+// leaving the range are skipped, so the distances are what DijkstraInto
+// computes on a standalone copy of the induced subgraph whose adjacency
+// lists hold the same arcs in the same order.
+func (g *Graph) dijkstraRange(src, first NodeID, dist []float64, scratch *DijkstraScratch) {
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src-first] = 0
 	// The queue is driven through the non-boxing pushArc/popArc rather than
 	// container/heap: heap.Push takes interface{}, which heap-allocates a
 	// box per relaxation — the dominant allocation in the generator's
-	// all-pairs sweeps.
+	// sweeps.
 	pq := &scratch.pq
 	*pq = append((*pq)[:0], Arc{To: src, W: 0})
 	for len(*pq) > 0 {
 		cur := pq.popArc()
-		if cur.W > dist[cur.To] {
+		if cur.W > dist[cur.To-first] {
 			continue // stale queue entry
 		}
 		for _, e := range g.adj[cur.To] {
-			if nd := cur.W + e.W; nd < dist[e.To] {
-				dist[e.To] = nd
+			to := int(e.To - first)
+			if uint(to) >= uint(len(dist)) {
+				continue // leaves the range
+			}
+			if nd := cur.W + e.W; nd < dist[to] {
+				dist[to] = nd
 				pq.pushArc(Arc{To: e.To, W: nd})
 			}
 		}
 	}
+}
+
+// towardSlack is how far above the known distance dijkstraToward lets a
+// partial path's estimate run before cutting it. Rounding moves a sum of n
+// positive weights by a relative n*2^-53 at most, about 3e-14 for the largest
+// exact stub, and every quantity compared is such a sum: 1e-9 is safely
+// above the noise and still admits nothing but shortest paths and their ties.
+const towardSlack = 1 + 1e-9
+
+// dijkstraToward returns what dijkstraRange from src leaves in
+// dist[target-first], exact to the bit, for a fraction of the work. from
+// must hold a dijkstraRange run out of target over the same range (within
+// rounding, every node's distance to target); dist is scratch.
+//
+// A Dijkstra label is the minimum, over all paths from src, of the path's
+// weights summed in path order: a settled label is final whatever order the
+// queue settles nodes in (weights are positive and rounding is monotone), so
+// the run may stop once target is settled, and may skip a relaxation without
+// changing target's label unless a minimising path runs through it. Every
+// prefix of a minimising path has label + from[node] within rounding of
+// from[src]; a relaxation that lands more than towardSlack above is on no
+// such path. What remains is the shortest paths from src to target.
+func (g *Graph) dijkstraToward(src, target, first NodeID, from, dist []float64, scratch *DijkstraScratch) float64 {
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src-first] = 0
+	cut := from[src-first] * towardSlack
+	pq := &scratch.pq
+	*pq = append((*pq)[:0], Arc{To: src, W: 0})
+	for len(*pq) > 0 {
+		cur := pq.popArc()
+		if cur.W > dist[cur.To-first] {
+			continue // stale queue entry
+		}
+		if cur.To == target {
+			break
+		}
+		for _, e := range g.adj[cur.To] {
+			to := int(e.To - first)
+			if uint(to) >= uint(len(dist)) {
+				continue // leaves the range
+			}
+			if nd := cur.W + e.W; nd < dist[to] && nd+from[to] <= cut {
+				dist[to] = nd
+				pq.pushArc(Arc{To: e.To, W: nd})
+			}
+		}
+	}
+	return dist[target-first]
 }
 
 // DijkstraSubset computes shortest-path distances from src restricted to

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"gsso/internal/simrand"
 )
@@ -32,48 +33,72 @@ type Node struct {
 	Stub   int // stub domain index, or -1 for transit nodes
 }
 
-// stubDomain holds the precomputed structure of one stub domain. Member
-// IDs are contiguous, members[0] is the gateway host that owns the single
+// stubDomain holds the structure of one stub domain. Member IDs are
+// contiguous, members[0] is the gateway host that owns the single
 // transit-stub uplink.
 //
-// Intra-stub distances come in two flat representations, chosen at
-// generation time by Spec.HubStubThreshold:
+// egress[i] = d(i → host 0) is the one structure Generate computes for every
+// stub: each cross-stub latency needs nothing else of the stub. Intra-stub
+// distances depend on how Spec.HubStubThreshold had the network's stubs wired
+// (Network.hubStubs):
 //
-//   - exact: dist is the dense size×size all-pairs matrix over the stub's
-//     random local graph (the paper's presets — O(size²) memory, fine for
-//     stubs of tens to hundreds of hosts);
-//   - factored: dist is nil and egress holds each host's latency to the
-//     stub-local hub (host 0). The stub was wired hub-and-spoke, so
+//   - exact: the stub is a random local graph (the paper's presets). Its
+//     dense size×size all-pairs matrix is filled by the first intra-stub
+//     query that reaches the stub and memoised in dist — a world build
+//     queries a few dozen of its thousands of stubs, and an untouched stub
+//     costs O(size) memory, not O(size²);
+//   - hub: the stub was wired hub-and-spoke around host 0, so
 //     d(a,b) = egress[a] + egress[b] is the exact shortest path on the raw
-//     graph — O(size) memory, which is what makes million-node topologies
-//     fit in RAM (a size² matrix is the dominant RSS term at large
-//     NodesPerStub).
+//     graph and no matrix ever exists — which is what makes million-node
+//     topologies with deep stubs fit in RAM.
 //
-// Both paths are O(1) per latency query.
+// Both paths are O(1) per latency query once a stub's matrix exists.
 type stubDomain struct {
-	first     NodeID  // ID of members[0]
-	size      int     // number of hosts
-	gateway   NodeID  // transit node the stub attaches to
-	gwLatency float64 // latency of the transit-stub link
-	dist      []float64
-	egress    []float64 // factored mode; egress[0] == 0
+	first     NodeID    // ID of members[0]
+	size      int       // number of hosts
+	gateway   NodeID    // transit node the stub attaches to
+	gwLatency float64   // latency of the transit-stub link
+	egress    []float64 // egress[i] = d(i → host 0); egress[0] == 0
+	// dist is the exact mode's size×size matrix, row-major; nil until the
+	// first intra-stub query. See Network.stubMatrix.
+	dist atomic.Pointer[[]float64]
 }
 
-func (s *stubDomain) d(pa, pb int) float64 {
-	if s.dist != nil {
-		return s.dist[pa*s.size+pb]
+// stubMatrix returns s's dense all-pairs matrix, filling it on first use:
+// row i is one Dijkstra from host i over the stub's node range of the full
+// graph. Concurrent first callers each compute a copy and one CAS wins; the
+// copies are bit-identical (same graph, same runs), so it does not matter
+// which, and readers never wait on a lock.
+func (n *Network) stubMatrix(s *stubDomain) []float64 {
+	if m := s.dist.Load(); m != nil {
+		return *m
 	}
-	if pa == pb {
-		return 0
+	m := make([]float64, s.size*s.size)
+	var scratch DijkstraScratch
+	for i := 0; i < s.size; i++ {
+		n.graph.dijkstraRange(s.first+NodeID(i), s.first, m[i*s.size:(i+1)*s.size], &scratch)
 	}
-	// (egress[pa] + egress[pb]) is commutative, so the factored path stays
-	// exactly symmetric in its arguments, like the dense matrix.
-	return s.egress[pa] + s.egress[pb]
+	if !s.dist.CompareAndSwap(nil, &m) {
+		return *s.dist.Load()
+	}
+	return m
+}
+
+// intraStub returns the latency between two distinct positions of stub s.
+func (n *Network) intraStub(s *stubDomain, pa, pb int) float64 {
+	if n.hubStubs {
+		// (egress[pa] + egress[pb]) is commutative, so the hub path stays
+		// exactly symmetric in its arguments.
+		return s.egress[pa] + s.egress[pb]
+	}
+	return n.stubMatrix(s)[pa*s.size+pb]
 }
 
 // Network is a generated transit-stub topology with O(1) shortest-path
-// latency queries. It is immutable after generation and safe for
-// concurrent readers.
+// latency queries. Its observable state is fixed at generation; the only
+// thing that changes afterwards is that exact stubs memoise their distance
+// matrix on first use (see stubDomain), behind an atomic pointer, so a
+// Network stays safe for concurrent readers.
 type Network struct {
 	spec         Spec
 	graph        *Graph // full graph, kept for validation and inspection
@@ -81,6 +106,7 @@ type Network struct {
 	transitCount int
 	transitDist  []float64 // row-major transitCount x transitCount
 	stubs        []stubDomain
+	hubStubs     bool   // stubs are wired hub-and-spoke (see stubDomain)
 	edgeCounts   [4]int // per LinkClass
 }
 
@@ -158,7 +184,7 @@ func (n *Network) toTransit(id NodeID) (int, float64) {
 	}
 	si, pos := n.stubOf(id)
 	s := &n.stubs[si]
-	return int(s.gateway), s.d(pos, 0) + s.gwLatency
+	return int(s.gateway), s.egress[pos] + s.gwLatency
 }
 
 // Latency returns the shortest-path latency in milliseconds between hosts
@@ -176,7 +202,7 @@ func (n *Network) Latency(a, b NodeID) float64 {
 		sa, pa := n.stubOf(a)
 		sb, pb := n.stubOf(b)
 		if sa == sb {
-			return n.stubs[sa].d(pa, pb)
+			return n.intraStub(&n.stubs[sa], pa, pb)
 		}
 	}
 	ta, ca := n.toTransit(a)

@@ -54,11 +54,11 @@ func TestHubStubLatencyMatchesDijkstra(t *testing.T) {
 
 func TestHubStubUsesFactoredStorage(t *testing.T) {
 	net := MustGenerate(hubSpec(), simrand.New(1))
+	if !net.hubStubs {
+		t.Fatal("network not marked hub-and-spoke")
+	}
 	for si := 0; si < net.StubCount(); si++ {
 		s := &net.stubs[si]
-		if s.dist != nil {
-			t.Fatalf("stub %d carries a dense matrix on the hub path", si)
-		}
 		if len(s.egress) != s.size {
 			t.Fatalf("stub %d egress len = %d, want %d", si, len(s.egress), s.size)
 		}
@@ -70,6 +70,13 @@ func TestHubStubUsesFactoredStorage(t *testing.T) {
 				t.Fatalf("stub %d egress[%d] = %v, want > 0", si, i, s.egress[i])
 			}
 		}
+		// Intra-stub queries are answered from egress: no matrix, ever.
+		if got, want := net.Latency(s.first+3, s.first+9), s.egress[3]+s.egress[9]; got != want {
+			t.Fatalf("stub %d: Latency = %v, egress sum = %v", si, got, want)
+		}
+		if s.dist.Load() != nil {
+			t.Fatalf("stub %d carries a dense matrix on the hub path", si)
+		}
 	}
 }
 
@@ -77,13 +84,13 @@ func TestHubThresholdBoundary(t *testing.T) {
 	at := hubSpec()
 	at.NodesPerStub = DefaultHubStubThreshold
 	net := MustGenerate(at, simrand.New(1))
-	if net.stubs[0].dist == nil {
-		t.Fatal("stub exactly at threshold should keep the dense path")
+	if net.hubStubs {
+		t.Fatal("stub exactly at threshold should keep the exact path")
 	}
 	over := hubSpec()
 	over.NodesPerStub = DefaultHubStubThreshold + 1
 	net = MustGenerate(over, simrand.New(1))
-	if net.stubs[0].dist != nil {
+	if !net.hubStubs {
 		t.Fatal("stub over threshold should take the factored path")
 	}
 	// Explicit threshold overrides the default.
@@ -91,7 +98,7 @@ func TestHubThresholdBoundary(t *testing.T) {
 	low.NodesPerStub = 10
 	low.HubStubThreshold = 5
 	net = MustGenerate(low, simrand.New(1))
-	if net.stubs[0].dist != nil {
+	if !net.hubStubs {
 		t.Fatal("explicit HubStubThreshold ignored")
 	}
 	if err := (Spec{TransitDomains: 1, TransitNodesPerDomain: 1, HubStubThreshold: -1}).Validate(); err == nil {
@@ -130,46 +137,56 @@ func TestScaledWideAndSizedWide(t *testing.T) {
 	}
 }
 
-// TestGenerateAllocBudget is the regression gate for the quadratic
-// stubDomain.dist fix: generating a ~10^5-host topology must stay under a
-// fixed allocation budget. Before the factored path, a single 1000-host
-// stub's matrix alone was 8 MB (size² float64s), and a wide 10^5 topology
-// allocated gigabytes across its stubs plus per-pair dedup maps; the flat
-// layout keeps the whole generate under 128 MB cumulative.
+// TestGenerateAllocBudget is the regression gate for what a ~10^5-host
+// Generate allocates, on both stub paths. Deep stubs (hub path): before the
+// factored layout a single 1000-host stub's matrix alone was 8 MB (size²
+// float64s) and the generate allocated gigabytes; it now takes 11 MB. Wide
+// preset-depth stubs (exact path, the ext-scale and sim-scale shape): 60 MB
+// while every stub's dense matrix was filled eagerly, 28 MB now that only
+// the egress columns are. The budgets are those figures plus headroom.
 func TestGenerateAllocBudget(t *testing.T) {
 	if testing.Short() {
-		t.Skip("generates a 10^5-node topology")
+		t.Skip("generates 10^5-node topologies")
 	}
-	spec := TSKLarge(GTITMLatency()).Scaled(10) // 400 hosts/stub -> hub path
-	spec.StubsPerTransitNode = 4
-	if n := spec.TotalNodes(); n < 100_000 {
-		t.Fatalf("spec yields %d nodes, want >= 1e5", n)
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	net := MustGenerate(spec, simrand.New(1))
-	runtime.ReadMemStats(&after)
-	alloc := after.TotalAlloc - before.TotalAlloc
-	const budget = 128 << 20
-	if alloc > budget {
-		t.Fatalf("generating %d nodes allocated %d MB cumulative, budget %d MB",
-			net.Len(), alloc>>20, budget>>20)
-	}
-	if net.Len() != spec.TotalNodes() {
-		t.Fatalf("Len = %d, want %d", net.Len(), spec.TotalNodes())
-	}
-	// The latency path must stay O(1) and well-formed at this scale.
-	hosts := net.RandomStubHosts(simrand.New(2), 64)
-	for _, a := range hosts {
-		for _, b := range hosts {
-			d := net.Latency(a, b)
-			if a != b && (d <= 0 || math.IsInf(d, 0) || math.IsNaN(d)) {
-				t.Fatalf("Latency(%d,%d) = %v", a, b, d)
+	deep := TSKLarge(GTITMLatency()).Scaled(10) // 400 hosts/stub -> hub path
+	deep.StubsPerTransitNode = 4
+	for _, c := range []struct {
+		name   string
+		spec   Spec
+		budget uint64
+	}{
+		{"deep-hub", deep, 16 << 20},
+		{"wide-exact", TSKLarge(GTITMLatency()).SizedWide(100_000), 40 << 20},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if n := c.spec.TotalNodes(); n < 100_000 {
+				t.Fatalf("spec yields %d nodes, want >= 1e5", n)
 			}
-			if d != net.Latency(b, a) {
-				t.Fatalf("asymmetric latency at scale (%d,%d)", a, b)
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			net := MustGenerate(c.spec, simrand.New(1))
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > c.budget {
+				t.Fatalf("generating %d nodes allocated %d MB cumulative, budget %d MB",
+					net.Len(), alloc>>20, c.budget>>20)
 			}
-		}
+			if net.Len() != c.spec.TotalNodes() {
+				t.Fatalf("Len = %d, want %d", net.Len(), c.spec.TotalNodes())
+			}
+			// The latency path must stay O(1) and well-formed at this scale.
+			hosts := net.RandomStubHosts(simrand.New(2), 64)
+			for _, a := range hosts {
+				for _, b := range hosts {
+					d := net.Latency(a, b)
+					if a != b && (d <= 0 || math.IsInf(d, 0) || math.IsNaN(d)) {
+						t.Fatalf("Latency(%d,%d) = %v", a, b, d)
+					}
+					if d != net.Latency(b, a) {
+						t.Fatalf("asymmetric latency at scale (%d,%d)", a, b)
+					}
+				}
+			}
+		})
 	}
 }
