@@ -1,6 +1,6 @@
 # Developer conveniences; everything is plain `go` underneath.
 
-.PHONY: all build vet test race check fmt-check bench-module soak e2e bench bench-json bench-wire bench-scale bench-diff mon-smoke results quick-results examples clean
+.PHONY: all build vet test race check fmt-check bench-module soak e2e bench mon-smoke results quick-results examples clean
 
 # Worker-pool width for the experiment engine; override with `make J=8 results`.
 J ?= $(shell nproc 2>/dev/null || echo 1)
@@ -38,8 +38,10 @@ bench-module:
 # single-core CI boxes), and a short coverage-guided fuzz of the CAN
 # membership machine (join/depart/crash interleavings must keep the split
 # tree invariant-clean), and of the wire codec (arbitrary frames must
-# never panic, hang, or round-trip lossily through the multiplexer).
-check: build vet fmt-check bench-module race bench-diff
+# never panic, hang, or round-trip lossily; every JSON-describable message
+# must survive the binary layout). Performance is not gated here: bench/
+# (bash bench/run.sh) is the perf contract.
+check: build vet fmt-check bench-module race
 	GSSO_WORKERS=4 go test -race -count=1 ./internal/experiment/... ./internal/netsim/...
 	go run ./cmd/topobench -run ext-scale -scale quick -seed $(SEED) > /dev/null
 	go test -fuzz FuzzMembership -fuzztime 10s -run '^$$' ./internal/can
@@ -59,55 +61,6 @@ soak:
 # One testing.B benchmark per paper table/figure, plus package micro-benches.
 bench:
 	go test -bench=. -benchmem ./...
-
-# Suite wall-clock report: quick and full scale, -j 1 baseline then -j $(J),
-# appended into BENCH_engine.json (per-experiment wall-clock, speedup vs the
-# baseline in the same file, peak RSS, topology cache hit counts). Each
-# invocation is a fresh process, so the parallel run pays its own cache
-# fills — the speedup is honest.
-bench-json:
-	rm -f BENCH_engine.json
-	go run ./cmd/topobench -run all -scale quick -seed $(SEED) -j 1 -bench-json BENCH_engine.json > /dev/null
-	go run ./cmd/topobench -run all -scale quick -seed $(SEED) -j $(J) -bench-json BENCH_engine.json > /dev/null
-	go run ./cmd/topobench -run all -scale full -seed $(SEED) -j 1 -bench-json BENCH_engine.json > /dev/null
-	go run ./cmd/topobench -run all -scale full -seed $(SEED) -j $(J) -bench-json BENCH_engine.json > /dev/null
-
-# Wire transport benchmarks: dial-per-RPC baseline vs the pooled,
-# multiplexed transport and the 64-record publish-batch path, written to
-# BENCH_wire.json (ns/op, allocs/op, conns/op, connection reuse ratio).
-bench-wire:
-	go run ./cmd/topobench -wire-bench BENCH_wire.json
-
-# Million-node scale trajectory: run the ext-scale tsk-large cell at each
-# SCALE_N (increasing order; getrusage peak RSS is a process-lifetime
-# high-water mark, so per-cell RSS readings only attribute correctly that
-# way) and append nodes/phase-wall-clock/peak-RSS to BENCH_scale.json.
-# Default covers 10^4 and 10^5; push to 10^6 with
-# `make SCALE_N=10000,100000,1000000 bench-scale`.
-SCALE_N ?= 10000,100000
-bench-scale:
-	go run ./cmd/topobench -scale-bench BENCH_scale.json -scale-n $(SCALE_N) -seed $(SEED)
-
-# Perf regression gate: re-run the wire benchmarks into a scratch file and
-# fail if any benchmark shared with the checked-in BENCH_wire.json
-# regressed more than 20% in ns/op, then re-run the scale benchmark at
-# SCALE_DIFF_N and fail if its wall-clock or peak RSS regressed more than
-# 20% against the matching cell of the checked-in BENCH_scale.json (cells
-# match by target node count, so the gate diffs only the N it re-ran). A
-# failing run is retried once before it counts — single-shot benchmarks on
-# a shared box are noisy. Wired into `make check`, so perf regressions
-# fail the pre-merge gate.
-SCALE_DIFF_N ?= 10000
-bench-diff:
-	@go run ./cmd/topobench -wire-bench .bench_wire_head.json -wire-diff BENCH_wire.json || \
-	  { echo "bench-diff: possible regression, retrying once to rule out noise"; \
-	    go run ./cmd/topobench -wire-bench .bench_wire_head.json -wire-diff BENCH_wire.json; }
-	@rm -f .bench_wire_head.json
-	@go run ./cmd/topobench -scale-bench .bench_scale_head.json -scale-n $(SCALE_DIFF_N) -seed $(SEED) -scale-diff BENCH_scale.json || \
-	  { echo "bench-diff: possible scale regression, retrying once to rule out noise"; \
-	    rm -f .bench_scale_head.json; \
-	    go run ./cmd/topobench -scale-bench .bench_scale_head.json -scale-n $(SCALE_DIFF_N) -seed $(SEED) -scale-diff BENCH_scale.json; }
-	@rm -f .bench_scale_head.json
 
 # Live-process chaos gate: boot a real overlayd fleet under
 # cmd/overlayctl's supervisor (internal/cluster), every inter-node link

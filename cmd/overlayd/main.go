@@ -54,12 +54,7 @@
 // client connections the node keeps per peer, -batch-window makes
 // the refresh loop coalesce publishes headed for the same ring owner
 // into publish-batch frames flushed at that interval (0 keeps the
-// one-store-per-owner behavior), and -codec caps the wire codec the
-// node negotiates: "binary" (default) upgrades each connection to
-// compact length-prefixed frames when the peer echoes the
-// advertisement, "json" pins the node to the pre-binary
-// newline-delimited format. Live connections per negotiated version
-// show up in /metrics as wire_codec{version}.
+// one-store-per-owner behavior).
 //
 // Output is logfmt (log/slog): one line per event, machine-parseable
 // key=value pairs. -v enables debug-level lines.
@@ -214,7 +209,6 @@ func run(args []string, out io.Writer) error {
 		replicas  = fs.Int("replicas", 2, "ring owners each record is stored on")
 		retries   = fs.Int("retries", 3, "attempts per wire call (capped exponential backoff between them)")
 		poolSize  = fs.Int("pool-size", 2, "pooled client connections kept per peer")
-		codecName = fs.String("codec", "binary", "highest wire codec to negotiate: binary (compact frames, auto-upgrades per connection) or json (pre-binary peer emulation)")
 		batchWin  = fs.Duration("batch-window", 0, "coalesce refresh publishes to the same owner within this window (0 disables batching)")
 		drainTO   = fs.Duration("drain-timeout", 2*time.Second, "graceful-drain budget on SIGINT/SIGTERM: withdraw soft-state before closing (0 disables)")
 		joinRetry = fs.Duration("join-retry", 0, "retry a failed initial publish at this interval instead of exiting (0 = fail hard); the node reports not-ready on /readyz until joined")
@@ -229,17 +223,8 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	logger := newLogger(out, *verbose)
-	var maxCodec uint8
-	switch *codecName {
-	case "binary":
-		maxCodec = wire.CodecBinary
-	case "json":
-		maxCodec = wire.CodecJSON
-	default:
-		return fmt.Errorf("unknown -codec %q (want binary or json)", *codecName)
-	}
 	if *demo > 0 {
-		return runDemo(*demo, *ttl, *timeout, *metrics, *hold, maxCodec, logger)
+		return runDemo(*demo, *ttl, *timeout, *metrics, *hold, logger)
 	}
 	if *lmCSV == "" {
 		return fmt.Errorf("need -landmarks")
@@ -269,7 +254,6 @@ func run(args []string, out io.Writer) error {
 		wire.WithReplication(*replicas),
 		wire.WithRetryPolicy(pol),
 		wire.WithPoolSize(*poolSize),
-		wire.WithMaxCodec(maxCodec),
 		wire.WithBatchWindow(*batchWin),
 		wire.WithTracing(col),
 		wire.WithLogger(logger))
@@ -449,7 +433,7 @@ func run(args []string, out io.Writer) error {
 // fewer, double as landmarks), publishes everyone's record, and asks each
 // node for its nearest peer — the whole zero-to-aha flow in one command.
 // All nodes share one telemetry registry, served on metricsAddr when set.
-func runDemo(n int, ttl, timeout time.Duration, metricsAddr string, hold time.Duration, maxCodec uint8, logger *slog.Logger) error {
+func runDemo(n int, ttl, timeout time.Duration, metricsAddr string, hold time.Duration, logger *slog.Logger) error {
 	if n < 2 {
 		return fmt.Errorf("demo needs at least 2 nodes, got %d", n)
 	}
@@ -485,7 +469,6 @@ func runDemo(n int, ttl, timeout time.Duration, metricsAddr string, hold time.Du
 	nodes := make([]*wire.Node, n)
 	for i := range nodes {
 		node, err := wire.NewNodeWithRegistry(addrs[i], cfg, addrs, ttl, reg,
-			wire.WithMaxCodec(maxCodec),
 			wire.WithLogger(logger))
 		if err != nil {
 			return err
@@ -521,9 +504,10 @@ func runDemo(n int, ttl, timeout time.Duration, metricsAddr string, hold time.Du
 		logger.Info("nearest", "addr", node.Addr(), "peer", addr, "rtt", rtt)
 	}
 	// In-band scrape: any node can ask any other for its counters.
-	if snap, err := wire.FetchStats(nodes[0].Addr(), timeout); err == nil {
+	resp, err := nodes[1].Transport().RoundTrip(nodes[0].Addr(), wire.Message{Type: wire.MsgStats}, timeout)
+	if err == nil && resp.Type == wire.MsgStatsReply && resp.Stats != nil {
 		total := 0.0
-		if f, ok := snap.Family("wire_requests_total"); ok {
+		if f, ok := resp.Stats.Family("wire_requests_total"); ok {
 			for _, s := range f.Series {
 				total += s.Value
 			}

@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"gsso/internal/experiment"
@@ -12,7 +17,11 @@ import (
 // TestSuiteOutputIdenticalAcrossWorkerCounts is the engine's golden
 // contract: the full quick-scale suite must render byte-identical output at
 // every pool width, because units are identified by ordinal and seeded by
-// identity, never by the worker that happens to execute them.
+// identity, never by the worker that happens to execute them. The output
+// is also pinned across revisions: its SHA-256 must match
+// testdata/quick_seed1.sha256, so a change that claims to leave the
+// simulator alone proves it (GSSO_GOLDEN_WRITE=1 regenerates the file —
+// only from a revision known to be correct).
 func TestSuiteOutputIdenticalAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole quick suite three times")
@@ -26,6 +35,7 @@ func TestSuiteOutputIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 		if golden == nil {
 			golden = buf.Bytes()
+			checkSuiteDigest(t, golden)
 			continue
 		}
 		if !bytes.Equal(buf.Bytes(), golden) {
@@ -60,5 +70,31 @@ func TestTopologyGeneratedOncePerKey(t *testing.T) {
 	}
 	if hits2 == 0 {
 		t.Fatal("cache reported no hits across two full runs")
+	}
+}
+
+// checkSuiteDigest compares the SHA-256 of the quick-scale seed-1 suite
+// output against the checked-in digest, or rewrites the digest under
+// GSSO_GOLDEN_WRITE=1.
+func checkSuiteDigest(t *testing.T, out []byte) {
+	t.Helper()
+	sum := sha256.Sum256(out)
+	got := hex.EncodeToString(sum[:])
+	path := filepath.Join("testdata", "quick_seed1.sha256")
+	if os.Getenv("GSSO_GOLDEN_WRITE") == "1" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing suite digest (generate with GSSO_GOLDEN_WRITE=1 from a trusted revision): %v", err)
+	}
+	if want := strings.TrimSpace(string(data)); got != want {
+		t.Fatalf("quick-scale seed-1 suite output digest %s, want %s: simulator output changed", got, want)
 	}
 }

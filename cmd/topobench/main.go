@@ -16,7 +16,7 @@
 // and further split into sweep-point units inside; the cell values, table
 // order, and telemetry lines are byte-identical at every -j because every
 // random stream derives from the unit's identity, never the worker's.
-// Timing (-bench-json) goes to a file, not stdout, for the same reason.
+// Performance is measured by the bench/ harness, never on stdout.
 package main
 
 import (
@@ -30,7 +30,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"time"
 
 	"gsso/internal/experiment"
 	"gsso/internal/experiment/engine"
@@ -44,7 +43,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("topobench", flag.ContinueOnError)
 	var (
 		list       = fs.Bool("list", false, "list experiments and exit")
@@ -56,34 +55,28 @@ func run(args []string, out io.Writer) error {
 		jobs       = fs.Int("j", 0, "worker-pool width (0 = GOMAXPROCS)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file")
-		benchJSON  = fs.String("bench-json", "", "append per-experiment wall-clock timings to this JSON file")
-		wireBench  = fs.String("wire-bench", "", "run the wire transport benchmarks and write results to this JSON file")
-		wireDiff   = fs.String("wire-diff", "", "after -wire-bench, fail if any shared benchmark regressed more than 20% in ns/op against this baseline JSON file")
-		scaleBench = fs.String("scale-bench", "", "run the ext-scale cells as a benchmark and append the nodes/wall-clock/peak-RSS trajectory to this JSON file")
-		scaleN     = fs.String("scale-n", "10000,100000", "comma-separated target node counts for -scale-bench (run in increasing order)")
-		scaleDiff  = fs.String("scale-diff", "", "after -scale-bench, fail if any shared cell regressed more than 20% in wall-clock or peak RSS against this baseline JSON file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *wireBench != "" {
-		if err := runWireBench(*wireBench, out); err != nil {
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
 			return err
 		}
-		if *wireDiff != "" {
-			return diffWireBench(*wireBench, *wireDiff, 0.20, out)
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
 		}
-		return nil
+		defer pprof.StopCPUProfile()
 	}
-	if *scaleBench != "" {
-		if err := runScaleBench(*scaleBench, *scaleN, *seed, out); err != nil {
-			return err
-		}
-		if *scaleDiff != "" {
-			return diffScaleBench(*scaleBench, *scaleDiff, 0.20, out)
-		}
-		return nil
+	if *memProfile != "" {
+		defer func() {
+			if werr := writeHeapProfile(*memProfile); err == nil {
+				err = werr
+			}
+		}()
 	}
 	if *list {
 		for _, e := range experiment.All() {
@@ -97,17 +90,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	engine.SetWorkers(*jobs)
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
 
 	var sc experiment.Scale
 	switch *scale {
@@ -140,29 +122,24 @@ func run(args []string, out io.Writer) error {
 	// run-labeled telemetry mirrors keep each experiment's meters separate
 	// from its concurrent neighbors'.
 	type outcome struct {
-		tables  []*experiment.Table
-		tel     telemetry
-		elapsed time.Duration
+		tables []*experiment.Table
+		tel    telemetry
 	}
-	suiteStart := time.Now()
 	results, err := engine.Map(len(todo), func(i int) (outcome, error) {
 		e := todo[i]
 		before := obs.Default().Snapshot()
-		start := time.Now()
 		tables, err := e.Run(sc)
 		if err != nil {
 			return outcome{}, fmt.Errorf("%s: %w", e.ID, err)
 		}
 		return outcome{
-			tables:  tables,
-			tel:     telemetryDelta(e.ID, before, obs.Default().Snapshot()),
-			elapsed: time.Since(start),
+			tables: tables,
+			tel:    telemetryDelta(e.ID, before, obs.Default().Snapshot()),
 		}, nil
 	})
 	if err != nil {
 		return err
 	}
-	suiteElapsed := time.Since(suiteStart)
 
 	for _, res := range results {
 		for _, t := range res.tables {
@@ -188,109 +165,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	if *benchJSON != "" {
-		report := benchReport{
-			Scale:      sc.Name,
-			Seed:       *seed,
-			Workers:    engine.Workers(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			WallMS:     ms(suiteElapsed),
-			PeakRSSKB:  peakRSSKB(),
-		}
-		report.TopologyGenerations, report.TopologyCacheHits = experiment.TopologyGenerations()
-		for i, e := range todo {
-			report.Experiments = append(report.Experiments, benchExperiment{
-				ID:     e.ID,
-				WallMS: ms(results[i].elapsed),
-			})
-		}
-		if err := appendBenchReport(*benchJSON, report); err != nil {
-			return err
-		}
-	}
 	return nil
-}
-
-// ms rounds a duration to milliseconds with microsecond resolution.
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// benchReport is one topobench invocation's timing record.
-type benchReport struct {
-	Scale               string            `json:"scale"`
-	Seed                uint64            `json:"seed"`
-	Workers             int               `json:"workers"`
-	GOMAXPROCS          int               `json:"gomaxprocs"`
-	WallMS              float64           `json:"wall_ms"`
-	SpeedupVsJ1         float64           `json:"speedup_vs_j1,omitempty"`
-	PeakRSSKB           int64             `json:"peak_rss_kb"`
-	TopologyGenerations int64             `json:"topology_generations"`
-	TopologyCacheHits   int64             `json:"topology_cache_hits"`
-	Experiments         []benchExperiment `json:"experiments"`
-}
-
-// benchExperiment is one experiment's wall-clock within a run.
-type benchExperiment struct {
-	ID          string  `json:"id"`
-	WallMS      float64 `json:"wall_ms"`
-	SpeedupVsJ1 float64 `json:"speedup_vs_j1,omitempty"`
-}
-
-// benchFile accumulates reports across invocations so a -j 1 baseline and
-// a parallel run land in the same file for comparison.
-type benchFile struct {
-	Runs []benchReport `json:"runs"`
-}
-
-// appendBenchReport appends report to path, computing speedups against the
-// most recent workers==1 run at the same scale already in the file.
-func appendBenchReport(path string, report benchReport) error {
-	var file benchFile
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &file); err != nil {
-			return fmt.Errorf("bench-json %s: %w", path, err)
-		}
-	}
-	for i := len(file.Runs) - 1; i >= 0; i-- {
-		base := file.Runs[i]
-		if base.Scale != report.Scale || base.Workers != 1 {
-			continue
-		}
-		if report.WallMS > 0 {
-			report.SpeedupVsJ1 = base.WallMS / report.WallMS
-		}
-		baseByID := make(map[string]float64, len(base.Experiments))
-		for _, e := range base.Experiments {
-			baseByID[e.ID] = e.WallMS
-		}
-		for j, e := range report.Experiments {
-			if b, ok := baseByID[e.ID]; ok && e.WallMS > 0 {
-				report.Experiments[j].SpeedupVsJ1 = b / e.WallMS
-			}
-		}
-		break
-	}
-	file.Runs = append(file.Runs, report)
-	data, err := json.MarshalIndent(file, "", "  ")
-	if err != nil {
-		return err
-	}
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // telemetry is the per-experiment cost summary, computed by diffing the
@@ -354,6 +229,18 @@ func (t telemetry) writeJSON(dir string) error {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, t.Experiment+".telemetry.json"), append(data, '\n'), 0o644)
+}
+
+// writeHeapProfile writes a pprof heap profile after a forced GC, so it
+// shows live memory, not garbage awaiting collection.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	runtime.GC()
+	return pprof.WriteHeapProfile(f)
 }
 
 func writeCSV(dir string, t *experiment.Table) error {

@@ -62,12 +62,12 @@ func TestE2EChaosSelfHealing(t *testing.T) {
 	// fail over to the surviving replica) while it holds.
 	busiest, most := 0, -1
 	for j, addr := range sup.NodeAddrs() {
-		recs, err := wire.Query(addr, 0, 1<<20, time.Second)
-		if err != nil {
-			t.Fatalf("enumerate node %d: %v", j, err)
+		resp, err := ck.observer.Transport().RoundTrip(addr, wire.Message{Type: wire.MsgQuery, Max: 1 << 20}, time.Second)
+		if err != nil || resp.Type != wire.MsgRecords {
+			t.Fatalf("enumerate node %d: %v (response %q)", j, err, resp.Type)
 		}
-		if len(recs) > most {
-			busiest, most = j, len(recs)
+		if len(resp.Records) > most {
+			busiest, most = j, len(resp.Records)
 		}
 	}
 	t.Logf("partition victim: node %d (%d records)", busiest, most)

@@ -50,16 +50,17 @@ func TestDrainRealProcess(t *testing.T) {
 	// With a one-minute TTL, a lingering copy of the victim's record
 	// would sit here for ~57 more seconds if the drain had not removed
 	// it — absence is proof of withdrawal, not of expiry.
+	tr := ck.observer.Transport()
 	for j, addr := range sup.NodeAddrs() {
 		if j == victim {
 			continue
 		}
-		recs, err := wire.Query(addr, 0, 1<<20, 2*time.Second)
-		if err != nil {
-			t.Fatalf("enumerate survivor %d: %v", j, err)
+		resp, err := tr.RoundTrip(addr, wire.Message{Type: wire.MsgQuery, Max: 1 << 20}, 2*time.Second)
+		if err != nil || resp.Type != wire.MsgRecords {
+			t.Fatalf("enumerate survivor %d: %v (response %q)", j, err, resp.Type)
 		}
 		survivors := 0
-		for _, rec := range recs {
+		for _, rec := range resp.Records {
 			if rec.Addr == victimAddr {
 				t.Fatalf("drain failed: node %d still holds the victim's record %+v", j, rec)
 			}
@@ -76,11 +77,11 @@ func TestDrainRealProcess(t *testing.T) {
 		if j == victim {
 			continue
 		}
-		recs, err := wire.Query(addr, 0, 1<<20, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
+		resp, err := tr.RoundTrip(addr, wire.Message{Type: wire.MsgQuery, Max: 1 << 20}, 2*time.Second)
+		if err != nil || resp.Type != wire.MsgRecords {
+			t.Fatalf("enumerate survivor %d: %v (response %q)", j, err, resp.Type)
 		}
-		for _, rec := range recs {
+		for _, rec := range resp.Records {
 			found[rec.Addr]++
 		}
 	}

@@ -265,16 +265,20 @@ func (c *Checker) Converged(timeout time.Duration) error {
 	active := c.sup.ActiveIndices()
 	dial := c.sup.NodeAddrs()
 	want := slices.Sorted(slices.Values(dial))
+	tr := c.observer.Transport()
 	// Fleet-wide ring agreement, fetched from the live nodes — never
 	// assumed from the boot spec.
 	for j, addr := range dial {
-		peers, _, err := wire.FetchPeers(addr, timeout)
+		resp, err := tr.RoundTrip(addr, wire.Message{Type: wire.MsgPeers}, timeout)
+		if err == nil && resp.Type != wire.MsgPeersReply {
+			err = fmt.Errorf("unexpected response %q", resp.Type)
+		}
 		if err != nil {
 			return fmt.Errorf("fetch peers from node %d (%s): %w", active[j], addr, err)
 		}
-		if !slices.Equal(peers, want) {
+		if !slices.Equal(resp.Peers, want) {
 			return fmt.Errorf("node %d serves ring %v; supervisor membership is %v",
-				active[j], peers, want)
+				active[j], resp.Peers, want)
 		}
 	}
 	// Ownership below is computed on that live membership.
@@ -291,11 +295,14 @@ func (c *Checker) Converged(timeout time.Duration) error {
 	}
 	copies := make(map[string]int, len(active))
 	for j, addr := range dial {
-		recs, err := wire.Query(addr, 0, 1<<20, timeout)
+		resp, err := tr.RoundTrip(addr, wire.Message{Type: wire.MsgQuery, Max: 1 << 20}, timeout)
+		if err == nil && resp.Type != wire.MsgRecords {
+			err = fmt.Errorf("unexpected response %q", resp.Type)
+		}
 		if err != nil {
 			return fmt.Errorf("enumerate node %d (%s): %w", active[j], addr, err)
 		}
-		for _, rec := range recs {
+		for _, rec := range resp.Records {
 			owners := c.observer.OwnersOf(rec.Number, replicas)
 			if !slices.Contains(owners, addr) {
 				return fmt.Errorf("orphan on node %d: record %s (number %d) owned by %v",

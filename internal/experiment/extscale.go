@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"gsso/internal/can"
 	"gsso/internal/landmark"
@@ -33,9 +32,7 @@ import (
 //	GSSO_SCALE_DIR  spill directory for metric streams (kept); default is a
 //	                temp dir removed after aggregation
 
-// ScaleCell is one (preset, N) cell of the ext-scale sweep. Phase timings
-// are wall-clock and feed the bench-scale harness only; the experiment's
-// stdout table never prints them, keeping suite output deterministic.
+// ScaleCell is one (preset, N) cell of the ext-scale sweep.
 type ScaleCell struct {
 	Kind   TopoKind
 	Nodes  int
@@ -44,10 +41,6 @@ type ScaleCell struct {
 	ERS    float64 // mean stretch, ERS at the same budget
 	ERSBig float64 // mean stretch, ERS at 10x the budget
 	Spill  string  // metric stream path
-
-	GenMS       float64 // topology generation
-	BootstrapMS float64 // landmark index + full-population CAN build
-	QueryMS     float64 // query sweep + streamed aggregation
 }
 
 // scaleSweepFor resolves the node-count axis.
@@ -90,13 +83,10 @@ func RunScaleCell(kind TopoKind, targetN int, sc Scale, dir string) (ScaleCell, 
 	}
 	spec = spec.SizedWide(targetN)
 	rng := simrand.New(sc.Seed).Split(fmt.Sprintf("ext-scale/%s/%d", kind, targetN))
-	genStart := time.Now()
 	net, err := topology.Generate(spec, rng.Split("topo"))
 	if err != nil {
 		return ScaleCell{}, err
 	}
-	genMS := time.Since(genStart).Seconds() * 1e3
-	bootStart := time.Now()
 	env := netsim.NewRun(net, "ext-scale")
 	hosts := net.StubHosts()
 
@@ -127,19 +117,15 @@ func RunScaleCell(kind TopoKind, targetN int, sc Scale, dir string) (ScaleCell, 
 	if err != nil {
 		return ScaleCell{}, err
 	}
-	bootMS := time.Since(bootStart).Seconds() * 1e3
-	queryStart := time.Now()
 
 	qRNG := rng.Split("queries")
 	qIdx := qRNG.Sample(len(hosts), sc.NNQueries)
 
 	res := ScaleCell{
-		Kind:        kind,
-		Nodes:       net.Len(),
-		Stubs:       net.StubCount(),
-		Spill:       filepath.Join(dir, fmt.Sprintf("ext-scale_%s_%d.metrics", kind, targetN)),
-		GenMS:       genMS,
-		BootstrapMS: bootMS,
+		Kind:  kind,
+		Nodes: net.Len(),
+		Stubs: net.StubCount(),
+		Spill: filepath.Join(dir, fmt.Sprintf("ext-scale_%s_%d.metrics", kind, targetN)),
 	}
 	w, err := metstream.Create(res.Spill)
 	if err != nil {
@@ -196,7 +182,6 @@ func RunScaleCell(kind TopoKind, targetN int, sc Scale, dir string) (ScaleCell, 
 	res.Hybrid = aggs["hybrid"].Mean()
 	res.ERS = aggs["ers"].Mean()
 	res.ERSBig = aggs["ers10x"].Mean()
-	res.QueryMS = time.Since(queryStart).Seconds() * 1e3
 	return res, nil
 }
 

@@ -44,8 +44,8 @@ type Scale struct {
 	// CANDims is the dimensionality axis of Figure 2's basic-CAN curves.
 	CANDims []int
 	// ScaleSweep is the physical-node-count axis of the ext-scale
-	// experiment (overridable with GSSO_SCALE_N). Full targets 10^5; the
-	// bench-scale harness pushes the same cells to 10^6.
+	// experiment (overridable with GSSO_SCALE_N). Full targets 10^5;
+	// GSSO_SCALE_N=1000000 pushes the same cells to 10^6.
 	ScaleSweep []int
 }
 

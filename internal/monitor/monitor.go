@@ -134,13 +134,6 @@ type NodeView struct {
 	RequestsPerSec  float64 `json:"requests_per_sec,omitempty"` // watch mode only
 	RefreshFailures float64 `json:"refresh_failures"`
 	ConnsOpen       float64 `json:"conns_open"`
-	// ConnsBinary/ConnsJSON split the node's live wire connections
-	// (client and server side) by negotiated codec version, from the
-	// wire_codec{version} gauge. During a rollout the json count drains
-	// toward zero as old peers restart onto the binary codec; nodes
-	// predating the gauge report both as zero.
-	ConnsBinary float64 `json:"conns_binary"`
-	ConnsJSON   float64 `json:"conns_json"`
 	// Epoch is the node's current ring epoch (wire_ring_epoch): 1 at
 	// boot, +1 per live membership swap applied. Nodes disagreeing on
 	// membership show different epochs only transiently — the peer set,
@@ -237,19 +230,6 @@ func BuildView(scrapes []ScrapeResult, top int) ClusterView {
 		nv.Requests = sumSeries(sc.Snap, "wire_requests_total")
 		nv.RefreshFailures = sumSeries(sc.Snap, "wire_refresh_failures_total")
 		nv.ConnsOpen = sumSeries(sc.Snap, "wire_conns_open")
-		if f, ok := sc.Snap.Family("wire_codec"); ok {
-			for _, se := range f.Series {
-				if len(se.LabelValues) != 1 {
-					continue
-				}
-				switch se.LabelValues[0] {
-				case "binary":
-					nv.ConnsBinary += se.Value
-				case "json":
-					nv.ConnsJSON += se.Value
-				}
-			}
-		}
 		nv.Epoch = sumSeries(sc.Snap, "wire_ring_epoch")
 		nv.Reconfigs = sumSeries(sc.Snap, "cluster_reconfig_total")
 		nv.Suspected = sumSeries(sc.Snap, "core_suspected_members")

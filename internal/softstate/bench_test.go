@@ -15,7 +15,7 @@ import (
 // different ranges publish without contending. On a multi-core box the
 // curve is near-linear in shards until workers are satisfied; on one
 // core the win reduces to cheaper lock handoff (less goroutine parking),
-// so the curve flattens — BENCH_wire.json records gomaxprocs alongside.
+// so the curve flattens — read results alongside GOMAXPROCS.
 func benchParallelPublish(b *testing.B, shards, workers int) {
 	cfg := DefaultConfig()
 	cfg.Shards = shards

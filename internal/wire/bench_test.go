@@ -7,7 +7,7 @@ import (
 
 // Serve/dial fast-path benchmarks: the resilience layer (retry wrapper,
 // breaker check) must not measurably slow the no-fault path. Compare
-// PingDirect (bare package helper, single attempt) against PingResilient
+// PingDirect (bare pooled Transport, single attempt) against PingResilient
 // (node-side call through breaker + retry machinery) — the two should sit
 // within noise of each other, since a healthy call takes the first
 // attempt with no backoff and one mutex-guarded breaker check.
@@ -29,9 +29,11 @@ func benchTargets(b *testing.B) (*Node, *Node) {
 
 func BenchmarkPingDirect(b *testing.B) {
 	server, _ := benchTargets(b)
+	tr := NewTransport(1)
+	defer tr.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Ping(server.Addr(), time.Second); err != nil {
+		if _, err := tr.RoundTrip(server.Addr(), Message{Type: MsgPing}, time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -50,12 +52,14 @@ func BenchmarkPingResilient(b *testing.B) {
 func BenchmarkServeQuery(b *testing.B) {
 	server, _ := benchTargets(b)
 	rec := Record{Addr: "x:1", Number: 12, ExpiresUnixMilli: time.Now().Add(time.Hour).UnixMilli()}
-	if err := Store(server.Addr(), rec, time.Second); err != nil {
+	if _, err := call(server.Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, time.Second); err != nil {
 		b.Fatal(err)
 	}
+	tr := NewTransport(1)
+	defer tr.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Query(server.Addr(), 12, 4, time.Second); err != nil {
+		if _, err := tr.RoundTrip(server.Addr(), Message{Type: MsgQuery, Number: 12, Max: 4}, time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +67,7 @@ func BenchmarkServeQuery(b *testing.B) {
 
 // reportPoolMetrics attaches the transport's pooling behavior to a
 // benchmark result: conns/op (new dials per operation — ~0 at steady
-// state for a pooled transport, ~1 for dial-per-RPC) and reuse-ratio
+// state for a pooled transport) and reuse-ratio
 // (fraction of calls served on an already-open connection).
 func reportPoolMetrics(b *testing.B, n *Node, dialsBefore, reuseBefore float64) {
 	b.Helper()
@@ -85,23 +89,7 @@ func poolCounters(n *Node) (dials, reuse float64) {
 	return dials, reuse
 }
 
-// BenchmarkStoreDialPerRPC is the pre-pool baseline: every store pays a
-// fresh TCP dial. Kept as the comparison point for BENCH_wire.json.
-func BenchmarkStoreDialPerRPC(b *testing.B) {
-	server, _ := benchTargets(b)
-	rec := Record{Addr: "x:1", Number: 12, ExpiresUnixMilli: time.Now().Add(time.Hour).UnixMilli()}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Store(server.Addr(), rec, time.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(1, "conns/op")
-	b.ReportMetric(0, "reuse-ratio")
-}
-
-// BenchmarkStorePooled is the same store through the persistent
+// BenchmarkStorePooled is a store through the node's persistent
 // transport: steady-state conns/op must sit at ~0.
 func BenchmarkStorePooled(b *testing.B) {
 	server, client := benchTargets(b)

@@ -12,21 +12,12 @@ import (
 	"gsso/internal/obs/span"
 )
 
-// Codec versions. Version 1 is the original newline-delimited JSON
-// framing; version 2 is the compact length-prefixed binary framing.
-// Readers auto-detect the codec of every incoming frame by its first
-// byte (binary frames open with binMagic, JSON frames with '{'), so a
-// connection can carry a mix — which is exactly what rollout looks
-// like: a client advertises CodecBinary in the Codec field of its
-// JSON requests, a binary-capable server echoes the advertisement in
-// its JSON reply, and the client switches the connection to binary
-// from the next frame on. Peers that predate the binary codec ignore
-// the unknown field and never echo it, so mixed fleets interoperate
-// with zero configuration.
-const (
-	CodecJSON   uint8 = 1
-	CodecBinary uint8 = 2
-)
+// CodecBinary is the wire format version, carried in the version byte
+// of every frame header; every connection speaks it from its first
+// frame. Versions 1 (JSON) and 2 (binary with an in-band codec
+// advertisement) are retired: a frame carrying another version byte
+// fails with "bad binary header" instead of mis-decoding.
+const CodecBinary uint8 = 3
 
 // connReadBufSize sizes the bufio readers of persistent connections.
 // Binary frames that fit the buffer decode straight out of it
@@ -34,36 +25,34 @@ const (
 // 64-record publish batch with headroom.
 const connReadBufSize = 64 << 10
 
-// binMagic opens every binary frame. It can never open a JSON frame
-// (those start with '{' = 0x7B or whitespace), so a reader peeking one
-// byte classifies the frame unambiguously.
+// binMagic opens every frame. A reader peeking one byte rejects a
+// stream that opens with anything else (a JSON client, a stray
+// protocol) before buffering more of it.
 const binMagic = 0xBF
 
 // binHeaderLen is the fixed binary frame header:
 //
 //	offset size field
 //	0      1    magic (0xBF)
-//	1      1    codec version (2)
+//	1      1    codec version (CodecBinary)
 //	2      1    message type code
 //	3      1    flags (bit0 record, bit1 trace, bit2 stats)
 //	4      4    payload length, uint32 LE (bytes after the header)
 //	8      8    seq, uint64 LE
 //
-// The payload encodes the remaining fields in fixed order: codec
-// advertisement (uvarint), number (uvarint), max (zigzag varint), addr
-// (string), err (string), record (if flagged), records (uvarint count +
-// records), errs (uvarint count + strings), trace (8+8+1 bytes, if
-// flagged), stats (uvarint length + JSON bytes, if flagged), membership
-// (epoch uvarint + uvarint peer count + strings, if flagged). Strings
-// are uvarint length + raw bytes; records are addr, number (uvarint),
-// expires (int64 LE), vector (uvarint count + float64 LE each).
+// The payload encodes the remaining fields in fixed order: number
+// (uvarint), max (zigzag varint), addr (string), err (string), record
+// (if flagged), records (uvarint count + records), errs (uvarint count
+// + strings), trace (8+8+1 bytes, if flagged), stats (uvarint length +
+// JSON bytes, if flagged), membership (epoch uvarint + uvarint peer
+// count + strings, if flagged). Strings are uvarint length + raw bytes;
+// records are addr, number (uvarint), expires (int64 LE), vector
+// (uvarint count + float64 LE each).
 const binHeaderLen = 16
 
 // Binary header flags: presence bits for the pointer-typed fields,
 // where nil versus zero-valued matters. binFlagMembership covers the
-// Peers/Epoch pair carried by peers-reply frames; pre-membership
-// decoders never see it set by old senders, and frames without it
-// decode exactly as before.
+// Peers/Epoch pair carried by peers-reply frames.
 const (
 	binFlagRecord     = 1 << 0
 	binFlagTrace      = 1 << 1
@@ -72,8 +61,8 @@ const (
 )
 
 // msgTypeCode maps message types to their binary type codes. A type
-// missing here (only possible for hand-built messages) falls back to
-// JSON framing, which every reader accepts per frame.
+// missing here (only possible for hand-built messages) cannot be
+// written: the encoder returns an error.
 var msgTypeCode = map[MsgType]byte{
 	MsgPing:         1,
 	MsgPong:         2,
@@ -117,20 +106,19 @@ func appendRecord(buf []byte, r *Record) []byte {
 	return buf
 }
 
-// appendMessageBinary appends m as one binary frame and reports whether
-// the message was representable (unknown message types and
-// unmarshalable stats snapshots are not — the caller falls back to JSON
-// framing, which any reader auto-detects).
-func appendMessageBinary(buf []byte, m *Message) ([]byte, bool) {
+// appendMessageBinary appends m as one binary frame. Messages the
+// layout cannot carry (unknown message types, unmarshalable stats
+// snapshots) are an error and leave buf untouched.
+func appendMessageBinary(buf []byte, m *Message) ([]byte, error) {
 	code, ok := msgTypeCode[m.Type]
 	if !ok {
-		return buf, false
+		return buf, fmt.Errorf("wire: unencodable message type %q", m.Type)
 	}
 	var statsJSON []byte
 	if m.Stats != nil {
 		b, err := json.Marshal(m.Stats)
 		if err != nil {
-			return buf, false
+			return buf, fmt.Errorf("wire: marshal stats: %w", err)
 		}
 		statsJSON = b
 	}
@@ -152,7 +140,6 @@ func appendMessageBinary(buf []byte, m *Message) ([]byte, bool) {
 	buf = append(buf, 0, 0, 0, 0) // payload length, patched below
 	buf = binary.LittleEndian.AppendUint64(buf, m.Seq)
 
-	buf = binary.AppendUvarint(buf, uint64(m.Codec))
 	buf = binary.AppendUvarint(buf, m.Number)
 	buf = binary.AppendVarint(buf, int64(m.Max))
 	buf = appendString(buf, m.Addr)
@@ -189,18 +176,16 @@ func appendMessageBinary(buf []byte, m *Message) ([]byte, bool) {
 		}
 	}
 	binary.LittleEndian.PutUint32(buf[start+4:start+8], uint32(len(buf)-start-binHeaderLen))
-	return buf, true
+	return buf, nil
 }
 
 // decodeState is the per-connection decode context: the frame scratch
-// buffer, the codec of the last frame read, a bounded intern table that
-// deduplicates record addresses (a refresh-heavy peer re-sends the same
-// handful of addresses forever — steady state allocates no strings),
-// and, for server-side loops that never retain a request past its
-// response, a reusable records slice.
+// buffer, a bounded intern table that deduplicates record addresses (a
+// refresh-heavy peer re-sends the same handful of addresses forever —
+// steady state allocates no strings), and, for server-side loops that
+// never retain a request past its response, a reusable records slice.
 type decodeState struct {
 	scratch []byte
-	codec   uint8
 	intern  map[string]string
 	// reuseRecords lets decode hand back the same []Record backing
 	// array frame after frame. Only the node's serve loop sets it: the
@@ -368,7 +353,6 @@ func decodeMessageBinary(frame []byte, st *decodeState) (Message, error) {
 	m.Seq = binary.LittleEndian.Uint64(frame[8:16])
 	r := &binReader{b: frame[binHeaderLen:]}
 
-	m.Codec = uint8(r.uvarint("codec"))
 	m.Number = r.uvarint("number")
 	m.Max = int(r.varint("max"))
 	m.Addr = r.internedString(st, "addr")
@@ -474,11 +458,7 @@ func readMessageBinary(r *bufio.Reader, st *decodeState) (Message, error) {
 		if _, err := r.Discard(total); err != nil {
 			return Message{}, err
 		}
-		if derr != nil {
-			return Message{}, derr
-		}
-		st.codec = CodecBinary
-		return m, nil
+		return m, derr
 	}
 	if cap(st.scratch) < total {
 		st.scratch = make([]byte, total)
@@ -487,10 +467,5 @@ func readMessageBinary(r *bufio.Reader, st *decodeState) (Message, error) {
 	if _, err := io.ReadFull(r, frame); err != nil {
 		return Message{}, fmt.Errorf("wire: short binary frame: %w", err)
 	}
-	m, derr := decodeMessageBinary(frame, st)
-	if derr != nil {
-		return Message{}, derr
-	}
-	st.codec = CodecBinary
-	return m, nil
+	return decodeMessageBinary(frame, st)
 }

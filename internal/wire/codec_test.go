@@ -3,7 +3,9 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +17,7 @@ import (
 func codecMessages() []Message {
 	return []Message{
 		{Type: MsgPing, Seq: 1},
-		{Type: MsgPong, Seq: 2, Codec: CodecBinary},
+		{Type: MsgPong, Seq: 2},
 		{Type: MsgStore, Seq: 3, Record: &Record{
 			Addr: "10.0.0.1:9000", Vector: []float64{1.5, 2.25, 0}, Number: 1234, ExpiresUnixMilli: 99999,
 		}},
@@ -39,7 +41,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	for _, in := range codecMessages() {
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
-		if err := writeMessage(w, in, CodecBinary); err != nil {
+		if err := writeMessage(w, in); err != nil {
 			t.Fatalf("write %v: %v", in.Type, err)
 		}
 		if buf.Bytes()[0] != binMagic {
@@ -68,7 +70,7 @@ func TestBinaryCodecStats(t *testing.T) {
 	in := Message{Type: MsgStatsReply, Seq: 77, Stats: &snap}
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := writeMessage(w, in, CodecBinary); err != nil {
+	if err := writeMessage(w, in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadMessage(bufio.NewReader(&buf))
@@ -80,18 +82,15 @@ func TestBinaryCodecStats(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecMixedFrames interleaves JSON and binary frames on one
-// stream: the reader must classify each frame independently.
+// TestBinaryCodecMixedFrames writes every message type back to back on
+// one stream: the reader must frame each one independently through one
+// shared decode state (scratch buffer, intern table).
 func TestBinaryCodecMixedFrames(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
 	msgs := codecMessages()
-	for i, m := range msgs {
-		codec := CodecJSON
-		if i%2 == 1 {
-			codec = CodecBinary
-		}
-		if err := writeMessage(w, m, codec); err != nil {
+	for _, m := range msgs {
+		if err := writeMessage(w, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,16 +101,12 @@ func TestBinaryCodecMixedFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		wantCodec := CodecJSON
-		if i%2 == 1 {
-			wantCodec = CodecBinary
-		}
-		if st.codec != wantCodec {
-			t.Fatalf("frame %d decoded as codec %d, want %d", i, st.codec, wantCodec)
-		}
-		if got.Type != want.Type || got.Seq != want.Seq {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("frame %d = %+v, want %+v", i, got, want)
 		}
+	}
+	if _, err := readMessageInto(r, &st); err != io.EOF {
+		t.Fatalf("read past the last frame: err = %v, want EOF", err)
 	}
 }
 
@@ -120,7 +115,7 @@ func TestBinaryCodecMixedFrames(t *testing.T) {
 func TestBinaryCodecTruncation(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	if err := writeMessage(w, codecMessages()[2], CodecBinary); err != nil {
+	if err := writeMessage(w, codecMessages()[2]); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -147,161 +142,69 @@ func TestBinaryCodecOversizedFrame(t *testing.T) {
 	}
 }
 
-// TestCodecNegotiationUpgrade drives one RPC through the pooled
-// transport against a binary-capable node and asserts the connection
-// upgraded: the JSON request advertises, the JSON reply echoes, and all
-// later frames are binary.
-func TestCodecNegotiationUpgrade(t *testing.T) {
-	node, err := NewNode("127.0.0.1:0", testConfig([]string{"x"}), nil, time.Minute)
-	if err != nil {
-		t.Fatal(err)
+// TestReadMessageRejectsNonBinaryStream: a stream that does not open
+// with the frame magic (here a JSON client's '{' forever) is rejected
+// from a one-byte peek — the reader buffers nothing past the fill that
+// peek triggers, however long the stream runs.
+func TestReadMessageRejectsNonBinaryStream(t *testing.T) {
+	src := &endlessReader{b: '{'}
+	r := bufio.NewReader(src)
+	if _, err := ReadMessage(r); err == nil || !strings.Contains(err.Error(), "bad frame magic") {
+		t.Fatalf("JSON stream: err = %v, want bad frame magic", err)
 	}
-	defer node.Close()
-	tr := NewTransport(1)
-	defer tr.Close()
-	for i := 0; i < 3; i++ {
-		resp, err := tr.RoundTrip(node.Addr(), Message{Type: MsgPing}, testTimeout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Type != MsgPong {
-			t.Fatalf("resp = %+v", resp)
-		}
-	}
-	tr.mu.Lock()
-	pp := tr.peers[node.Addr()]
-	tr.mu.Unlock()
-	pp.mu.Lock()
-	if len(pp.conns) != 1 {
-		pp.mu.Unlock()
-		t.Fatalf("pool holds %d conns, want 1", len(pp.conns))
-	}
-	pc := pp.conns[0]
-	pp.mu.Unlock()
-	if got := uint8(pc.codec.Load()); got != CodecBinary {
-		t.Fatalf("connection codec = %d, want binary after echo", got)
+	if src.served > int64(r.Size()) {
+		t.Fatalf("reader consumed %d bytes before rejecting, want <= one %d-byte fill", src.served, r.Size())
 	}
 }
 
-// TestCodecStaysJSONAgainstOldPeer pins the server to JSON (the
-// pre-binary peer emulation) and asserts the client connection never
-// upgrades yet all RPCs succeed.
-func TestCodecStaysJSONAgainstOldPeer(t *testing.T) {
-	node, err := NewNode("127.0.0.1:0", testConfig([]string{"x"}), nil, time.Minute,
-		WithMaxCodec(CodecJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	tr := NewTransport(1)
-	defer tr.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := tr.RoundTrip(node.Addr(), Message{Type: MsgPing}, testTimeout); err != nil {
+// TestReadMessageRejectsStaleVersion: a frame carrying an older version
+// byte (2, the binary layout with the codec advertisement) fails on its
+// header instead of mis-decoding its payload.
+func TestReadMessageRejectsStaleVersion(t *testing.T) {
+	for _, version := range []byte{2, CodecBinary + 1} {
+		var buf bytes.Buffer
+		if err := writeMessage(bufio.NewWriter(&buf), Message{Type: MsgPong, Seq: 2}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	tr.mu.Lock()
-	pp := tr.peers[node.Addr()]
-	tr.mu.Unlock()
-	pp.mu.Lock()
-	pc := pp.conns[0]
-	pp.mu.Unlock()
-	if got := uint8(pc.codec.Load()); got != CodecJSON {
-		t.Fatalf("connection codec = %d, want JSON against an old peer", got)
+		frame := buf.Bytes()
+		frame[1] = version
+		_, err := ReadMessage(bufio.NewReader(bytes.NewReader(frame)))
+		if err == nil || !strings.Contains(err.Error(), "bad binary header") {
+			t.Fatalf("version %d frame: err = %v, want bad binary header", version, err)
+		}
 	}
 }
 
-// TestMixedCodecInterop is the rollout scenario end to end: a
-// binary-codec node and a JSON-pinned node complete publish, query, and
-// withdraw against each other in both directions.
-func TestMixedCodecInterop(t *testing.T) {
-	// Build a two-node cluster by hand so each side gets its own codec
-	// cap: addrs are learned from throwaway listeners first (the same
-	// two-pass trick as cluster()).
-	boot := make([]*Node, 2)
-	addrs := make([]string, 2)
-	for i := range boot {
-		nd, err := NewNode("127.0.0.1:0", testConfig([]string{"p"}), nil, time.Minute)
-		if err != nil {
-			t.Fatal(err)
+// TestWriteMessageCodecRejects: the writer speaks CodecBinary only, and
+// a message the binary layout cannot carry is an error, not a silent
+// fallback. Either way nothing reaches the writer.
+func TestWriteMessageCodecRejects(t *testing.T) {
+	cases := []struct {
+		name  string
+		m     Message
+		codec uint8
+	}{
+		{"codec 0", Message{Type: MsgPing, Seq: 1}, 0},
+		{"codec 1 (json)", Message{Type: MsgPing, Seq: 1}, 1},
+		{"codec 2 (stale binary)", Message{Type: MsgPing, Seq: 1}, 2},
+		{"codec 4", Message{Type: MsgPing, Seq: 1}, CodecBinary + 1},
+		{"unknown type", Message{Type: "bogus", Seq: 1}, CodecBinary},
+	}
+	for _, c := range cases {
+		var buf bytes.Buffer
+		w := bufio.NewWriter(&buf)
+		if err := WriteMessageCodec(w, c.m, c.codec); err == nil {
+			t.Fatalf("%s: WriteMessageCodec accepted", c.name)
 		}
-		boot[i] = nd
-		addrs[i] = nd.Addr()
-	}
-	for _, nd := range boot {
-		if err := nd.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cfg := testConfig(addrs)
-	binNode, err := NewNode(addrs[0], cfg, addrs, time.Minute, WithMaxCodec(CodecBinary))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer binNode.Close()
-	jsonNode, err := NewNode(addrs[1], cfg, addrs, time.Minute, WithMaxCodec(CodecJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jsonNode.Close()
-
-	for _, nd := range []*Node{binNode, jsonNode} {
-		if _, err := nd.Publish(1, testTimeout); err != nil {
-			t.Fatalf("publish from %s: %v", nd.Addr(), err)
+		if w.Buffered() != 0 || buf.Len() != 0 {
+			t.Fatalf("%s: rejected write left %d buffered, %d written", c.name, w.Buffered(), buf.Len())
 		}
 	}
-	// Every record must be queryable from both sides regardless of which
-	// codec carried it.
-	for _, nd := range []*Node{binNode, jsonNode} {
-		for _, owner := range addrs {
-			recs, err := nd.query(owner, 0, 16, testTimeout)
-			if err != nil {
-				t.Fatalf("query %s from %s: %v", owner, nd.Addr(), err)
-			}
-			if len(recs) == 0 {
-				t.Fatalf("no records on %s seen from %s", owner, nd.Addr())
-			}
-		}
+	var buf bytes.Buffer
+	if err := WriteMessageCodec(bufio.NewWriter(&buf), Message{Type: MsgPing, Seq: 1}, CodecBinary); err != nil {
+		t.Fatalf("CodecBinary: %v", err)
 	}
-	for _, nd := range []*Node{binNode, jsonNode} {
-		if n, err := nd.Withdraw(testTimeout); err != nil || n == 0 {
-			t.Fatalf("withdraw from %s: removed=%d err=%v", nd.Addr(), n, err)
-		}
-	}
-	if got := binNode.RecordCount() + jsonNode.RecordCount(); got != 0 {
-		t.Fatalf("%d records survive withdrawal", got)
-	}
-}
-
-// TestCodecMetricsSurface asserts the wire_codec gauge reflects the
-// negotiated mix: a binary client conn plus the server-side view of it.
-func TestCodecMetricsSurface(t *testing.T) {
-	nodes := cluster(t, 2, 1)
-	if _, err := nodes[1].ping(nodes[0].Addr(), testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nodes[1].ping(nodes[0].Addr(), testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	// nodes[1]'s client conn must have upgraded; its registry counts it
-	// under wire_codec{version="binary"}.
-	snap := nodes[1].Registry().Snapshot()
-	var binaryConns float64
-	found := false
-	for _, fam := range snap.Families {
-		if fam.Name != "wire_codec" {
-			continue
-		}
-		for _, s := range fam.Series {
-			for _, l := range s.LabelValues {
-				if l == "binary" {
-					binaryConns += s.Value
-					found = true
-				}
-			}
-		}
-	}
-	if !found || binaryConns < 1 {
-		t.Fatalf("wire_codec{version=binary} = %v (found=%v), want >= 1", binaryConns, found)
+	if buf.Len() == 0 || buf.Bytes()[0] != binMagic || buf.Bytes()[1] != CodecBinary {
+		t.Fatalf("CodecBinary frame header = % x", buf.Bytes())
 	}
 }

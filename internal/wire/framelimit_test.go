@@ -3,69 +3,95 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
 )
 
-// endlessReader yields 'a' forever, counting the bytes handed out. A
-// reader that buffers the whole "line" before checking the frame cap
-// never returns from it.
-type endlessReader struct{ served int64 }
+// endlessReader serves prefix, then the byte b forever, counting the
+// bytes handed out. A reader that buffers a frame before checking the
+// frame cap never returns from it.
+type endlessReader struct {
+	prefix []byte
+	b      byte
+	served int64
+}
 
 func (e *endlessReader) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = 'a'
+	n := copy(p, e.prefix)
+	e.prefix = e.prefix[n:]
+	for i := n; i < len(p); i++ {
+		p[i] = e.b
 	}
 	e.served += int64(len(p))
 	return len(p), nil
 }
 
-// TestReadMessageBoundsOversizedFrame is the regression test for the
-// frame-limit bug: the 1 MiB cap used to be checked only after
-// ReadBytes had buffered the entire line, so a peer streaming an
-// unterminated frame forced unbounded allocation. The bounded reader
-// must reject the frame as soon as the cap is crossed, consuming only
-// marginally more than maxFrame bytes from a never-ending line.
+// binHeader builds a binary frame header claiming a payload of plen
+// bytes.
+func binHeader(code byte, plen uint32) []byte {
+	hdr := make([]byte, binHeaderLen)
+	hdr[0], hdr[1], hdr[2] = binMagic, CodecBinary, code
+	binary.LittleEndian.PutUint32(hdr[4:8], plen)
+	return hdr
+}
+
+// TestReadMessageBoundsOversizedFrame: a peer announcing a payload past
+// the 1 MiB cap and then streaming bytes forever is rejected from the
+// header alone, having consumed no more than the one buffer fill that
+// read the header — the payload is never buffered.
 func TestReadMessageBoundsOversizedFrame(t *testing.T) {
-	src := &endlessReader{}
+	src := &endlessReader{prefix: binHeader(1, maxFrame+1), b: 'a'}
 	r := bufio.NewReader(src)
 	_, err := ReadMessage(r)
 	if !errors.Is(err, errFrameTooLarge) {
-		t.Fatalf("ReadMessage on an endless line = %v, want frame-limit error", err)
+		t.Fatalf("ReadMessage on an endless oversized frame = %v, want frame-limit error", err)
 	}
-	// The bufio layer reads ahead one buffer at a time; anything past
-	// cap + a couple of fill-ahead buffers means the line was buffered
-	// before the check ran.
-	if limit := int64(maxFrame + 128<<10); src.served > limit {
-		t.Fatalf("reader consumed %d bytes before rejecting, want <= %d", src.served, limit)
+	if src.served > int64(r.Size()) {
+		t.Fatalf("reader consumed %d bytes before rejecting, want <= %d", src.served, r.Size())
 	}
 }
 
 // TestReadMessageOversizedTerminatedFrame pins the cap for frames that
-// do end in a newline but exceed the limit.
+// arrive complete but exceed the limit by one byte, on both sides: the
+// reader rejects the frame and the writer refuses to send it.
 func TestReadMessageOversizedTerminatedFrame(t *testing.T) {
-	big := strings.Repeat("x", maxFrame+1) + "\n"
-	_, err := ReadMessage(bufio.NewReader(strings.NewReader(big)))
+	frame := append(binHeader(1, maxFrame+1), make([]byte, maxFrame+1)...)
+	_, err := ReadMessage(bufio.NewReader(bytes.NewReader(frame)))
 	if !errors.Is(err, errFrameTooLarge) {
-		t.Fatalf("oversized terminated frame = %v, want frame-limit error", err)
+		t.Fatalf("oversized complete frame = %v, want frame-limit error", err)
+	}
+	var buf bytes.Buffer
+	big := Message{Type: MsgError, Seq: 1, Err: strings.Repeat("x", maxFrame)}
+	if err := writeMessage(bufio.NewWriter(&buf), big); !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("writing an oversized frame = %v, want frame-limit error", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("refused frame still wrote %d bytes", buf.Len())
 	}
 }
 
-// TestReadMessageFrameAtLimit: a frame exactly at the cap still parses
-// (the bound is on the frame, not a smaller internal buffer).
+// TestReadMessageFrameAtLimit: a frame whose payload is exactly the cap
+// is written and parses (the bound is on the frame, not a smaller
+// internal buffer).
 func TestReadMessageFrameAtLimit(t *testing.T) {
-	pad := strings.Repeat("a", maxFrame-len(`{"type":"ping","seq":1,"err":""}`)-1)
-	frame := `{"type":"ping","seq":1,"err":"` + pad + `"}` + "\n"
-	if len(frame) != maxFrame {
-		t.Fatalf("frame is %d bytes, want exactly %d", len(frame), maxFrame)
+	// A ping payload is number, max, addr length, err length (3 bytes
+	// at this size), err, records count, errs count: 8 bytes + err.
+	in := Message{Type: MsgPing, Seq: 1, Err: strings.Repeat("a", maxFrame-8)}
+	var buf bytes.Buffer
+	if err := writeMessage(bufio.NewWriter(&buf), in); err != nil {
+		t.Fatalf("frame at the limit refused: %v", err)
 	}
-	m, err := ReadMessage(bufio.NewReader(strings.NewReader(frame)))
+	if plen := buf.Len() - binHeaderLen; plen != maxFrame {
+		t.Fatalf("payload is %d bytes, want exactly %d", plen, maxFrame)
+	}
+	m, err := ReadMessage(bufio.NewReader(&buf))
 	if err != nil {
 		t.Fatalf("frame at the limit rejected: %v", err)
 	}
-	if m.Type != MsgPing || m.Seq != 1 {
-		t.Fatalf("frame at the limit mangled: %+v", m)
+	if m.Type != MsgPing || m.Seq != 1 || m.Err != in.Err {
+		t.Fatalf("frame at the limit mangled: type %q seq %d err len %d", m.Type, m.Seq, len(m.Err))
 	}
 }
 
@@ -82,11 +108,11 @@ func TestBatchMessageRoundTrip(t *testing.T) {
 			{Addr: "b:2", Number: 8},
 		},
 	}
-	if err := WriteMessage(w, in); err != nil {
+	if err := writeMessage(w, in); err != nil {
 		t.Fatal(err)
 	}
 	ack := Message{Type: MsgBatchAck, Seq: 9, Errs: []string{"", "store without addr"}}
-	if err := WriteMessage(w, ack); err != nil {
+	if err := writeMessage(w, ack); err != nil {
 		t.Fatal(err)
 	}
 	r := bufio.NewReader(&buf)

@@ -46,11 +46,6 @@ type transportMetrics struct {
 	open   *obs.Gauge   // wire_conns_open
 	dials  *obs.Counter // wire_conn_dials_total
 	reused *obs.Counter // wire_conn_reuse_total
-	// wire_codec{version}: live connections by negotiated codec, client
-	// and server side both — during a rollout the pair of series shows
-	// how much of the fleet has upgraded.
-	codecJSON   *obs.Gauge
-	codecBinary *obs.Gauge
 }
 
 func (m *transportMetrics) dialed() {
@@ -73,40 +68,6 @@ func (m *transportMetrics) reuse() {
 		return
 	}
 	m.reused.Inc()
-}
-
-// codecGauge picks the wire_codec series for a codec version.
-func (m *transportMetrics) codecGauge(c uint8) *obs.Gauge {
-	if c >= CodecBinary {
-		return m.codecBinary
-	}
-	return m.codecJSON
-}
-
-// codecOpen counts a new connection under its starting codec.
-func (m *transportMetrics) codecOpen(c uint8) {
-	if m == nil {
-		return
-	}
-	m.codecGauge(c).Add(1)
-}
-
-// codecClose uncounts a closing connection from its final codec.
-func (m *transportMetrics) codecClose(c uint8) {
-	if m == nil {
-		return
-	}
-	m.codecGauge(c).Add(-1)
-}
-
-// codecShift moves a connection between codec series when negotiation
-// upgrades it mid-life.
-func (m *transportMetrics) codecShift(from, to uint8) {
-	if m == nil || from == to {
-		return
-	}
-	m.codecGauge(from).Add(-1)
-	m.codecGauge(to).Add(1)
 }
 
 // knownRequestTypes are the request types a node serves (response types
@@ -175,10 +136,6 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		batchErrors: reg.Counter("wire_batch_errors_total",
 			"Batched records lost to whole-frame failures or per-record rejections.").With(),
 	}
-	codec := reg.Gauge("wire_codec",
-		"Live wire connections by negotiated codec version (client and server side).", "version")
-	m.transport.codecJSON = codec.With("json")
-	m.transport.codecBinary = codec.With("binary")
 	for _, t := range append(append([]MsgType(nil), knownRequestTypes...), msgTypeOther) {
 		m.requests[t] = requests.With(string(t))
 		m.errors[t] = errors.With(string(t))

@@ -27,19 +27,20 @@ func TestServeMetricsCountRequests(t *testing.T) {
 	n := startNode(t, stubCfg(), nil)
 	timeout := 2 * time.Second
 
-	if _, err := Ping(n.Addr(), timeout); err != nil {
+	if _, err := call(n.Addr(), Message{Type: MsgPing}, MsgPong, timeout); err != nil {
 		t.Fatal(err)
 	}
 	rec := Record{Addr: "x:1", Number: 3, ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli()}
-	if err := Store(n.Addr(), rec, timeout); err != nil {
+	if _, err := call(n.Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, timeout); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Query(n.Addr(), 3, 4, timeout); err != nil {
+	if _, err := call(n.Addr(), Message{Type: MsgQuery, Number: 3, Max: 4}, MsgRecords, timeout); err != nil {
 		t.Fatal(err)
 	}
-	// A garbage request type lands in the error counter.
-	if _, err := roundTrip(n.Addr(), Message{Type: "bogus", Seq: 9}, timeout); err == nil {
-		t.Fatal("bogus request did not error")
+	// A request of a type the node does not serve (a response type)
+	// lands in the "other" error counter.
+	if _, err := call(n.Addr(), Message{Type: MsgPong}, MsgPong, timeout); err == nil {
+		t.Fatal("pong request did not error")
 	}
 
 	snap := n.Registry().Snapshot()
@@ -66,24 +67,24 @@ func TestServeMetricsCountRequests(t *testing.T) {
 func TestStatsWireOp(t *testing.T) {
 	n := startNode(t, stubCfg(), nil)
 	timeout := 2 * time.Second
-	if _, err := Ping(n.Addr(), timeout); err != nil {
+	if _, err := call(n.Addr(), Message{Type: MsgPing}, MsgPong, timeout); err != nil {
 		t.Fatal(err)
 	}
 
-	snap, err := FetchStats(n.Addr(), timeout)
-	if err != nil {
-		t.Fatal(err)
+	resp, err := call(n.Addr(), Message{Type: MsgStats}, MsgStatsReply, timeout)
+	if err != nil || resp.Stats == nil {
+		t.Fatalf("stats scrape = %+v, %v", resp, err)
 	}
-	if v, ok := snap.Value("wire_requests_total", "ping"); !ok || v != 1 {
+	if v, ok := resp.Stats.Value("wire_requests_total", "ping"); !ok || v != 1 {
 		t.Fatalf("scraped ping count = %v/%v, want 1", v, ok)
 	}
 	// The scrape itself is counted on the serving side, visible to the
 	// next scrape (the snapshot is taken before the counter bump).
-	snap2, err := FetchStats(n.Addr(), timeout)
-	if err != nil {
-		t.Fatal(err)
+	resp, err = call(n.Addr(), Message{Type: MsgStats}, MsgStatsReply, timeout)
+	if err != nil || resp.Stats == nil {
+		t.Fatalf("stats scrape = %+v, %v", resp, err)
 	}
-	if v, _ := snap2.Value("wire_requests_total", "stats"); v < 1 {
+	if v, _ := resp.Stats.Value("wire_requests_total", "stats"); v < 1 {
 		t.Fatalf("stats requests = %v, want >= 1", v)
 	}
 }
@@ -117,10 +118,10 @@ func TestSharedRegistryAggregates(t *testing.T) {
 		t.Fatal("nodes did not adopt the shared registry")
 	}
 	timeout := 2 * time.Second
-	if _, err := Ping(a.Addr(), timeout); err != nil {
+	if _, err := call(a.Addr(), Message{Type: MsgPing}, MsgPong, timeout); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Ping(b.Addr(), timeout); err != nil {
+	if _, err := call(b.Addr(), Message{Type: MsgPing}, MsgPong, timeout); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := reg.Snapshot().Value("wire_requests_total", "ping"); v != 2 {
@@ -129,17 +130,17 @@ func TestSharedRegistryAggregates(t *testing.T) {
 }
 
 func TestStatsSnapshotSerializes(t *testing.T) {
-	// The snapshot must survive the JSON wire framing with label values
+	// The snapshot must survive the wire framing with label values
 	// intact (the \x1f series separator never leaks).
 	n := startNode(t, stubCfg(), nil)
-	if _, err := Ping(n.Addr(), 2*time.Second); err != nil {
+	if _, err := call(n.Addr(), Message{Type: MsgPing}, MsgPong, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := FetchStats(n.Addr(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
+	resp, err := call(n.Addr(), Message{Type: MsgStats}, MsgStatsReply, 2*time.Second)
+	if err != nil || resp.Stats == nil {
+		t.Fatalf("stats scrape = %+v, %v", resp, err)
 	}
-	for _, f := range snap.Families {
+	for _, f := range resp.Stats.Families {
 		for _, s := range f.Series {
 			for _, lv := range s.LabelValues {
 				if strings.ContainsRune(lv, '\x1f') {

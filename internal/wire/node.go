@@ -83,7 +83,6 @@ type nodeOptions struct {
 	batchWindow      time.Duration
 	batchTimeout     time.Duration
 	spans            *span.Collector
-	maxCodec         uint8
 }
 
 func defaultOptions() nodeOptions {
@@ -96,7 +95,6 @@ func defaultOptions() nodeOptions {
 		logger:           slog.Default(),
 		poolSize:         2,
 		batchTimeout:     2 * time.Second,
-		maxCodec:         CodecBinary,
 	}
 }
 
@@ -193,25 +191,6 @@ func WithTracing(c *span.Collector) NodeOption {
 	return func(o *nodeOptions) { o.spans = c }
 }
 
-// WithMaxCodec caps the codec version the node negotiates, as a client
-// and as a server (default CodecBinary). CodecJSON pins the node to the
-// original JSON framing: it never advertises, never echoes, and always
-// replies in JSON — exactly how a pre-binary peer behaves, which is what
-// mixed-fleet rollout tests emulate with it. Decoding is always
-// codec-agnostic (frames self-identify), so even a JSON-pinned node
-// understands binary frames a newer peer might send.
-func WithMaxCodec(c uint8) NodeOption {
-	return func(o *nodeOptions) {
-		if c < CodecJSON {
-			c = CodecJSON
-		}
-		if c > CodecBinary {
-			c = CodecBinary
-		}
-		o.maxCodec = c
-	}
-}
-
 // WithLogger sets the node's structured logger (default slog.Default()).
 // The node logs only at debug level: refresh failures, replica store
 // failures, landmark fallbacks.
@@ -306,7 +285,7 @@ func NewNodeWithRegistry(listenAddr string, cfg SpaceConfig, peers []string, ttl
 		breakers: make(map[string]*breaker),
 		lastRTT:  make([]float64, len(cfg.Landmarks)),
 	}
-	n.tr = newTransport(opt.poolSize, n.metrics.transport, opt.maxCodec)
+	n.tr = newTransport(opt.poolSize, n.metrics.transport)
 	opt.spans.SetNode(n.addr)
 	if opt.batchWindow > 0 {
 		n.batch = newBatcher(n, opt.batchWindow)
@@ -444,20 +423,11 @@ func (n *Node) handle(conn net.Conn) {
 	// every batch; rs reuses the reply-side scratch the same way.
 	st := &decodeState{reuseRecords: true}
 	var rs replyScratch
-	// Track this server-side connection in wire_codec: it starts as
-	// JSON and shifts when the first binary frame arrives.
-	connCodec := uint8(CodecJSON)
-	n.metrics.transport.codecOpen(connCodec)
-	defer func() { n.metrics.transport.codecClose(connCodec) }()
 	for {
 		_ = conn.SetReadDeadline(time.Now().Add(n.opt.handleTimeout))
 		req, err := readMessageInto(br, st)
 		if err != nil {
 			return // EOF, idle timeout, or a broken frame: drop the conn
-		}
-		if st.codec != connCodec {
-			n.metrics.transport.codecShift(connCodec, st.codec)
-			connCodec = st.codec
 		}
 		start := time.Now()
 		// A sampled request continues the caller's trace: the serve span
@@ -477,20 +447,8 @@ func (n *Node) handle(conn net.Conn) {
 		} else {
 			sp.Finish(span.OutcomeOK, 0, nil)
 		}
-		// Reply in the request's codec: a binary request gets a binary
-		// reply (when this node speaks it); a JSON request that
-		// advertised binary gets a JSON reply echoing the advertisement,
-		// which is the client's cue to upgrade the connection.
-		replyCodec := uint8(CodecJSON)
-		if n.opt.maxCodec >= CodecBinary {
-			if st.codec == CodecBinary {
-				replyCodec = CodecBinary
-			} else if req.Codec >= CodecBinary {
-				resp.Codec = CodecBinary
-			}
-		}
 		_ = conn.SetWriteDeadline(time.Now().Add(n.opt.handleTimeout))
-		if err := writeMessage(bw, resp, replyCodec); err != nil {
+		if err := writeMessage(bw, resp); err != nil {
 			return
 		}
 	}

@@ -10,20 +10,16 @@
 // soft-state code paths are not simulator-only. Placement uses a one-hop
 // ring over a static peer list — the degenerate Chord of the appendix.
 //
-// Framing is newline-delimited JSON over TCP. Connections are
-// persistent and multiplexed: many requests may be in flight on one
-// connection at once, and responses are matched back to callers by Seq
-// (see Transport). The package-level helpers (Ping, Store, Query, ...)
-// keep the simple dial-per-call behavior for scripts and tests; node
-// client calls go through the node's pooled Transport.
+// Framing is a compact length-prefixed binary layout over TCP (see
+// codec.go). Connections are persistent and multiplexed: many requests
+// may be in flight on one connection at once, and responses are matched
+// back to callers by Seq (see Transport). Every client call, a node's or
+// a standalone tool's, goes through a Transport.
 package wire
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -81,7 +77,9 @@ func (r Record) Expired(now time.Time) bool {
 	return now.UnixMilli() > r.ExpiresUnixMilli
 }
 
-// Message is the single wire frame.
+// Message is the single wire frame. It travels in the binary layout of
+// codec.go; the json tags name its fields for tools and for the codec's
+// differential fuzz oracle.
 type Message struct {
 	Type MsgType `json:"type"`
 	// Seq echoes request sequence numbers into responses.
@@ -106,9 +104,7 @@ type Message struct {
 	// Trace carries the distributed-tracing context on sampled requests:
 	// the trace ID, the caller's span (which the server's span parents
 	// to), and the head sampling bit. Absent on unsampled traffic, so
-	// tracing-off frames are byte-identical to the pre-trace format.
-	// Compatibility is free in both directions: old decoders ignore the
-	// unknown field, and new decoders treat its absence as "unsampled".
+	// tracing-off frames carry no trace bytes at all.
 	Trace *span.Context `json:"trace,omitempty"`
 	// Peers rides on peers-reply responses: the serving node's current
 	// peer ring, sorted. Together with Epoch it lets any client see the
@@ -119,13 +115,6 @@ type Message struct {
 	// SetPeers, so differing epochs across a fleet expose membership
 	// drift mid-reconfiguration.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Codec advertises the highest codec version the sender can read
-	// (see CodecJSON/CodecBinary). On a JSON request it asks "may we
-	// switch this connection to binary?"; a binary-capable server echoes
-	// it on the response and the client upgrades the connection. Peers
-	// predating the binary codec ignore the unknown field and never
-	// echo, so the connection simply stays JSON. Zero means "JSON only".
-	Codec uint8 `json:"codec,omitempty"`
 	// Err describes failures on MsgError.
 	Err string `json:"err,omitempty"`
 }
@@ -138,263 +127,58 @@ const maxFrame = 1 << 20
 // while reading, before the oversized tail is buffered.
 var errFrameTooLarge = fmt.Errorf("wire: frame exceeds %d-byte limit", maxFrame)
 
-// frameEncoder pairs a reusable buffer with a JSON encoder so the
-// per-frame encode allocation is paid once per pooled encoder, not once
-// per message. json.Encoder.Encode appends the trailing newline, which
-// is exactly the JSON wire framing. bin is the binary-codec scratch,
-// reused the same way.
-type frameEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-	bin []byte
-}
+// encoderPool recycles frame scratch buffers, so the per-frame encode
+// allocation is paid once per pooled buffer, not once per message.
+var encoderPool = sync.Pool{New: func() any { return new([]byte) }}
 
-var encoderPool = sync.Pool{New: func() any {
-	fe := &frameEncoder{}
-	fe.enc = json.NewEncoder(&fe.buf)
-	return fe
-}}
-
-// WriteMessage frames and sends one message as JSON. Kept as the
-// public single-shot API: JSON is readable by every peer vintage.
-func WriteMessage(w *bufio.Writer, m Message) error {
-	return writeMessage(w, m, CodecJSON)
-}
-
-// WriteMessageCodec frames and sends one message under an explicit codec
-// version (CodecJSON or CodecBinary) — the codec-pinned counterpart of
-// WriteMessage for tools that speak a known-good version, like the bench
-// harness and corpus generators. Persistent connections negotiate
-// instead (see Transport).
+// WriteMessageCodec frames and sends one message. codec must be
+// CodecBinary, the only version this package speaks; it stays explicit
+// so callers name the format they put on the wire. Any other codec, a
+// message the binary layout cannot carry, or a frame past the size cap
+// is an error and writes nothing.
 func WriteMessageCodec(w *bufio.Writer, m Message, codec uint8) error {
-	return writeMessage(w, m, codec)
+	if codec != CodecBinary {
+		return fmt.Errorf("wire: unsupported codec version %d", codec)
+	}
+	return writeMessage(w, m)
 }
 
-// writeMessage frames and sends one message under the given codec.
-// Binary falls back to JSON for messages the binary layout cannot carry
-// (unknown type, unmarshalable stats) — readers auto-detect per frame,
-// so the mix is safe on one connection.
-func writeMessage(w *bufio.Writer, m Message, codec uint8) error {
-	fe := encoderPool.Get().(*frameEncoder)
-	defer encoderPool.Put(fe)
-	if codec >= CodecBinary {
-		if buf, ok := appendMessageBinary(fe.bin[:0], &m); ok {
-			fe.bin = buf[:0]
-			if len(buf)-binHeaderLen > maxFrame {
-				return errFrameTooLarge
-			}
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			return w.Flush()
-		}
+// writeMessage frames and sends one binary message.
+func writeMessage(w *bufio.Writer, m Message) error {
+	bp := encoderPool.Get().(*[]byte)
+	defer encoderPool.Put(bp)
+	buf, err := appendMessageBinary((*bp)[:0], &m)
+	if err != nil {
+		return err
 	}
-	fe.buf.Reset()
-	if err := fe.enc.Encode(m); err != nil {
-		return fmt.Errorf("wire: marshal: %w", err)
+	*bp = buf[:0]
+	if len(buf)-binHeaderLen > maxFrame {
+		return errFrameTooLarge
 	}
-	if _, err := w.Write(fe.buf.Bytes()); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		return err
 	}
 	return w.Flush()
 }
 
-// readFrame reads one newline-delimited frame into scratch (grown as
-// needed and returned for reuse). The size cap is enforced on the read
-// itself: the frame is rejected as soon as maxFrame bytes accumulate
-// without a newline, so a misbehaving peer cannot force the reader to
-// buffer an unbounded line before the check runs.
-func readFrame(r *bufio.Reader, scratch []byte) ([]byte, error) {
-	line := scratch[:0]
-	for {
-		frag, err := r.ReadSlice('\n')
-		if len(line)+len(frag) > maxFrame {
-			return nil, errFrameTooLarge
-		}
-		line = append(line, frag...)
-		switch err {
-		case nil:
-			return line, nil
-		case bufio.ErrBufferFull:
-			continue
-		default:
-			return nil, err
-		}
-	}
-}
-
-// ReadMessage reads one frame of either codec — the first byte
-// classifies it (binary frames open with 0xBF, JSON frames with '{').
-// Frames above 1 MiB are rejected mid-read to bound memory against
-// misbehaving peers.
+// ReadMessage reads one binary frame. A stream whose first byte is not
+// the frame magic is rejected after a one-byte peek, and frames above
+// 1 MiB are rejected from their header, before the payload is buffered.
 func ReadMessage(r *bufio.Reader) (Message, error) {
 	var st decodeState
 	return readMessageInto(r, &st)
 }
 
 // readMessageInto is ReadMessage with an explicit per-connection decode
-// state (scratch buffer, intern table, last-seen codec), reused across
-// frames by the persistent-connection read loops.
+// state (scratch buffer, intern table), reused across frames by the
+// persistent-connection read loops.
 func readMessageInto(r *bufio.Reader, st *decodeState) (Message, error) {
 	first, err := r.Peek(1)
 	if err != nil {
 		return Message{}, err
 	}
-	if first[0] == binMagic {
-		return readMessageBinary(r, st)
+	if first[0] != binMagic {
+		return Message{}, fmt.Errorf("wire: bad frame magic %#x", first[0])
 	}
-	line, err := readFrame(r, st.scratch)
-	if line != nil {
-		st.scratch = line[:0]
-	}
-	if err != nil {
-		return Message{}, err
-	}
-	var m Message
-	if err := json.Unmarshal(line, &m); err != nil {
-		return Message{}, fmt.Errorf("wire: unmarshal: %w", err)
-	}
-	st.codec = CodecJSON
-	return m, nil
-}
-
-// roundTrip dials addr, sends req, and reads one response.
-func roundTrip(addr string, req Message, timeout time.Duration) (Message, error) {
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return Message{}, err
-	}
-	defer conn.Close()
-	deadline := time.Now().Add(timeout)
-	if err := conn.SetDeadline(deadline); err != nil {
-		return Message{}, err
-	}
-	bw := bufio.NewWriter(conn)
-	if err := WriteMessage(bw, req); err != nil {
-		return Message{}, err
-	}
-	resp, err := ReadMessage(bufio.NewReader(conn))
-	if err != nil {
-		return Message{}, err
-	}
-	// Protocol-level failures are permanent: the peer is reachable and
-	// answering, so retrying the identical request cannot help.
-	if resp.Type == MsgError {
-		return resp, permanent(fmt.Errorf("wire: remote error: %s", resp.Err))
-	}
-	if resp.Seq != req.Seq {
-		return resp, permanent(fmt.Errorf("wire: response seq %d for request %d", resp.Seq, req.Seq))
-	}
-	return resp, nil
-}
-
-// The client helpers below take an optional trailing RetryPolicy; without
-// one they perform a single attempt. Transport failures retry under the
-// policy (capped exponential backoff, full jitter); protocol errors never
-// retry.
-
-// Ping measures the RTT to addr with one request/response round trip. The
-// returned RTT times only the successful attempt.
-func Ping(addr string, timeout time.Duration, policy ...RetryPolicy) (time.Duration, error) {
-	var rtt time.Duration
-	err := withRetry(optPolicy(policy), nil, nil, func() error {
-		start := time.Now()
-		resp, err := roundTrip(addr, Message{Type: MsgPing, Seq: 1}, timeout)
-		if err != nil {
-			return err
-		}
-		if resp.Type != MsgPong {
-			return permanent(fmt.Errorf("wire: unexpected response %q to ping", resp.Type))
-		}
-		rtt = time.Since(start)
-		return nil
-	})
-	return rtt, err
-}
-
-// Store publishes a record to the peer at addr.
-func Store(addr string, rec Record, timeout time.Duration, policy ...RetryPolicy) error {
-	return withRetry(optPolicy(policy), nil, nil, func() error {
-		resp, err := roundTrip(addr, Message{Type: MsgStore, Seq: 2, Record: &rec}, timeout)
-		if err != nil {
-			return err
-		}
-		if resp.Type != MsgStored {
-			return permanent(fmt.Errorf("wire: unexpected response %q to store", resp.Type))
-		}
-		return nil
-	})
-}
-
-// Query asks the peer at addr for up to max records nearest to number.
-func Query(addr string, number uint64, max int, timeout time.Duration, policy ...RetryPolicy) ([]Record, error) {
-	var recs []Record
-	err := withRetry(optPolicy(policy), nil, nil, func() error {
-		resp, err := roundTrip(addr, Message{Type: MsgQuery, Seq: 3, Number: number, Max: max}, timeout)
-		if err != nil {
-			return err
-		}
-		if resp.Type != MsgRecords {
-			return permanent(fmt.Errorf("wire: unexpected response %q to query", resp.Type))
-		}
-		recs = resp.Records
-		return nil
-	})
-	return recs, err
-}
-
-// Remove withdraws the record identified by recordAddr from the peer at
-// addr (the proactive-departure case of §5.2: a node leaving gracefully
-// deletes its soft-state instead of letting it expire). Removing an
-// absent record succeeds — the goal state already holds.
-func Remove(addr, recordAddr string, timeout time.Duration, policy ...RetryPolicy) error {
-	return withRetry(optPolicy(policy), nil, nil, func() error {
-		resp, err := roundTrip(addr, Message{Type: MsgRemove, Seq: 5, Addr: recordAddr}, timeout)
-		if err != nil {
-			return err
-		}
-		if resp.Type != MsgRemoved {
-			return permanent(fmt.Errorf("wire: unexpected response %q to remove", resp.Type))
-		}
-		return nil
-	})
-}
-
-// FetchPeers asks the node at addr for its current peer ring and the
-// ring epoch it belongs to. The list is the membership the node actually
-// routes on — after a reconfiguration every node converges to the same
-// list and epoch, so comparing answers across a fleet detects drift.
-func FetchPeers(addr string, timeout time.Duration, policy ...RetryPolicy) ([]string, uint64, error) {
-	var peers []string
-	var epoch uint64
-	err := withRetry(optPolicy(policy), nil, nil, func() error {
-		resp, err := roundTrip(addr, Message{Type: MsgPeers, Seq: 6}, timeout)
-		if err != nil {
-			return err
-		}
-		if resp.Type != MsgPeersReply {
-			return permanent(fmt.Errorf("wire: unexpected response %q to peers", resp.Type))
-		}
-		peers, epoch = resp.Peers, resp.Epoch
-		return nil
-	})
-	return peers, epoch, err
-}
-
-// FetchStats scrapes the telemetry snapshot of the peer at addr through
-// the STATS wire op.
-func FetchStats(addr string, timeout time.Duration, policy ...RetryPolicy) (obs.Snapshot, error) {
-	var snap obs.Snapshot
-	err := withRetry(optPolicy(policy), nil, nil, func() error {
-		resp, err := roundTrip(addr, Message{Type: MsgStats, Seq: 4}, timeout)
-		if err != nil {
-			return err
-		}
-		if resp.Type != MsgStatsReply || resp.Stats == nil {
-			return permanent(fmt.Errorf("wire: unexpected response %q to stats", resp.Type))
-		}
-		snap = *resp.Stats
-		return nil
-	})
-	return snap, err
+	return readMessageBinary(r, st)
 }

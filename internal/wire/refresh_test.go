@@ -28,12 +28,12 @@ func TestStartRefreshKeepsRecordAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Query(target.OwnerOf(num), num, 16, testTimeout)
+	resp, err := call(target.OwnerOf(num), Message{Type: MsgQuery, Number: num, Max: 16}, MsgRecords, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := false
-	for _, r := range recs {
+	for _, r := range resp.Records {
 		if r.Addr == target.Addr() {
 			found = true
 		}
@@ -52,11 +52,11 @@ func TestWithoutRefreshRecordExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(150 * time.Millisecond)
-	recs, err := Query(target.OwnerOf(rec.Number), rec.Number, 16, testTimeout)
+	resp, err := call(target.OwnerOf(rec.Number), Message{Type: MsgQuery, Number: rec.Number, Max: 16}, MsgRecords, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
+	for _, r := range resp.Records {
 		if r.Addr == target.Addr() {
 			t.Fatal("record survived its TTL with no refresh")
 		}

@@ -88,16 +88,19 @@ func TestClusterConvergesUnderFaults(t *testing.T) {
 		}
 	}
 
-	// Counted variant of the package Query helper: the convergence loop's
-	// own retries must be observable, because the package helpers meter
-	// nothing and the nodes' pooled transport dials each peer only once —
-	// a run can converge with every node-side connection intact while the
-	// injector drops plenty of test-side dials.
+	// Counted variant of the test call helper: the convergence loop's own
+	// retries must be observable, because a bare transport meters nothing
+	// and the nodes' pooled transport dials each peer only once — a run
+	// can converge with every node-side connection intact while the
+	// injector drops plenty of test-side dials. Each query opens its own
+	// connection, and each failed attempt redials.
 	testRetries := 0
 	queryCounted := func(addr string, number uint64) ([]Record, error) {
+		tr := NewTransport(1)
+		defer tr.Close()
 		var recs []Record
 		err := withRetry(retry, func() { testRetries++ }, nil, func() error {
-			resp, err := roundTrip(addr, Message{Type: MsgQuery, Seq: 3, Number: number, Max: nNodes * replicas}, timeout)
+			resp, err := tr.RoundTrip(addr, Message{Type: MsgQuery, Number: number, Max: nNodes * replicas}, timeout)
 			if err != nil {
 				return err
 			}

@@ -99,15 +99,6 @@ func withRetry(pol RetryPolicy, onRetry func(), stop <-chan struct{}, op func() 
 	}
 }
 
-// optPolicy resolves the optional trailing RetryPolicy of the package
-// helpers; absent means single-attempt, the pre-resilience behavior.
-func optPolicy(p []RetryPolicy) RetryPolicy {
-	if len(p) > 0 {
-		return p[0]
-	}
-	return RetryPolicy{MaxAttempts: 1}
-}
-
 // Failure-detector states, in the order exposed by the
 // wire_breaker_state gauge.
 const (

@@ -98,12 +98,12 @@ func TestSetPeersSwapsRingAndRehomes(t *testing.T) {
 	}
 
 	// The membership RPC reports the new ring.
-	peers, epoch, err := FetchPeers(addrs[0], testTimeout)
+	resp, err := call(addrs[0], Message{Type: MsgPeers}, MsgPeersReply, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 2 || !slices.Equal(peers, next) {
-		t.Fatalf("FetchPeers = (%v, %d), want (%v, 2)", peers, epoch, next)
+	if resp.Epoch != 2 || !slices.Equal(resp.Peers, next) {
+		t.Fatalf("peers reply = (%v, %d), want (%v, 2)", resp.Peers, resp.Epoch, next)
 	}
 }
 

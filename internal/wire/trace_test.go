@@ -3,7 +3,6 @@ package wire
 import (
 	"bufio"
 	"bytes"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -11,50 +10,53 @@ import (
 	"gsso/internal/obs/span"
 )
 
-// TestTraceFieldCompat pins the wire-compat contract of the trace field:
-// old frames (no trace) decode to a nil context, frames from newer
-// builds with unknown fields still decode (so mixed-version clusters
-// interoperate), and a present context round-trips bit-exact.
+// TestTraceFieldCompat pins the wire contract of the binary trace flag:
+// an untraced frame leaves the flag clear and carries no trace bytes, so
+// it decodes to a nil context; a traced frame sets the flag and
+// round-trips its context bit-exact; a flagged frame missing its trace
+// bytes is rejected rather than decoded as untraced.
 func TestTraceFieldCompat(t *testing.T) {
-	decode := func(s string) Message {
+	encode := func(m Message) []byte {
 		t.Helper()
-		m, err := ReadMessage(bufio.NewReader(strings.NewReader(s)))
-		if err != nil {
-			t.Fatalf("decode %q: %v", s, err)
+		var buf bytes.Buffer
+		if err := writeMessage(bufio.NewWriter(&buf), m); err != nil {
+			t.Fatal(err)
 		}
-		return m
+		return buf.Bytes()
 	}
 
-	// Backward: a pre-tracing peer's frame carries no trace.
-	if m := decode("{\"type\":\"ping\",\"seq\":1}\n"); m.Trace != nil {
-		t.Fatalf("traceless frame decoded Trace=%+v, want nil", m.Trace)
+	plain := encode(Message{Type: MsgStore, Seq: 4})
+	if plain[3]&binFlagTrace != 0 {
+		t.Fatalf("untraced frame sets the trace flag: flags %#x", plain[3])
 	}
-	// Forward: unknown fields from a future build are ignored.
-	m := decode("{\"type\":\"ping\",\"seq\":2,\"trace\":{\"trace_id\":7,\"span_id\":8,\"sampled\":true},\"future\":\"x\"}\n")
-	if m.Trace == nil || m.Trace.TraceID != 7 || m.Trace.SpanID != 8 || !m.Trace.Sampled {
-		t.Fatalf("trace context mis-decoded: %+v", m.Trace)
-	}
-	// Unsampled contexts are omitted from the encoding entirely.
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := WriteMessage(bw, Message{Type: MsgPing, Seq: 3}); err != nil {
+	m, err := ReadMessage(bufio.NewReader(bytes.NewReader(plain)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), "trace") {
-		t.Fatalf("untraced frame leaked a trace field: %s", buf.String())
+	if m.Trace != nil {
+		t.Fatalf("untraced frame decoded Trace=%+v, want nil", m.Trace)
 	}
-	// Round trip of a present context.
-	buf.Reset()
+
 	want := span.Context{TraceID: 0xdeadbeef, SpanID: 0xcafe, Sampled: true}
-	if err := WriteMessage(bufio.NewWriter(&buf), Message{Type: MsgStore, Seq: 4, Trace: &want}); err != nil {
-		t.Fatal(err)
+	traced := encode(Message{Type: MsgStore, Seq: 4, Trace: &want})
+	if traced[3]&binFlagTrace == 0 {
+		t.Fatalf("traced frame leaves the trace flag clear: flags %#x", traced[3])
 	}
-	got, err := ReadMessage(bufio.NewReader(&buf))
+	if extra := len(traced) - len(plain); extra != 17 {
+		t.Fatalf("trace context costs %d bytes, want 17 (two ids + sampled bit)", extra)
+	}
+	got, err := ReadMessage(bufio.NewReader(bytes.NewReader(traced)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Trace == nil || *got.Trace != want {
 		t.Fatalf("trace round trip: got %+v, want %+v", got.Trace, want)
+	}
+
+	flagged := append([]byte(nil), plain...)
+	flagged[3] |= binFlagTrace
+	if _, err := ReadMessage(bufio.NewReader(bytes.NewReader(flagged))); err == nil {
+		t.Fatal("frame flagged as traced but carrying no trace bytes was accepted")
 	}
 }
 

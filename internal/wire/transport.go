@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -30,12 +29,6 @@ import (
 type Transport struct {
 	size int
 	m    *transportMetrics
-	// maxCodec is the highest codec version this side will speak. Every
-	// connection starts as JSON; while below maxCodec, outgoing frames
-	// advertise it in Message.Codec, and an echoed advertisement on a
-	// response upgrades the connection to binary for all later frames
-	// (see protocol.go). Peers that never echo keep the connection JSON.
-	maxCodec uint8
 
 	mu     sync.Mutex
 	peers  map[string]*peerPool
@@ -56,22 +49,16 @@ type peerPool struct {
 
 // NewTransport creates a standalone pool keeping up to size connections
 // per peer (minimum 1). Nodes build their own transport wired to their
-// telemetry registry; a bare one is useful for clients and tests. The
-// transport negotiates up to the binary codec; negotiation degrades to
-// JSON against peers that never echo the advertisement, so this is safe
-// against any peer vintage.
+// telemetry registry; a bare one is useful for clients and tests.
 func NewTransport(size int) *Transport {
-	return newTransport(size, nil, CodecBinary)
+	return newTransport(size, nil)
 }
 
-func newTransport(size int, m *transportMetrics, maxCodec uint8) *Transport {
+func newTransport(size int, m *transportMetrics) *Transport {
 	if size < 1 {
 		size = 1
 	}
-	if maxCodec < CodecJSON {
-		maxCodec = CodecJSON
-	}
-	return &Transport{size: size, m: m, maxCodec: maxCodec, peers: make(map[string]*peerPool)}
+	return &Transport{size: size, m: m, peers: make(map[string]*peerPool)}
 }
 
 // errTransportClosed fails calls through a closed transport.
@@ -80,7 +67,7 @@ var errTransportClosed = errors.New("wire: transport closed")
 // RoundTrip sends req to addr on a pooled connection and returns the
 // matching response. req.Seq is assigned by the transport; the caller's
 // value is ignored. Remote MsgError responses return a permanent error
-// alongside the response, mirroring the dial-per-call helpers.
+// alongside the response: retrying the identical request cannot help.
 func (t *Transport) RoundTrip(addr string, req Message, timeout time.Duration) (Message, error) {
 	resp, _, err := t.roundTripRTT(addr, req, timeout)
 	return resp, err
@@ -142,18 +129,15 @@ func (t *Transport) get(addr string, timeout time.Duration) (*pconn, error) {
 		return nil, err
 	}
 	pc := &pconn{
-		t:        t,
-		addr:     addr,
-		c:        c,
-		bw:       bufio.NewWriter(c),
-		maxCodec: t.maxCodec,
-		waiters:  make(map[uint64]chan Message),
+		t:       t,
+		addr:    addr,
+		c:       c,
+		bw:      bufio.NewWriter(c),
+		waiters: make(map[uint64]chan Message),
 	}
-	pc.codec.Store(uint32(CodecJSON))
 	pp.conns = append(pp.conns, pc)
 	pp.mu.Unlock()
 	t.m.dialed()
-	t.m.codecOpen(CodecJSON)
 	go pc.readLoop()
 
 	t.mu.Lock()
@@ -179,7 +163,6 @@ func (t *Transport) drop(pc *pconn) {
 		if c == pc {
 			pp.conns = append(pp.conns[:i], pp.conns[i+1:]...)
 			t.m.dropped()
-			t.m.codecClose(uint8(pc.codec.Load()))
 			break
 		}
 	}
@@ -244,14 +227,6 @@ type pconn struct {
 	c    net.Conn
 	bw   *bufio.Writer
 
-	// Codec negotiation state. codec is the version frames are written
-	// in right now (starts at CodecJSON); maxCodec is what this side can
-	// speak. While codec < maxCodec, outgoing frames advertise maxCodec
-	// and the read loop upgrades codec when the server echoes it. Atomic
-	// because writers read it while the read loop stores it.
-	maxCodec uint8
-	codec    atomic.Uint32
-
 	wmu sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
@@ -276,13 +251,6 @@ func (p *pconn) readLoop() {
 		if err != nil {
 			p.fail(fmt.Errorf("wire: connection to %s lost: %w", p.addr, err))
 			return
-		}
-		// A response echoing our binary advertisement upgrades the
-		// connection: every frame written after this point is binary.
-		// The CAS makes the shift idempotent across echoed responses.
-		if m.Codec >= CodecBinary && p.maxCodec >= CodecBinary &&
-			p.codec.CompareAndSwap(uint32(CodecJSON), uint32(CodecBinary)) {
-			p.t.m.codecShift(CodecJSON, CodecBinary)
 		}
 		p.mu.Lock()
 		ch := p.waiters[m.Seq]
@@ -313,7 +281,7 @@ func (p *pconn) do(req Message, timeout time.Duration) (Message, time.Duration, 
 	start := time.Now()
 	p.wmu.Lock()
 	_ = p.c.SetWriteDeadline(time.Now().Add(timeout))
-	err := p.writeFrame(req)
+	err := writeMessage(p.bw, req)
 	p.wmu.Unlock()
 	if err != nil {
 		p.forget(req.Seq)
@@ -346,18 +314,6 @@ func (p *pconn) do(req Message, timeout time.Duration) (Message, time.Duration, 
 		p.fail(fmt.Errorf("wire: %s: request timed out after %v", p.addr, timeout))
 		return Message{}, 0, fmt.Errorf("wire: %s: request timed out after %v", p.addr, timeout)
 	}
-}
-
-// writeFrame writes one frame under wmu in the connection's negotiated
-// codec, advertising the upgrade while one is still possible. Flush
-// happens per frame; the bufio layer still coalesces the encode into
-// one syscall.
-func (p *pconn) writeFrame(m Message) error {
-	codec := uint8(p.codec.Load())
-	if codec < p.maxCodec {
-		m.Codec = p.maxCodec
-	}
-	return writeMessage(p.bw, m, codec)
 }
 
 // forget unregisters a waiter that gave up.

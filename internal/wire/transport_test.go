@@ -78,7 +78,7 @@ func TestTransportMultiplexesOneConnection(t *testing.T) {
 	const records = 32
 	for i := 0; i < records; i++ {
 		rec := Record{Addr: fmt.Sprintf("r%d:1", i), Number: uint64(i * 1000), ExpiresUnixMilli: exp}
-		if err := Store(server.Addr(), rec, time.Second); err != nil {
+		if _, err := call(server.Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestTransportRaceHammer(t *testing.T) {
 	const records = 16
 	for i := 0; i < records; i++ {
 		rec := Record{Addr: fmt.Sprintf("r%d:1", i), Number: uint64(i * 1000), ExpiresUnixMilli: exp}
-		if err := Store(steady.Addr(), rec, time.Second); err != nil {
+		if _, err := call(steady.Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}

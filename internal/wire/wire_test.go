@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		Seq:    42,
 		Record: &Record{Addr: "1.2.3.4:5", Vector: []float64{1, 2}, Number: 77, ExpiresUnixMilli: 9},
 	}
-	if err := WriteMessage(w, in); err != nil {
+	if err := writeMessage(w, in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadMessage(bufio.NewReader(&buf))
@@ -62,6 +63,29 @@ func TestMessageRoundTrip(t *testing.T) {
 		out.Record.Number != 77 {
 		t.Fatalf("round trip mangled message: %+v", out)
 	}
+}
+
+// call makes one client RPC the way a standalone tool does: a fresh
+// NewTransport(1), one RoundTrip under policy (default: a single
+// attempt), then Close — so every call opens its own TCP connection. A
+// response of any type but want is a permanent error.
+func call(addr string, req Message, want MsgType, timeout time.Duration, policy ...RetryPolicy) (Message, error) {
+	pol := RetryPolicy{MaxAttempts: 1}
+	if len(policy) > 0 {
+		pol = policy[0]
+	}
+	tr := NewTransport(1)
+	defer tr.Close()
+	var resp Message
+	err := withRetry(pol, nil, nil, func() error {
+		var err error
+		resp, err = tr.RoundTrip(addr, req, timeout)
+		if err == nil && resp.Type != want {
+			err = permanent(fmt.Errorf("unexpected response %q to %q", resp.Type, req.Type))
+		}
+		return err
+	})
+	return resp, err
 }
 
 func TestReadMessageRejectsGarbage(t *testing.T) {
@@ -121,7 +145,7 @@ func cluster(t *testing.T, n, k int, opts ...NodeOption) []*Node {
 
 func TestPingStoreQuery(t *testing.T) {
 	nodes := cluster(t, 3, 1)
-	rtt, err := Ping(nodes[0].Addr(), testTimeout)
+	rtt, err := nodes[1].ping(nodes[0].Addr(), testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +158,17 @@ func TestPingStoreQuery(t *testing.T) {
 		Number:           500,
 		ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli(),
 	}
-	if err := Store(nodes[0].Addr(), rec, testTimeout); err != nil {
+	if _, err := call(nodes[0].Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if nodes[0].RecordCount() != 1 {
 		t.Fatal("record not stored")
 	}
-	got, err := Query(nodes[0].Addr(), 490, 5, testTimeout)
+	resp, err := call(nodes[0].Addr(), Message{Type: MsgQuery, Number: 490, Max: 5}, MsgRecords, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := resp.Records
 	if len(got) != 1 || got[0].Addr != rec.Addr {
 		t.Fatalf("query returned %+v", got)
 	}
@@ -154,14 +179,15 @@ func TestQueryOrdersByNumberDistance(t *testing.T) {
 	exp := time.Now().Add(time.Minute).UnixMilli()
 	for i, num := range []uint64{100, 200, 150, 1000} {
 		rec := Record{Addr: nodes[1].Addr() + "/" + string(rune('a'+i)), Number: num, ExpiresUnixMilli: exp}
-		if err := Store(nodes[0].Addr(), rec, testTimeout); err != nil {
+		if _, err := call(nodes[0].Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, testTimeout); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := Query(nodes[0].Addr(), 160, 3, testTimeout)
+	resp, err := call(nodes[0].Addr(), Message{Type: MsgQuery, Number: 160, Max: 3}, MsgRecords, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := resp.Records
 	if len(got) != 3 {
 		t.Fatalf("got %d records", len(got))
 	}
@@ -173,13 +199,14 @@ func TestQueryOrdersByNumberDistance(t *testing.T) {
 func TestQuerySweepsExpired(t *testing.T) {
 	nodes := cluster(t, 2, 1)
 	rec := Record{Addr: "dead", Number: 5, ExpiresUnixMilli: time.Now().Add(-time.Second).UnixMilli()}
-	if err := Store(nodes[0].Addr(), rec, testTimeout); err != nil {
+	if _, err := call(nodes[0].Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, testTimeout); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Query(nodes[0].Addr(), 5, 5, testTimeout)
+	resp, err := call(nodes[0].Addr(), Message{Type: MsgQuery, Number: 5, Max: 5}, MsgRecords, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := resp.Records
 	if len(got) != 0 {
 		t.Fatal("expired record returned")
 	}

@@ -11,7 +11,7 @@ func TestRemoveMessageRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
 	in := Message{Type: MsgRemove, Seq: 5, Addr: "1.2.3.4:5"}
-	if err := WriteMessage(w, in); err != nil {
+	if err := writeMessage(w, in); err != nil {
 		t.Fatal(err)
 	}
 	out, err := ReadMessage(bufio.NewReader(&buf))
@@ -31,13 +31,13 @@ func TestRemoveDeletesStoredRecord(t *testing.T) {
 		Number:           500,
 		ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli(),
 	}
-	if err := Store(nodes[0].Addr(), rec, testTimeout); err != nil {
+	if _, err := call(nodes[0].Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if nodes[0].RecordCount() != 1 {
 		t.Fatal("record not stored")
 	}
-	if err := Remove(nodes[0].Addr(), rec.Addr, testTimeout); err != nil {
+	if _, err := call(nodes[0].Addr(), Message{Type: MsgRemove, Addr: rec.Addr}, MsgRemoved, testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if nodes[0].RecordCount() != 0 {
@@ -45,7 +45,7 @@ func TestRemoveDeletesStoredRecord(t *testing.T) {
 	}
 	// Removing an absent record is an acknowledged no-op, not an error —
 	// withdrawals race with TTL expiry and must stay idempotent.
-	if err := Remove(nodes[0].Addr(), rec.Addr, testTimeout); err != nil {
+	if _, err := call(nodes[0].Addr(), Message{Type: MsgRemove, Addr: rec.Addr}, MsgRemoved, testTimeout); err != nil {
 		t.Fatalf("second remove: %v", err)
 	}
 }
@@ -70,12 +70,12 @@ func TestWithdrawAfterPublish(t *testing.T) {
 	if len(owners) == 0 {
 		t.Fatal("no owners")
 	}
-	recs, err := Query(owners[0], rec.Number, 10, testTimeout)
+	resp, err := call(owners[0], Message{Type: MsgQuery, Number: rec.Number, Max: 10}, MsgRecords, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	present := false
-	for _, r := range recs {
+	for _, r := range resp.Records {
 		if r.Addr == n.Addr() {
 			present = true
 		}
@@ -91,11 +91,11 @@ func TestWithdrawAfterPublish(t *testing.T) {
 	if acked == 0 {
 		t.Fatal("no owner acknowledged the withdrawal")
 	}
-	recs, err = Query(owners[0], rec.Number, 10, testTimeout)
+	resp, err = call(owners[0], Message{Type: MsgQuery, Number: rec.Number, Max: 10}, MsgRecords, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
+	for _, r := range resp.Records {
 		if r.Addr == n.Addr() {
 			t.Fatal("withdrawn record still served")
 		}
