@@ -18,29 +18,32 @@ import (
 // contract: the full quick-scale suite must render byte-identical output at
 // every pool width, because units are identified by ordinal and seeded by
 // identity, never by the worker that happens to execute them. The output
-// is also pinned across revisions: its SHA-256 must match
-// testdata/quick_seed1.sha256, so a change that claims to leave the
-// simulator alone proves it (GSSO_GOLDEN_WRITE=1 regenerates the file —
-// only from a revision known to be correct).
+// is also pinned across revisions: for seeds 1 and 2 its SHA-256 must
+// match testdata/quick_seed<N>.sha256, so a change that claims to leave
+// the simulator alone proves it (GSSO_GOLDEN_WRITE=1 regenerates the files
+// — only from a revision known to be correct).
 func TestSuiteOutputIdenticalAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the whole quick suite three times")
+		t.Skip("runs the whole quick suite three times per seed")
 	}
 	widths := []int{1, 4, runtime.GOMAXPROCS(0)}
-	var golden []byte
-	for _, j := range widths {
-		var buf bytes.Buffer
-		if err := run([]string{"-run", "all", "-scale", "quick", "-j", strconv.Itoa(j)}, &buf); err != nil {
-			t.Fatalf("-j %d: %v", j, err)
-		}
-		if golden == nil {
-			golden = buf.Bytes()
-			checkSuiteDigest(t, golden)
-			continue
-		}
-		if !bytes.Equal(buf.Bytes(), golden) {
-			t.Fatalf("-j %d output differs from -j %d output\n--- j=%d ---\n%s\n--- j=%d ---\n%s",
-				j, widths[0], widths[0], golden, j, buf.Bytes())
+	for _, seed := range []string{"1", "2"} {
+		var golden []byte
+		for _, j := range widths {
+			var buf bytes.Buffer
+			args := []string{"-run", "all", "-scale", "quick", "-seed", seed, "-j", strconv.Itoa(j)}
+			if err := run(args, &buf); err != nil {
+				t.Fatalf("seed %s -j %d: %v", seed, j, err)
+			}
+			if golden == nil {
+				golden = buf.Bytes()
+				checkSuiteDigest(t, seed, golden)
+				continue
+			}
+			if !bytes.Equal(buf.Bytes(), golden) {
+				t.Fatalf("seed %s: -j %d output differs from -j %d output\n--- j=%d ---\n%s\n--- j=%d ---\n%s",
+					seed, j, widths[0], widths[0], golden, j, buf.Bytes())
+			}
 		}
 	}
 }
@@ -73,14 +76,14 @@ func TestTopologyGeneratedOncePerKey(t *testing.T) {
 	}
 }
 
-// checkSuiteDigest compares the SHA-256 of the quick-scale seed-1 suite
-// output against the checked-in digest, or rewrites the digest under
+// checkSuiteDigest compares the SHA-256 of the quick-scale suite output for
+// seed against the checked-in digest, or rewrites the digest under
 // GSSO_GOLDEN_WRITE=1.
-func checkSuiteDigest(t *testing.T, out []byte) {
+func checkSuiteDigest(t *testing.T, seed string, out []byte) {
 	t.Helper()
 	sum := sha256.Sum256(out)
 	got := hex.EncodeToString(sum[:])
-	path := filepath.Join("testdata", "quick_seed1.sha256")
+	path := filepath.Join("testdata", "quick_seed"+seed+".sha256")
 	if os.Getenv("GSSO_GOLDEN_WRITE") == "1" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -95,6 +98,6 @@ func checkSuiteDigest(t *testing.T, out []byte) {
 		t.Fatalf("missing suite digest (generate with GSSO_GOLDEN_WRITE=1 from a trusted revision): %v", err)
 	}
 	if want := strings.TrimSpace(string(data)); got != want {
-		t.Fatalf("quick-scale seed-1 suite output digest %s, want %s: simulator output changed", got, want)
+		t.Fatalf("quick-scale seed-%s suite output digest %s, want %s: simulator output changed", seed, got, want)
 	}
 }

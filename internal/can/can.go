@@ -9,6 +9,10 @@
 // Pastry's nodeId prefixes); package ecan builds its expressway routing on
 // top of them.
 //
+// A leaf's neighbours are not stored: they are a function of the split
+// tree, derived when first asked for and memoized per leaf until the next
+// join or departure.
+//
 // Overlays are not safe for concurrent mutation; concurrent readers are
 // fine once construction settles.
 package can
@@ -17,6 +21,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"gsso/internal/simrand"
 	"gsso/internal/topology"
@@ -154,19 +160,23 @@ func (m *Member) ZoneCenter() Point {
 func (m *Member) Depth() int { return m.leaf.path.Len }
 
 // Neighbors returns the member's CAN neighbors (zones abutting its zone in
-// exactly one dimension and overlapping in all others). Fresh slice, in an
-// order that is deterministic for a given join/depart history but otherwise
-// unspecified.
+// exactly one dimension and overlapping in all others), each once. Fresh
+// slice, ordered by face: dimensions in increasing order, the lo face
+// before the hi face, and within a face depth-first through the split
+// tree, lower half first. The order is a function of the zone structure
+// alone; callers that need another one sort, as expanding-ring search and
+// core's crash confirmation do.
 func (m *Member) Neighbors() []*Member {
-	out := make([]*Member, len(m.leaf.neighbors))
-	for i, nb := range m.leaf.neighbors {
+	nbs := m.owner.neighbors(m.leaf)
+	out := make([]*Member, len(nbs))
+	for i, nb := range nbs {
 		out[i] = nb.member
 	}
 	return out
 }
 
 // NeighborCount returns the size of the member's neighbor set.
-func (m *Member) NeighborCount() int { return len(m.leaf.neighbors) }
+func (m *Member) NeighborCount() int { return len(m.owner.neighbors(m.leaf)) }
 
 // Contains reports whether the member's zone contains p.
 func (m *Member) Contains(p Point) bool { return m.leaf.contains(p) }
@@ -188,42 +198,18 @@ type zone struct {
 	path     Path
 	lo, hi   Point
 	member   *Member
-	// neighbors is maintained for leaves only, each neighbor once. A slice,
-	// not a set: CAN degree is about 2d, so a linear scan beats hashing and
-	// the iteration order is reproducible.
-	neighbors []*zone
+	// nbs memoizes a leaf's derived neighbors (Overlay.neighbors). Atomic
+	// because concurrent readers of a settled overlay fill it.
+	nbs atomic.Pointer[nbMemo]
+}
+
+// nbMemo is a leaf's neighbor list as derived at overlay generation gen.
+type nbMemo struct {
+	gen  uint64
+	list []*zone
 }
 
 func (z *zone) isLeaf() bool { return z.children[0] == nil }
-
-// hasNeighbor reports whether nb is in z's neighbor list.
-func (z *zone) hasNeighbor(nb *zone) bool {
-	for _, x := range z.neighbors {
-		if x == nb {
-			return true
-		}
-	}
-	return false
-}
-
-// dropNeighbor removes nb from z's neighbor list if present.
-func (z *zone) dropNeighbor(nb *zone) {
-	for i, x := range z.neighbors {
-		if x == nb {
-			last := len(z.neighbors) - 1
-			z.neighbors[i] = z.neighbors[last]
-			z.neighbors[last] = nil
-			z.neighbors = z.neighbors[:last]
-			return
-		}
-	}
-}
-
-// link records a and b as each other's neighbors.
-func link(a, b *zone) {
-	a.neighbors = append(a.neighbors, b)
-	b.neighbors = append(b.neighbors, a)
-}
 
 // pathLess is the canonical order on zone paths: by bits, then length.
 // Leaf paths are prefix-free, so among leaves the bits alone decide.
@@ -255,7 +241,8 @@ func (z *zone) volume() float64 {
 type Overlay struct {
 	dim  int
 	root *zone
-	size int // leaves that have a member
+	size int    // leaves that have a member
+	gen  uint64 // bumped by every structural change; dates neighbor memos
 }
 
 // New returns an empty CAN of the given dimensionality.
@@ -338,7 +325,17 @@ func (o *Overlay) Join(host topology.NodeID, p Point) (*Member, error) {
 	if !p.Valid(o.dim) {
 		return nil, fmt.Errorf("can: invalid join point %v for dim %d", p, o.dim)
 	}
-	m := &Member{Host: host, JoinPoint: append(Point(nil), p...), owner: o}
+	return o.join(host, append(Point(nil), p...))
+}
+
+// JoinRandom joins host at a uniformly random point.
+func (o *Overlay) JoinRandom(host topology.NodeID, rng *simrand.Source) (*Member, error) {
+	return o.join(host, RandomPoint(o.dim, rng))
+}
+
+// join is Join for a valid point the member may keep as its JoinPoint.
+func (o *Overlay) join(host topology.NodeID, p Point) (*Member, error) {
+	m := &Member{Host: host, JoinPoint: p, owner: o}
 	leaf := o.leafAt(p)
 	if leaf.member == nil {
 		// First member adopts the whole space.
@@ -350,6 +347,7 @@ func (o *Overlay) Join(host topology.NodeID, p Point) (*Member, error) {
 	if leaf.path.Len >= MaxDepth {
 		return nil, fmt.Errorf("can: split depth limit %d reached", MaxDepth)
 	}
+	o.gen++
 	left, right := o.split(leaf)
 	old := leaf.member
 	leaf.member = nil
@@ -366,50 +364,27 @@ func (o *Overlay) Join(host topology.NodeID, p Point) (*Member, error) {
 	return m, nil
 }
 
-// JoinRandom joins host at a uniformly random point.
-func (o *Overlay) JoinRandom(host topology.NodeID, rng *simrand.Source) (*Member, error) {
-	return o.Join(host, RandomPoint(o.dim, rng))
-}
-
 // split turns leaf into an internal zone with two children along dimension
-// depth mod d, rewiring neighbor sets locally.
+// depth mod d. Both children come from one allocation, and the two corners
+// they do not share with leaf from another.
 func (o *Overlay) split(leaf *zone) (left, right *zone) {
 	k := leaf.path.Len % o.dim
 	mid := (leaf.lo[k] + leaf.hi[k]) / 2
 
-	mk := func(bit int, lo, hi Point) *zone {
-		return &zone{
-			path:      leaf.path.child(bit),
-			lo:        lo,
-			hi:        hi,
-			neighbors: make([]*zone, 0, len(leaf.neighbors)+1),
-		}
-	}
-	lhi := append(Point(nil), leaf.hi...)
+	pair := new([2]zone)
+	left, right = &pair[0], &pair[1]
+	corners := make(Point, 2*o.dim)
+	lhi, rlo := corners[:o.dim:o.dim], corners[o.dim:]
+	copy(lhi, leaf.hi)
 	lhi[k] = mid
-	rlo := append(Point(nil), leaf.lo...)
+	copy(rlo, leaf.lo)
 	rlo[k] = mid
-	left = mk(0, leaf.lo, lhi)
-	right = mk(1, rlo, leaf.hi)
+	left.path, left.lo, left.hi = leaf.path.child(0), leaf.lo, lhi
+	right.path, right.lo, right.hi = leaf.path.child(1), rlo, leaf.hi
 
 	leaf.splitDim = k
 	leaf.splitAt = mid
-	leaf.children[0] = left
-	leaf.children[1] = right
-
-	// The halves neighbor each other.
-	link(left, right)
-	// Redistribute the old neighbors.
-	for _, nb := range leaf.neighbors {
-		nb.dropNeighbor(leaf)
-		if adjacent(left, nb) {
-			link(left, nb)
-		}
-		if adjacent(right, nb) {
-			link(right, nb)
-		}
-	}
-	leaf.neighbors = nil
+	leaf.children = [2]*zone{left, right}
 	return left, right
 }
 
@@ -464,6 +439,7 @@ func (o *Overlay) takeover(m *Member, avoid func(*Member) bool) (Handover, error
 		return Handover{}, errors.New("can: departing member is not in the overlay")
 	}
 	o.size--
+	o.gen++
 	leaf := m.leaf
 	m.leaf, m.owner = nil, nil
 	if leaf == o.root {
@@ -564,23 +540,96 @@ func deepestLeafPair(z *zone) *zone {
 // becomes a leaf owned by survivor (the other child's member is the
 // caller's to relocate or discard).
 func (o *Overlay) mergeChildren(parent *zone, survivor *Member) {
-	left, right := parent.children[0], parent.children[1]
-	parent.children[0], parent.children[1] = nil, nil
+	parent.children = [2]*zone{}
 	parent.member = survivor
 	survivor.leaf = parent
-	parent.neighbors = make([]*zone, 0, len(left.neighbors)+len(right.neighbors)-2)
-	for _, child := range [2]*zone{left, right} {
-		for _, nb := range child.neighbors {
-			if nb == left || nb == right {
+}
+
+// neighbors returns leaf z's neighbors: derived from the split tree on the
+// first call after a structural change, then served from z's memo until
+// the next one. Concurrent readers may both derive and store; they store
+// equal lists, so either wins.
+func (o *Overlay) neighbors(z *zone) []*zone {
+	if m := z.nbs.Load(); m != nil && m.gen == o.gen {
+		return m.list
+	}
+	list := o.deriveNeighbors(z)
+	z.nbs.Store(&nbMemo{gen: o.gen, list: list})
+	return list
+}
+
+// deriveNeighbors computes the leaves adjacent to leaf z from the split
+// tree alone, in Member.Neighbors order. The leaves across z's lo face in
+// dimension k lie under the left child of the deepest ancestor that splits
+// k with z on its right (that split plane is z.lo[k]); with no such
+// ancestor the face is the torus seam, and they lie under the right child
+// of the topmost k-split. The hi face mirrors this, and with no k-split
+// above z at all, z spans dimension k and has no faces there. z itself
+// lies under the other child of each of those ancestors, so no face walk
+// reaches it. Splits are dyadic midpoints, so every comparison is exact.
+func (o *Overlay) deriveNeighbors(z *zone) []*zone {
+	var ancestors [MaxDepth]*zone
+	anc := ancestors[:0]
+	for a := o.root; a != z; a = a.children[z.path.Bit(a.path.Len)] {
+		anc = append(anc, a)
+	}
+	var scratch [32]*zone
+	out := scratch[:0]
+	for k := 0; k < o.dim; k++ {
+		var loFace, hiFace, top *zone
+		for d := len(anc) - 1; d >= 0; d-- {
+			a := anc[d]
+			if a.splitDim != k {
 				continue
 			}
-			nb.dropNeighbor(child)
-			// A zone spanning the split plane neighbors both children.
-			if adjacent(parent, nb) && !parent.hasNeighbor(nb) {
-				link(parent, nb)
+			top = a
+			if z.path.Bit(d) == 1 {
+				if loFace == nil {
+					loFace = a.children[0]
+				}
+			} else if hiFace == nil {
+				hiFace = a.children[1]
 			}
 		}
+		if top == nil {
+			continue
+		}
+		if loFace == nil {
+			loFace = top.children[1]
+		}
+		if hiFace == nil {
+			hiFace = top.children[0]
+		}
+		from := len(out)
+		out = appendFace(out, loFace, z, k, 1, from)
+		out = appendFace(out, hiFace, z, k, 0, from)
 	}
+	return append([]*zone(nil), out...)
+}
+
+// appendFace appends the leaves under r that lie against r's side-ward
+// boundary in dimension k (child side at every k-split) and overlap z's
+// span in every other dimension, depth-first, lower half first. A leaf
+// already in out[from:] — reached through the torus across z's other face
+// in k — is not listed twice.
+func appendFace(out []*zone, r, z *zone, k, side, from int) []*zone {
+	for !r.isLeaf() {
+		switch j := r.splitDim; {
+		case j == k:
+			r = r.children[side]
+		case z.hi[j] <= r.splitAt:
+			r = r.children[0]
+		case z.lo[j] >= r.splitAt:
+			r = r.children[1]
+		default: // z's span straddles the split: both halves touch it
+			out = appendFace(out, r.children[0], z, k, side, from)
+			r = r.children[1]
+		}
+	}
+	if slices.Contains(out[from:], r) {
+		return out
+	}
+	return append(out, r)
 }
 
 // adjacent reports CAN adjacency on the torus: the zones abut in exactly
@@ -654,7 +703,7 @@ func (o *Overlay) Route(from *Member, p Point) ([]*Member, error) {
 	for !cur.contains(p) {
 		var best *zone
 		bestD := math.Inf(1)
-		for _, nb := range cur.neighbors {
+		for _, nb := range o.neighbors(cur) {
 			if _, seen := visited[nb]; seen {
 				continue
 			}
@@ -755,9 +804,10 @@ func (o *Overlay) LeafPaths() []Path {
 }
 
 // CheckInvariants exhaustively validates the overlay structure: leaf zones
-// tile the space, neighbor lists are duplicate-free, symmetric and
-// geometrically exact, member/leaf/owner links are consistent, and Size
-// matches the tree. O(n^2); intended for tests.
+// tile the space, member/leaf/owner links are consistent, Size matches the
+// tree, and every leaf's neighbor list — as Neighbors and Route see it —
+// holds each leaf adjacent to it exactly once and nothing else. O(n^2);
+// intended for tests.
 func (o *Overlay) CheckInvariants() error {
 	var leaves []*zone
 	var walk func(*zone) error
@@ -769,18 +819,8 @@ func (o *Overlay) CheckInvariants() error {
 			if z.member != nil && (z.member.leaf != z || z.member.owner != o) {
 				return fmt.Errorf("leaf %s member back-link broken", z.path)
 			}
-			for i, nb := range z.neighbors {
-				for _, other := range z.neighbors[:i] {
-					if other == nb {
-						return fmt.Errorf("leaf %s lists neighbor %s twice", z.path, nb.path)
-					}
-				}
-			}
 			leaves = append(leaves, z)
 			return nil
-		}
-		if z.neighbors != nil {
-			return fmt.Errorf("internal zone %s retains neighbor set", z.path)
 		}
 		for _, c := range z.children {
 			if c == nil {
@@ -802,19 +842,26 @@ func (o *Overlay) CheckInvariants() error {
 	if math.Abs(vol-1) > 1e-9 {
 		return fmt.Errorf("leaf volumes sum to %v, want 1", vol)
 	}
-	for i, a := range leaves {
-		for j, b := range leaves {
-			if i == j {
-				continue
+	for _, a := range leaves {
+		nbs := o.neighbors(a)
+		for i, nb := range nbs {
+			switch {
+			case nb == a || slices.Contains(nbs[:i], nb):
+				return fmt.Errorf("leaf %s lists neighbor %s twice or itself", a.path, nb.path)
+			case !nb.isLeaf() || nb.member == nil || nb.member.leaf != nb:
+				return fmt.Errorf("leaf %s lists %s, which is not a member's leaf", a.path, nb.path)
+			case !adjacent(a, nb):
+				return fmt.Errorf("leaf %s lists %s, which is not adjacent", a.path, nb.path)
 			}
-			isNb, isNbBack := a.hasNeighbor(b), b.hasNeighbor(a)
-			if isNb != isNbBack {
-				return fmt.Errorf("asymmetric neighbor sets between %s and %s", a.path, b.path)
+		}
+		want := 0
+		for _, b := range leaves {
+			if b != a && adjacent(a, b) {
+				want++
 			}
-			if want := adjacent(a, b); want != isNb {
-				return fmt.Errorf("neighbor set of %s wrong about %s: have %v, want %v",
-					a.path, b.path, isNb, want)
-			}
+		}
+		if len(nbs) != want {
+			return fmt.Errorf("leaf %s lists %d neighbors, %d leaves are adjacent", a.path, len(nbs), want)
 		}
 	}
 	count := 0

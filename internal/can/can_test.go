@@ -179,9 +179,9 @@ func TestManyJoinsInvariants(t *testing.T) {
 }
 
 // TestCheckInvariantsRejectsCorruption: the checker the fuzz target leans
-// on must notice a neighbor listed twice and a Size() the tree disagrees
-// with — the two faults a slice-and-counter representation can have that
-// the map-based one could not.
+// on must notice a member whose back-pointers disagree with the tree and a
+// Size() the tree disagrees with — the state a join or takeover still
+// writes by hand now that neighbor lists are derived.
 func TestCheckInvariantsRejectsCorruption(t *testing.T) {
 	build := func() *Overlay {
 		o, _ := New(2)
@@ -196,16 +196,24 @@ func TestCheckInvariantsRejectsCorruption(t *testing.T) {
 		}
 		return o
 	}
-	o := build()
-	leaf := o.Members()[0].leaf
-	leaf.neighbors = append(leaf.neighbors, leaf.neighbors[0])
-	if err := o.CheckInvariants(); err == nil {
-		t.Error("duplicate neighbor entry accepted")
+	other, _ := New(2)
+	corruptions := []struct {
+		name    string
+		corrupt func(o *Overlay)
+	}{
+		{"owner back-pointer", func(o *Overlay) { o.Members()[3].owner = other }},
+		{"leaf back-pointer", func(o *Overlay) {
+			ms := o.Members()
+			ms[3].leaf = ms[4].leaf
+		}},
+		{"stale Size()", func(o *Overlay) { o.size++ }},
 	}
-	o = build()
-	o.size++
-	if err := o.CheckInvariants(); err == nil {
-		t.Error("stale Size() accepted")
+	for _, c := range corruptions {
+		o := build()
+		c.corrupt(o)
+		if err := o.CheckInvariants(); err == nil {
+			t.Errorf("%s corruption accepted", c.name)
+		}
 	}
 }
 

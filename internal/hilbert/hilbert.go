@@ -63,12 +63,14 @@ func (c Curve) MaxIndex() uint64 {
 
 // Encode maps grid coordinates to the Hilbert index. coords must have
 // length dims and every value must be < 2^bits; violations return an error.
+// It does not allocate: dims <= 64, so the working copy fits on the stack.
 func (c Curve) Encode(coords []uint32) (uint64, error) {
 	if len(coords) != c.dims {
 		return 0, fmt.Errorf("hilbert: got %d coords, want %d", len(coords), c.dims)
 	}
 	limit := c.CellsPerAxis()
-	x := make([]uint32, c.dims)
+	var scratch [64]uint32
+	x := scratch[:c.dims]
 	for i, v := range coords {
 		if v >= limit {
 			return 0, fmt.Errorf("hilbert: coord[%d] = %d exceeds grid size %d", i, v, limit)
@@ -178,14 +180,22 @@ func (c Curve) deinterleave(index uint64) []uint32 {
 // curve's per-axis grid. It is the bridge from raw landmark RTT vectors to
 // grid coordinates. max must be positive; values has length dims.
 func (c Curve) Quantize(values []float64, max float64) ([]uint32, error) {
-	if len(values) != c.dims {
-		return nil, fmt.Errorf("hilbert: got %d values, want %d", len(values), c.dims)
+	out := make([]uint32, c.dims)
+	if err := c.QuantizeInto(out, values, max); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// QuantizeInto is Quantize writing into out, which must have length dims.
+func (c Curve) QuantizeInto(out []uint32, values []float64, max float64) error {
+	if len(values) != c.dims || len(out) != c.dims {
+		return fmt.Errorf("hilbert: got %d values into %d coords, want %d", len(values), len(out), c.dims)
 	}
 	if max <= 0 {
-		return nil, fmt.Errorf("hilbert: max = %v, need > 0", max)
+		return fmt.Errorf("hilbert: max = %v, need > 0", max)
 	}
 	cells := float64(c.CellsPerAxis())
-	out := make([]uint32, c.dims)
 	for i, v := range values {
 		if v < 0 {
 			v = 0
@@ -199,7 +209,7 @@ func (c Curve) Quantize(values []float64, max float64) ([]uint32, error) {
 		}
 		out[i] = cell
 	}
-	return out, nil
+	return nil
 }
 
 // CellCenter returns the center of a grid cell as a point in [0,1)^dims.

@@ -208,13 +208,15 @@ func (sp *Space) MaxNumber() uint64 { return sp.curve.MaxIndex() }
 // Number reduces a landmark vector to its scalar landmark number.
 // Closeness of numbers approximates physical closeness (with the usual
 // space-filling-curve caveats, which is exactly why lookups re-sort by
-// full vector afterwards).
+// full vector afterwards). It does not allocate: the grid coordinates of
+// at most 64 index dimensions live on the stack.
 func (sp *Space) Number(v Vector) (uint64, error) {
 	if len(v) != sp.set.Len() {
 		return 0, fmt.Errorf("landmark: vector dims %d, want %d", len(v), sp.set.Len())
 	}
-	coords, err := sp.curve.Quantize(v[:sp.indexDims], sp.maxRTT)
-	if err != nil {
+	var scratch [64]uint32
+	coords := scratch[:sp.indexDims]
+	if err := sp.curve.QuantizeInto(coords, v[:sp.indexDims], sp.maxRTT); err != nil {
 		return 0, err
 	}
 	return sp.curve.Encode(coords)

@@ -211,6 +211,42 @@ func TestNumberValidation(t *testing.T) {
 	}
 }
 
+// TestNumberAllocationFreeAndExact: Number quantizes and encodes on the
+// stack, and every cell of a 3x6-bit grid still gets the number Encode
+// gives its coordinates — the one Decode maps back to that cell.
+func TestNumberAllocationFreeAndExact(t *testing.T) {
+	const bits = 6
+	sp, err := NewSpace(NewSet([]topology.NodeID{1, 2, 3, 4}), 3, bits, 1<<bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := Vector{0, 0, 0, 1e9} // the fourth component is not indexed
+	var seen [1 << (3 * bits)]bool
+	for x := uint32(0); x < 1<<bits; x++ {
+		for y := uint32(0); y < 1<<bits; y++ {
+			for z := uint32(0); z < 1<<bits; z++ {
+				v[0], v[1], v[2] = float64(x)+0.5, float64(y)+0.5, float64(z)+0.5
+				num, err := sp.Number(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := sp.Curve().Encode([]uint32{x, y, z})
+				if err != nil || num != want || seen[num] {
+					t.Fatalf("cell (%d,%d,%d): Number %d, Encode %d (%v), seen before %v", x, y, z, num, want, err, seen[num])
+				}
+				seen[num] = true
+				back, err := sp.Curve().Decode(num)
+				if err != nil || back[0] != x || back[1] != y || back[2] != z {
+					t.Fatalf("cell (%d,%d,%d): number %d decodes to %v", x, y, z, num, back)
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = sp.Number(v) }); allocs != 0 {
+		t.Fatalf("Number allocates %v times per call", allocs)
+	}
+}
+
 func TestNumberLocalityAsPreselection(t *testing.T) {
 	// The use-case the paper cares about: picking the nodes whose landmark
 	// numbers are nearest to mine should yield physically closer candidates

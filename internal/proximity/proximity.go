@@ -10,10 +10,12 @@
 package proximity
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -33,8 +35,8 @@ type Index struct {
 	hosts   []topology.NodeID
 	vectors []landmark.Vector
 	numbers []uint64
-	byNum   []int // host indices sorted by landmark number
-	pos     map[topology.NodeID]int
+	byNum   []int   // host indices sorted by landmark number
+	pos     []int32 // pos[h] is host h's index, -1 if h is not indexed
 }
 
 // BuildIndex measures every host's landmark vector through env (metered:
@@ -53,13 +55,16 @@ func BuildIndex(env *netsim.Env, space *landmark.Space, hosts []topology.NodeID)
 	if len(hosts) == 0 {
 		return nil, errors.New("proximity: no hosts")
 	}
+	if h := slices.Min(hosts); h < 0 {
+		return nil, fmt.Errorf("proximity: invalid host %d", h)
+	}
 	ix := &Index{
 		space:   space,
 		hosts:   append([]topology.NodeID(nil), hosts...),
 		vectors: make([]landmark.Vector, len(hosts)),
 		numbers: make([]uint64, len(hosts)),
 		byNum:   make([]int, len(hosts)),
-		pos:     make(map[topology.NodeID]int, len(hosts)),
+		pos:     make([]int32, slices.Max(hosts)+1),
 	}
 	// One backing array for every vector; the full slice expressions keep
 	// an append to one vector out of its neighbor's storage.
@@ -101,18 +106,40 @@ func BuildIndex(env *netsim.Env, space *landmark.Space, hosts []topology.NodeID)
 			return nil, err
 		}
 	}
-	for i, h := range ix.hosts {
-		ix.byNum[i] = i
-		ix.pos[h] = i
+	for h := range ix.pos {
+		ix.pos[h] = -1
 	}
-	sort.Slice(ix.byNum, func(a, b int) bool {
-		ia, ib := ix.byNum[a], ix.byNum[b]
-		if ix.numbers[ia] != ix.numbers[ib] {
-			return ix.numbers[ia] < ix.numbers[ib]
+	type keyed struct {
+		num  uint64
+		host topology.NodeID
+		idx  int32
+	}
+	order := make([]keyed, len(ix.hosts))
+	for i, h := range ix.hosts {
+		order[i] = keyed{ix.numbers[i], h, int32(i)}
+		ix.pos[h] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b keyed) int {
+		if a.num != b.num {
+			return cmp.Compare(a.num, b.num)
 		}
-		return ix.hosts[ia] < ix.hosts[ib]
+		if a.host != b.host {
+			return cmp.Compare(a.host, b.host)
+		}
+		return cmp.Compare(a.idx, b.idx)
 	})
+	for i, k := range order {
+		ix.byNum[i] = int(k.idx)
+	}
 	return ix, nil
+}
+
+// indexOf returns host h's index, or false if h is not indexed.
+func (ix *Index) indexOf(h topology.NodeID) (int, bool) {
+	if h < 0 || int(h) >= len(ix.pos) || ix.pos[h] < 0 {
+		return 0, false
+	}
+	return int(ix.pos[h]), true
 }
 
 // Len returns the number of indexed hosts.
@@ -125,7 +152,7 @@ func (ix *Index) Hosts() []topology.NodeID {
 
 // VectorOf returns the landmark vector of an indexed host (nil if absent).
 func (ix *Index) VectorOf(h topology.NodeID) landmark.Vector {
-	if i, ok := ix.pos[h]; ok {
+	if i, ok := ix.indexOf(h); ok {
 		return ix.vectors[i]
 	}
 	return nil
@@ -136,7 +163,7 @@ func (ix *Index) VectorOf(h topology.NodeID) landmark.Vector {
 // the curve, re-sorted by full-vector distance. This is the paper's
 // pre-selection step.
 func (ix *Index) Candidates(query topology.NodeID, k int) []topology.NodeID {
-	qi, ok := ix.pos[query]
+	qi, ok := ix.indexOf(query)
 	if !ok || k < 1 {
 		return nil
 	}
@@ -219,7 +246,7 @@ func (ix *Index) SearchHybrid(env *netsim.Env, query topology.NodeID, budget int
 // costs one RTT probe.
 type ERS struct {
 	overlay *can.Overlay
-	byHost  map[topology.NodeID]*can.Member
+	byHost  []*can.Member // indexed by host; nil where the host is no member
 }
 
 // NewERS indexes the overlay's members by host. Every indexed host must
@@ -228,9 +255,17 @@ func NewERS(overlay *can.Overlay) (*ERS, error) {
 	if overlay == nil {
 		return nil, errors.New("proximity: nil overlay")
 	}
-	e := &ERS{overlay: overlay, byHost: make(map[topology.NodeID]*can.Member, overlay.Size())}
-	for _, m := range overlay.Members() {
-		if _, dup := e.byHost[m.Host]; dup {
+	members := overlay.Members()
+	maxHost := topology.None
+	for _, m := range members {
+		if m.Host < 0 {
+			return nil, fmt.Errorf("proximity: invalid host %d", m.Host)
+		}
+		maxHost = max(maxHost, m.Host)
+	}
+	e := &ERS{overlay: overlay, byHost: make([]*can.Member, maxHost+1)}
+	for _, m := range members {
+		if e.byHost[m.Host] != nil {
 			return nil, fmt.Errorf("proximity: host %d owns multiple zones", m.Host)
 		}
 		e.byHost[m.Host] = m
@@ -238,12 +273,20 @@ func NewERS(overlay *can.Overlay) (*ERS, error) {
 	return e, nil
 }
 
+// member returns host h's member, or nil if h is not a member.
+func (e *ERS) member(h topology.NodeID) *can.Member {
+	if h < 0 || int(h) >= len(e.byHost) {
+		return nil
+	}
+	return e.byHost[h]
+}
+
 // Search expands rings from query's own zone, probing every member it
 // reaches, until budget probes are spent or the overlay is exhausted.
 func (e *ERS) Search(env *netsim.Env, query topology.NodeID, budget int) Result {
 	res := Result{Found: topology.None}
-	start, ok := e.byHost[query]
-	if !ok || budget < 1 {
+	start := e.member(query)
+	if start == nil || budget < 1 {
 		return res
 	}
 	visited := map[*can.Member]struct{}{start: {}}
@@ -285,8 +328,8 @@ func (e *ERS) Search(env *netsim.Env, query topology.NodeID, budget int) Result 
 // usually not reachable by monotone descent.
 func (e *ERS) SearchHillClimb(env *netsim.Env, query topology.NodeID, budget int) Result {
 	res := Result{Found: topology.None}
-	cur, ok := e.byHost[query]
-	if !ok || budget < 1 {
+	cur := e.member(query)
+	if cur == nil || budget < 1 {
 		return res
 	}
 	curRTT := 0.0 // query to itself; any neighbor is an improvement to start
