@@ -95,7 +95,7 @@ results:
 	rm -rf results/.full.tmp
 	mkdir -p results/.full.tmp
 	{ \
-	  echo "# scale=full seed=$(SEED) j=$(J) rev=$$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"; \
+	  echo "# scale=full seed=$(SEED) j=$(J) rev=$$(git describe --always --dirty 2>/dev/null || echo unknown)"; \
 	  go run ./cmd/topobench -run all -scale full -seed $(SEED) -j $(J) -csv results/.full.tmp; \
 	} > results/.full.tmp/full_output.txt
 	rm -rf results/full

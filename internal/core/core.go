@@ -11,8 +11,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 
 	"gsso/internal/can"
 	"gsso/internal/ecan"
@@ -450,12 +448,8 @@ func (s *System) topRegions() []can.Path {
 // landmark distance, and probes the top candidates.
 func (s *System) nearestFromRegions(from topology.NodeID, vec landmark.Vector,
 	regions []can.Path, exclude *can.Member) (NearestResult, error) {
-	type cand struct {
-		entry *softstate.Entry
-		dist  float64
-	}
 	s.members.beginVisit()
-	var cands []cand
+	var cands []*softstate.Entry
 	for _, region := range regions {
 		entries, _, err := s.store.Lookup(region, vec)
 		if err != nil {
@@ -468,7 +462,7 @@ func (s *System) nearestFromRegions(from topology.NodeID, vec landmark.Vector,
 			if s.members.seen(e.Member) {
 				continue
 			}
-			cands = append(cands, cand{entry: e, dist: landmark.Distance(e.Vector, vec)})
+			cands = append(cands, e)
 		}
 		if len(cands) >= 3*s.cfg.probeBudget {
 			break
@@ -481,31 +475,21 @@ func (s *System) nearestFromRegions(from topology.NodeID, vec landmark.Vector,
 		s.tracer.Emit(tr)
 		return NearestResult{}, err
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].dist != cands[b].dist {
-			return cands[a].dist < cands[b].dist
-		}
-		return cands[a].entry.Host < cands[b].entry.Host
-	})
-	res := NearestResult{RTTMs: math.Inf(1)}
-	for i, c := range cands {
-		if i >= s.cfg.probeBudget {
-			break
-		}
-		rtt := s.env.ProbeRTT(from, c.entry.Host)
-		res.Probes++
+	softstate.RankEntries(cands, vec)
+	best, rtt, probes := landmark.ProbeBest(cands, s.cfg.probeBudget, func(e *softstate.Entry) (float64, float64, bool) {
+		rtt := s.env.ProbeRTT(from, e.Host)
 		if tr != nil {
-			tr.Hop(fmt.Sprintf("host:%d", c.entry.Host), c.entry.Member.Path().String(), rtt)
+			tr.Hop(fmt.Sprintf("host:%d", e.Host), e.Member.Path().String(), rtt)
 		}
-		if math.IsInf(rtt, 1) {
-			// A timed-out candidate probe is a suspicion signal (§5.2's
-			// reactive discovery path).
-			s.SuspectMember(c.entry.Member)
-		}
-		if rtt < res.RTTMs {
-			res.RTTMs = rtt
-			res.Member = c.entry.Member
-		}
+		return rtt, rtt, true
+	}, func(e *softstate.Entry) {
+		// A timed-out candidate probe is a suspicion signal (§5.2's
+		// reactive discovery path).
+		s.SuspectMember(e.Member)
+	})
+	res := NearestResult{RTTMs: rtt, Probes: probes}
+	if best >= 0 {
+		res.Member = cands[best].Member
 	}
 	s.tracer.Emit(tr)
 	s.tm.nearestProbes.Observe(float64(res.Probes))

@@ -417,23 +417,18 @@ func RunExtChord(sc Scale) ([]*Table, error) {
 		if err != nil {
 			return topology.None
 		}
-		best := topology.None
-		bestRTT := math.Inf(1)
-		probes := 0
-		for _, it := range items {
+		best, _, _ := landmark.ProbeBest(items, budget, func(it chord.Item) (float64, float64, bool) {
 			r := it.Value.(rec)
 			if r.host == q {
-				continue
+				return 0, 0, false
 			}
-			if probes >= budget {
-				break
-			}
-			if rtt := env.ProbeRTT(q, r.host); rtt < bestRTT {
-				best, bestRTT = r.host, rtt
-			}
-			probes++
+			rtt := env.ProbeRTT(q, r.host)
+			return rtt, rtt, true
+		}, nil)
+		if best < 0 {
+			return topology.None
 		}
-		return best
+		return items[best].Value.(rec).host
 	})
 
 	flatStretch := meanOf(func(q topology.NodeID) topology.NodeID {

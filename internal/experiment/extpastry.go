@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 
 	"gsso/internal/experiment/engine"
 	"gsso/internal/landmark"
@@ -10,6 +9,7 @@ import (
 	"gsso/internal/pastry"
 	"gsso/internal/proximity"
 	"gsso/internal/simrand"
+	"gsso/internal/topology"
 )
 
 // RunExtPastry demonstrates the conclusion's generality claim on a real
@@ -96,26 +96,17 @@ func RunExtPastry(sc Scale) ([]*Table, error) {
 		// Rank by landmark distance (the soft-state map ordering), then
 		// probe the top candidates.
 		ranked := append([]*pastry.Node(nil), cands...)
-		sort.Slice(ranked, func(a, b int) bool {
-			da := landmark.Distance(index.VectorOf(ranked[a].Host), svec)
-			db := landmark.Distance(index.VectorOf(ranked[b].Host), svec)
-			if da != db {
-				return da < db
-			}
-			return ranked[a].Host < ranked[b].Host
-		})
-		var best *pastry.Node
-		bestRTT := 0.0
-		for i, c := range ranked {
-			if i >= budget {
-				break
-			}
+		landmark.Rank(ranked, svec,
+			func(n *pastry.Node) landmark.Vector { return index.VectorOf(n.Host) },
+			func(n *pastry.Node) topology.NodeID { return n.Host }, nil)
+		best, _, _ := landmark.ProbeBest(ranked, budget, func(c *pastry.Node) (float64, float64, bool) {
 			rtt := env.ProbeRTT(self.Host, c.Host)
-			if best == nil || rtt < bestRTT {
-				best, bestRTT = c, rtt
-			}
+			return rtt, rtt, true
+		}, nil)
+		if best < 0 {
+			return nil
 		}
-		return best
+		return ranked[best]
 	})
 	oracleSel := pastry.FuncSelector(func(self *pastry.Node, _, _ int, cands []*pastry.Node) *pastry.Node {
 		var best *pastry.Node

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gsso/internal/experiment/engine"
 	"gsso/internal/landmark"
@@ -53,34 +52,24 @@ func RunExtSVD(sc Scale) ([]*Table, error) {
 	meanStretchWith := func(vecs []landmark.Vector) float64 {
 		total, n := 0.0, 0
 		order := make([]int, len(hosts)) // per-call scratch: units rank concurrently
+		var scratch []landmark.Ranked[int, topology.NodeID]
 		for _, qi := range qIdx {
 			q := hosts[qi]
 			for i := range order {
 				order[i] = i
 			}
-			sort.Slice(order, func(a, b int) bool {
-				da := landmark.Distance(vecs[order[a]], vecs[qi])
-				db := landmark.Distance(vecs[order[b]], vecs[qi])
-				if da != db {
-					return da < db
-				}
-				return hosts[order[a]] < hosts[order[b]]
-			})
+			scratch = landmark.Rank(order, vecs[qi],
+				func(i int) landmark.Vector { return vecs[i] },
+				func(i int) topology.NodeID { return hosts[i] }, scratch)
 			best := topology.None
-			bestRTT := math.Inf(1)
-			probes := 0
-			for _, idx := range order {
-				if hosts[idx] == q {
-					continue
+			if i, _, _ := landmark.ProbeBest(order, budget, func(i int) (float64, float64, bool) {
+				if hosts[i] == q {
+					return 0, 0, false
 				}
-				if probes >= budget {
-					break
-				}
-				rtt := env.ProbeRTT(q, hosts[idx])
-				probes++
-				if rtt < bestRTT {
-					best, bestRTT = hosts[idx], rtt
-				}
+				rtt := env.ProbeRTT(q, hosts[i])
+				return rtt, rtt, true
+			}, nil); i >= 0 {
+				best = hosts[order[i]]
 			}
 			s := proximity.Stretch(net, q, best, hosts)
 			if math.IsInf(s, 1) {

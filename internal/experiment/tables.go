@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"gsso/internal/hilbert"
+	"gsso/internal/landmark"
+	"gsso/internal/softstate"
 )
 
 // RunTab1 reproduces Table 1 as a traced walkthrough: the procedure for
@@ -49,19 +51,14 @@ func RunTab1(sc Scale) ([]*Table, error) {
 	t.AddRowf(5, "define a TTL to search outside y's map content range",
 		fmt.Sprintf("expand budget %d shards", st.store.Config().ExpandBudget))
 	best := "no candidates"
-	probed := 0
-	bestRTT := 0.0
-	for _, e := range entries {
+	// Budget = all: the requester probes every candidate but itself.
+	if _, bestRTT, probed := landmark.ProbeBest(entries, len(entries), func(e *softstate.Entry) (float64, float64, bool) {
 		if e.Member == x {
-			continue // a node never probes itself
+			return 0, 0, false
 		}
 		r := st.env.ProbeRTT(x.Host, e.Host)
-		if probed == 0 || r < bestRTT {
-			bestRTT = r
-		}
-		probed++
-	}
-	if probed > 0 {
+		return r, r, true
+	}, nil); probed > 0 {
 		best = fmt.Sprintf("probed %d candidates, best RTT %.2f ms", probed, bestRTT)
 	}
 	t.AddRowf(6, "requester RTT-probes the returned candidates", best)

@@ -16,6 +16,7 @@ import (
 
 	"gsso/internal/can"
 	"gsso/internal/ecan"
+	"gsso/internal/landmark"
 	"gsso/internal/netsim"
 	"gsso/internal/simrand"
 	"gsso/internal/softstate"
@@ -97,36 +98,21 @@ func (s *Selector) Select(self *can.Member, region can.Path, candidates []*can.M
 }
 
 // probeBest probes up to budget candidates and scores them; saturated
-// nodes (infinite penalty) lose to any unsaturated one.
+// nodes (infinite penalty) lose to any unsaturated one, but a lookup of
+// only saturated nodes still returns the first that answered.
 func (s *Selector) probeBest(self *can.Member, entries []*softstate.Entry) *can.Member {
-	var best *can.Member
-	bestScore := math.Inf(1)
-	probes := 0
 	env := s.store.Env()
-	for _, e := range entries {
+	best, _, _ := landmark.ProbeBest(entries, s.budget, func(e *softstate.Entry) (float64, float64, bool) {
 		if e.Member == self {
-			continue
-		}
-		if probes >= s.budget {
-			break
+			return 0, 0, false
 		}
 		rtt := env.ProbeRTT(self.Host, e.Host)
-		probes++
-		if math.IsInf(rtt, 1) {
-			// Probe timeout: the reactive deletion of §5.2.
-			s.store.ReportUnreachable(e.Member)
-			continue
-		}
-		score := Score(rtt, e.Load, e.Capacity, s.alpha)
-		if score < bestScore || (best == nil && probes == 1) {
-			// A first saturated candidate still seeds best so that a
-			// lookup consisting only of saturated nodes returns something.
-			if score < bestScore || best == nil {
-				best, bestScore = e.Member, score
-			}
-		}
+		return rtt, Score(rtt, e.Load, e.Capacity, s.alpha), true
+	}, func(e *softstate.Entry) { s.store.ReportUnreachable(e.Member) }) // §5.2's reactive deletion
+	if best < 0 {
+		return nil
 	}
-	return best
+	return entries[best].Member
 }
 
 // Report summarizes one traffic round.

@@ -148,6 +148,60 @@ func TestSelectorAvoidsSaturatedNodes(t *testing.T) {
 	}
 }
 
+// TestSelectorDeadThenSaturated: when the first probed candidate times out
+// and every other one is saturated, the first reachable saturated one is
+// still selected (no fallback), and only the dead one is purged.
+func TestSelectorDeadThenSaturated(t *testing.T) {
+	h := newHarness(t, 96)
+	if err := h.store.PublishAll(func(m *can.Member) []softstate.PublishOption {
+		return []softstate.PublishOption{softstate.WithCapacity(10)}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m := h.overlay.CAN().Members()[0]
+	region := m.Path().Prefix(h.overlay.DigitLen())
+	entries, _, err := h.store.Lookup(region, h.store.Vector(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var others []*can.Member
+	for _, e := range entries {
+		if e.Member != m {
+			others = append(others, e.Member)
+		}
+	}
+	if len(others) < 3 {
+		t.Fatalf("lookup returned %d other members, need 3", len(others))
+	}
+	dead := others[0]
+	h.env.SetDown(dead.Host, true)
+	for _, o := range others[1:] {
+		h.store.UpdateLoad(o, 10) // utilization 1.0
+	}
+	usedFallback := false
+	fb := ecan.FuncSelector(func(*can.Member, can.Path, []*can.Member) *can.Member {
+		usedFallback = true
+		return nil
+	})
+	sel, err := NewSelector(h.store, len(entries), 1, fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sel.Select(m, region, nil)
+	if usedFallback || got != others[1] {
+		t.Fatalf("Select = %v (fallback %v), want the first reachable saturated member %v",
+			got, usedFallback, others[1])
+	}
+	if h.store.Vector(dead) != nil {
+		t.Fatal("the timed-out member was not reported dead")
+	}
+	for _, o := range others[1:] {
+		if h.store.Vector(o) == nil {
+			t.Fatal("a saturated but reachable member was reported dead")
+		}
+	}
+}
+
 func TestSelectorFallback(t *testing.T) {
 	h := newHarness(t, 32)
 	used := false

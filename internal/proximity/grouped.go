@@ -128,75 +128,22 @@ func (g *GroupedIndex) Candidates(query topology.NodeID, k int) []topology.NodeI
 	if !ok || k < 1 {
 		return nil
 	}
-	qvec := g.vectors[qi]
-	perGroup := 3 * k / len(g.spaces)
-	if perGroup < k {
-		perGroup = k
-	}
+	perGroup := max(3*k/len(g.spaces), k)
 	seen := map[int]struct{}{}
 	var union []int
 	for grp := range g.spaces {
-		qnum := g.numbers[grp][qi]
-		order := g.byNum[grp]
-		at := sort.Search(len(order), func(i int) bool { return g.numbers[grp][order[i]] >= qnum })
-		lo, hi := at-1, at
-		taken := 0
-		for taken < perGroup && (lo >= 0 || hi < len(order)) {
-			pickLo := false
-			switch {
-			case lo < 0:
-			case hi >= len(order):
-				pickLo = true
-			default:
-				pickLo = qnum-g.numbers[grp][order[lo]] <= g.numbers[grp][order[hi]]-qnum
+		curveWindow(g.byNum[grp], g.numbers[grp], qi, perGroup, func(idx int) {
+			if _, dup := seen[idx]; !dup {
+				seen[idx] = struct{}{}
+				union = append(union, idx)
 			}
-			var idx int
-			if pickLo {
-				idx = order[lo]
-				lo--
-			} else {
-				idx = order[hi]
-				hi++
-			}
-			if idx == qi {
-				continue
-			}
-			taken++
-			if _, dup := seen[idx]; dup {
-				continue
-			}
-			seen[idx] = struct{}{}
-			union = append(union, idx)
-		}
+		})
 	}
-	sort.Slice(union, func(a, b int) bool {
-		da := landmark.Distance(g.vectors[union[a]], qvec)
-		db := landmark.Distance(g.vectors[union[b]], qvec)
-		if da != db {
-			return da < db
-		}
-		return g.hosts[union[a]] < g.hosts[union[b]]
-	})
-	if len(union) > k {
-		union = union[:k]
-	}
-	out := make([]topology.NodeID, len(union))
-	for i, idx := range union {
-		out[i] = g.hosts[idx]
-	}
-	return out
+	return topHosts(union, g.vectors[qi], g.vectors, g.hosts, k)
 }
 
 // SearchHybrid runs the grouped hybrid: grouped pre-selection, then up to
 // budget RTT probes.
 func (g *GroupedIndex) SearchHybrid(env *netsim.Env, query topology.NodeID, budget int) Result {
-	res := Result{Found: topology.None}
-	for _, c := range g.Candidates(query, budget) {
-		rtt := env.ProbeRTT(query, c)
-		res.Probes++
-		if res.Found == topology.None || rtt < res.FoundRTT {
-			res.Found, res.FoundRTT = c, rtt
-		}
-	}
-	return res
+	return probeRanked(env, query, g.Candidates(query, budget), budget)
 }

@@ -2,7 +2,6 @@ package proximity
 
 import (
 	"errors"
-	"sort"
 
 	"gsso/internal/landmark"
 	"gsso/internal/netsim"
@@ -65,30 +64,14 @@ func (hx *HierarchicalIndex) Candidates(query topology.NodeID, k int) []topology
 		return nil
 	}
 	pool := hx.global.Candidates(query, 8*k)
-	sort.Slice(pool, func(a, b int) bool {
-		da := landmark.Distance(hx.localVecs[pool[a]], qLocal)
-		db := landmark.Distance(hx.localVecs[pool[b]], qLocal)
-		if da != db {
-			return da < db
-		}
-		return pool[a] < pool[b]
-	})
-	if len(pool) > k {
-		pool = pool[:k]
-	}
-	return pool
+	landmark.Rank(pool, qLocal,
+		func(h topology.NodeID) landmark.Vector { return hx.localVecs[h] },
+		func(h topology.NodeID) topology.NodeID { return h }, nil)
+	return pool[:min(k, len(pool))]
 }
 
 // SearchHybrid runs the hierarchical hybrid: coarse global pre-selection,
 // local refinement, then up to budget RTT probes.
 func (hx *HierarchicalIndex) SearchHybrid(env *netsim.Env, query topology.NodeID, budget int) Result {
-	res := Result{Found: topology.None}
-	for _, c := range hx.Candidates(query, budget) {
-		rtt := env.ProbeRTT(query, c)
-		res.Probes++
-		if res.Found == topology.None || rtt < res.FoundRTT {
-			res.Found, res.FoundRTT = c, rtt
-		}
-	}
-	return res
+	return probeRanked(env, query, hx.Candidates(query, budget), budget)
 }

@@ -167,50 +167,46 @@ func (ix *Index) Candidates(query topology.NodeID, k int) []topology.NodeID {
 	if !ok || k < 1 {
 		return nil
 	}
-	qnum := ix.numbers[qi]
-	qvec := ix.vectors[qi]
 	// Window on the number order: 3k entries around the query's position.
-	at := sort.Search(len(ix.byNum), func(i int) bool { return ix.numbers[ix.byNum[i]] >= qnum })
-	want := 3 * k
-	lo, hi := at-1, at
-	window := make([]int, 0, want)
-	for len(window) < want && (lo >= 0 || hi < len(ix.byNum)) {
-		pickLo := false
-		switch {
-		case lo < 0:
-		case hi >= len(ix.byNum):
-			pickLo = true
-		default:
-			pickLo = qnum-ix.numbers[ix.byNum[lo]] <= ix.numbers[ix.byNum[hi]]-qnum
-		}
-		if pickLo {
-			if idx := ix.byNum[lo]; idx != qi {
-				window = append(window, idx)
-			}
-			lo--
-		} else {
-			if idx := ix.byNum[hi]; idx != qi {
-				window = append(window, idx)
-			}
-			hi++
-		}
-	}
-	sort.Slice(window, func(a, b int) bool {
-		da := landmark.Distance(ix.vectors[window[a]], qvec)
-		db := landmark.Distance(ix.vectors[window[b]], qvec)
-		if da != db {
-			return da < db
-		}
-		return ix.hosts[window[a]] < ix.hosts[window[b]]
-	})
-	if len(window) > k {
-		window = window[:k]
-	}
-	out := make([]topology.NodeID, len(window))
-	for i, idx := range window {
-		out[i] = ix.hosts[idx]
+	window := make([]int, 0, 3*k)
+	curveWindow(ix.byNum, ix.numbers, qi, 3*k, func(idx int) { window = append(window, idx) })
+	return topHosts(window, ix.vectors[qi], ix.vectors, ix.hosts, k)
+}
+
+// topHosts ranks host indices by distance from vectors[i] to q (ties by
+// host) and returns the hosts of the first k.
+func topHosts(idxs []int, q landmark.Vector, vectors []landmark.Vector, hosts []topology.NodeID, k int) []topology.NodeID {
+	landmark.Rank(idxs, q,
+		func(i int) landmark.Vector { return vectors[i] },
+		func(i int) topology.NodeID { return hosts[i] }, nil)
+	out := make([]topology.NodeID, min(k, len(idxs)))
+	for i := range out {
+		out[i] = hosts[idxs[i]]
 	}
 	return out
+}
+
+// curveWindow walks byNum (indices into nums, sorted by number) outward
+// from entry skip's number, the nearer side first (ties to the lower),
+// and calls visit for up to want entries other than skip.
+func curveWindow(byNum []int, nums []uint64, skip, want int, visit func(idx int)) {
+	q := nums[skip]
+	at := sort.Search(len(byNum), func(i int) bool { return nums[byNum[i]] >= q })
+	lo, hi := at-1, at
+	for want > 0 && (lo >= 0 || hi < len(byNum)) {
+		var idx int
+		if hi >= len(byNum) || lo >= 0 && q-nums[byNum[lo]] <= nums[byNum[hi]]-q {
+			idx = byNum[lo]
+			lo--
+		} else {
+			idx = byNum[hi]
+			hi++
+		}
+		if idx != skip {
+			visit(idx)
+			want--
+		}
+	}
 }
 
 // Result reports one nearest-neighbor search.
@@ -228,13 +224,19 @@ type Result struct {
 // closest measured. budget is the "# RTT measurements" axis of Figures
 // 3 and 5; budget 1 degenerates to landmark clustering alone.
 func (ix *Index) SearchHybrid(env *netsim.Env, query topology.NodeID, budget int) Result {
-	res := Result{Found: topology.None}
-	for _, c := range ix.Candidates(query, budget) {
-		rtt := env.ProbeRTT(query, c)
-		res.Probes++
-		if res.Found == topology.None || rtt < res.FoundRTT {
-			res.Found, res.FoundRTT = c, rtt
-		}
+	return probeRanked(env, query, ix.Candidates(query, budget), budget)
+}
+
+// probeRanked spends up to budget probes from query on ranked candidates
+// under landmark.ProbeBest's rule: a timed-out candidate never wins.
+func probeRanked(env *netsim.Env, query topology.NodeID, cands []topology.NodeID, budget int) Result {
+	best, rtt, probes := landmark.ProbeBest(cands, budget, func(c topology.NodeID) (float64, float64, bool) {
+		r := env.ProbeRTT(query, c)
+		return r, r, true
+	}, nil)
+	res := Result{Found: topology.None, Probes: probes}
+	if best >= 0 {
+		res.Found, res.FoundRTT = cands[best], rtt
 	}
 	return res
 }

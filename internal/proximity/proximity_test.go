@@ -242,6 +242,25 @@ func TestCandidatesBeatRandomOnAverage(t *testing.T) {
 	}
 }
 
+// TestSearchHybridDeadCandidateNeverWins: a timed-out probe is charged but
+// cannot be the result, in all three indexes' shared probe step.
+func TestSearchHybridDeadCandidateNeverWins(t *testing.T) {
+	h := newHarness(t, 60)
+	ix, err := BuildIndex(h.env, h.space, h.hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := h.hosts[0]
+	cands := ix.Candidates(q, 2)
+	h.env.SetDown(cands[0], true)
+	if res := ix.SearchHybrid(h.env, q, 1); res.Found != topology.None || res.Probes != 1 {
+		t.Fatalf("budget 1 on a dead top candidate = %+v, want nothing found after 1 probe", res)
+	}
+	if res := ix.SearchHybrid(h.env, q, 2); res.Found != cands[1] || res.Probes != 2 {
+		t.Fatalf("budget 2 = %+v, want %d after 2 probes", res, cands[1])
+	}
+}
+
 func TestSearchHybridFindsGoodNeighbor(t *testing.T) {
 	h := newHarness(t, 200)
 	ix, err := BuildIndex(h.env, h.space, h.hosts)

@@ -2,10 +2,10 @@ package softstate
 
 import (
 	"errors"
-	"math"
 
 	"gsso/internal/can"
 	"gsso/internal/ecan"
+	"gsso/internal/landmark"
 )
 
 // Selector is the paper's proximity-neighbor selection procedure as an
@@ -63,25 +63,15 @@ func (s *Selector) Select(self *can.Member, region can.Path, candidates []*can.M
 // that times out triggers the reactive deletion of §5.2: the dead
 // member's soft-state is purged on the spot.
 func (s *Selector) probeBest(self *can.Member, entries []*Entry) *can.Member {
-	var best *can.Member
-	bestRTT := 0.0
-	probes := 0
-	for _, e := range entries {
+	best, _, _ := landmark.ProbeBest(entries, s.budget, func(e *Entry) (float64, float64, bool) {
 		if e.Member == self {
-			continue
-		}
-		if probes >= s.budget {
-			break
+			return 0, 0, false
 		}
 		rtt := s.store.env.ProbeRTT(self.Host, e.Host)
-		probes++
-		if math.IsInf(rtt, 1) {
-			s.store.ReportUnreachable(e.Member)
-			continue
-		}
-		if best == nil || rtt < bestRTT {
-			best, bestRTT = e.Member, rtt
-		}
+		return rtt, rtt, true
+	}, func(e *Entry) { s.store.ReportUnreachable(e.Member) })
+	if best < 0 {
+		return nil
 	}
-	return best
+	return entries[best].Member
 }

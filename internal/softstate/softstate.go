@@ -69,6 +69,14 @@ type Entry struct {
 	Expires netsim.Time
 }
 
+// RankEntries sorts entries in place by vector distance to vec, nearest
+// first, ties by host: the hybrid search's pre-selection order.
+func RankEntries(entries []*Entry, vec landmark.Vector) {
+	landmark.Rank(entries, vec,
+		func(e *Entry) landmark.Vector { return e.Vector },
+		func(e *Entry) topology.NodeID { return e.Host }, nil)
+}
+
 // EventKind classifies map-change events for the pub/sub layer.
 type EventKind uint8
 
@@ -894,14 +902,7 @@ func (s *Store) lookup(region can.Path, vec landmark.Vector) ([]*Entry, LookupCo
 		}
 	}
 
-	sort.Slice(gathered, func(a, b int) bool {
-		da := landmark.Distance(gathered[a].Vector, vec)
-		db := landmark.Distance(gathered[b].Vector, vec)
-		if da != db {
-			return da < db
-		}
-		return gathered[a].Host < gathered[b].Host
-	})
+	RankEntries(gathered, vec)
 	if len(gathered) > s.cfg.MaxReturn {
 		gathered = gathered[:s.cfg.MaxReturn]
 	}

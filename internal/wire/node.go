@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gsso/internal/hilbert"
+	"gsso/internal/landmark"
 	"gsso/internal/obs"
 	"gsso/internal/obs/span"
 )
@@ -56,17 +57,13 @@ func (c SpaceConfig) curve() (hilbert.Curve, error) {
 }
 
 // Number reduces a landmark vector to the scalar landmark number under
-// this config.
+// this config: landmark.Space.Number's reduction, without allocating.
 func (c SpaceConfig) Number(vector []float64) (uint64, error) {
 	curve, err := c.curve()
 	if err != nil {
 		return 0, err
 	}
-	coords, err := curve.Quantize(vector[:curve.Dims()], c.MaxRTTMs)
-	if err != nil {
-		return 0, err
-	}
-	return curve.Encode(coords)
+	return landmark.CurveNumber(curve, vector, c.MaxRTTMs)
 }
 
 // nodeOptions collects the tunables a Node is built with; NodeOption
@@ -1192,27 +1189,38 @@ func (n *Node) findNearest(parent span.Context, budget int, timeout time.Duratio
 	if qerr != nil {
 		return "", 0, fmt.Errorf("wire: all %d owners unreachable: %w", len(owners), qerr)
 	}
-	bestAddr := ""
-	bestRTT := time.Duration(math.MaxInt64)
-	probes := 0
-	for _, rec := range recs {
-		if rec.Addr == n.addr {
-			continue
-		}
-		if probes >= budget {
-			break
-		}
-		rtt, err := n.pingCtx(parent, rec.Addr, timeout)
-		if err != nil {
-			continue // dead record: the reactive maintenance case
-		}
-		probes++
-		if rtt < bestRTT {
-			bestAddr, bestRTT = rec.Addr, rtt
-		}
-	}
-	if bestAddr == "" {
+	addr, rtt, _ := pickNearest(n.addr, vec, recs, budget, func(addr string) (time.Duration, error) {
+		return n.pingCtx(parent, addr, timeout)
+	})
+	if addr == "" {
 		return "", 0, errors.New("wire: no reachable candidates")
 	}
-	return bestAddr, bestRTT, nil
+	return addr, rtt, nil
+}
+
+// pickNearest runs the hybrid search kernel over the owner's reply, which
+// is in curve-number order: re-rank by vector distance to vec (ties by
+// address), then ping up to budget records other than self; a failed ping
+// is a charged timeout. Records of another landmark space (other dims)
+// are dropped. It returns the winner ("" if none), its RTT and the pings.
+func pickNearest(self string, vec []float64, recs []Record, budget int,
+	ping func(addr string) (time.Duration, error)) (string, time.Duration, int) {
+	recs = slices.DeleteFunc(recs, func(r Record) bool { return len(r.Vector) != len(vec) })
+	landmark.Rank(recs, vec,
+		func(r Record) landmark.Vector { return r.Vector },
+		func(r Record) string { return r.Addr }, nil)
+	best, rtt, probes := landmark.ProbeBest(recs, budget, func(r Record) (float64, float64, bool) {
+		if r.Addr == self {
+			return 0, 0, false
+		}
+		d, err := ping(r.Addr)
+		if err != nil {
+			return math.Inf(1), 0, true
+		}
+		return float64(d), float64(d), true
+	}, nil) // no reactive deletion on the wire: a dead peer's record expires by TTL
+	if best < 0 {
+		return "", 0, probes
+	}
+	return recs[best].Addr, time.Duration(rtt), probes
 }

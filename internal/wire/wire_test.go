@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"gsso/internal/obs/span"
 )
 
 const testTimeout = 2 * time.Second
@@ -112,6 +115,12 @@ func TestRecordExpired(t *testing.T) {
 // to every node.
 func cluster(t *testing.T, n, k int, opts ...NodeOption) []*Node {
 	t.Helper()
+	return clusterWith(t, func(*SpaceConfig) {}, n, k, opts...)
+}
+
+// clusterWith is cluster with the shared space config adjusted by mutate.
+func clusterWith(t *testing.T, mutate func(*SpaceConfig), n, k int, opts ...NodeOption) []*Node {
+	t.Helper()
 	// First pass: start listeners to learn addresses.
 	boot := make([]*Node, n)
 	addrs := make([]string, n)
@@ -131,6 +140,7 @@ func cluster(t *testing.T, n, k int, opts ...NodeOption) []*Node {
 		}
 	}
 	real := testConfig(addrs[:k])
+	mutate(&real)
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		node, err := NewNode(addrs[i], real, addrs, time.Minute, opts...)
@@ -299,25 +309,45 @@ func TestPublishAndFindNearest(t *testing.T) {
 }
 
 func TestFindNearestSkipsDeadPeers(t *testing.T) {
-	nodes := cluster(t, 5, 2)
+	// A far grid edge puts every loopback vector in cell 0: all records
+	// carry number 0 and share one pair of ring owners, whatever the load.
+	nodes := clusterWith(t, func(c *SpaceConfig) { c.MaxRTTMs = 1e9 }, 5, 2)
 	for _, nd := range nodes {
-		if _, err := nd.Publish(1, testTimeout); err != nil {
-			t.Fatal(err)
+		if rec, err := nd.Publish(1, testTimeout); err != nil || rec.Number != 0 {
+			t.Fatalf("Publish = number %d, %v; want number 0", rec.Number, err)
 		}
 	}
-	// Kill every node except 0 and 1; 0 should still find 1 (or error
-	// gracefully if 1's record lives on a dead shard).
+	// Node 0 searches for node 1. The owners survive and withdraw their
+	// own records, so node 1 is the only live candidate; every other node
+	// is closed, and its record, still on the owners, is a dead candidate.
+	owners := nodes[0].OwnersOf(0, nodes[0].Replication())
+	dead := 0
 	for _, nd := range nodes[2:] {
-		if err := nd.Close(); err != nil {
-			t.Fatal(err)
+		if !slices.Contains(owners, nd.Addr()) {
+			if err := nd.Close(); err != nil {
+				t.Fatal(err)
+			}
+			dead++
+		} else if removed, err := nd.Withdraw(testTimeout); removed != len(owners) {
+			t.Fatalf("Withdraw removed %d of %d replicas: %v", removed, len(owners), err)
 		}
 	}
-	addr, _, err := nodes[0].FindNearest(5, 300*time.Millisecond)
-	if err != nil {
-		t.Skip("records were sharded onto closed nodes; reactive failure is acceptable:", err)
+	if dead == 0 {
+		t.Fatal("nothing left to close")
 	}
-	if addr == nodes[0].Addr() {
-		t.Fatal("found self")
+	failedPings := nodes[0].metrics.rpc[MsgPing][span.OutcomeError]
+	before := failedPings.Count()
+	// The budget covers node 1 and every dead candidate, whatever their
+	// rank: each dead one is probed, charged, and cannot win.
+	addr, _, err := nodes[0].FindNearest(1+dead, testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if addr != nodes[1].Addr() {
+		t.Fatalf("FindNearest = %s, want node 1 (%s)", addr, nodes[1].Addr())
+	}
+	if got := failedPings.Count() - before; got != uint64(dead) {
+		t.Fatalf("%d candidate pings failed, want one per dead candidate (%d)", got, dead)
 	}
 }
 
