@@ -1,6 +1,6 @@
 # Developer conveniences; everything is plain `go` underneath.
 
-.PHONY: all build vet test race check fmt-check bench-module soak e2e bench mon-smoke results quick-results examples clean
+.PHONY: all build vet test race check fmt-check bench-module soak e2e bench mon-smoke results quick-results examples lines clean
 
 # Worker-pool width for the experiment engine; override with `make J=8 results`.
 J ?= $(shell nproc 2>/dev/null || echo 1)
@@ -112,6 +112,13 @@ examples:
 	go run ./examples/cdn
 	go run ./examples/qos
 	go run ./examples/wirecluster
+
+# Non-test Go lines per package of the root module (bench/ is its own
+# module), plus the total: the size figure simplicity changes report.
+lines:
+	@go list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+	  awk 'NF > 1 { n = 0; for (i = 2; i <= NF; i++) { while ((getline l < $$i) > 0) n++; close($$i) } \
+	    printf "%6d %s\n", n, $$1; t += n } END { printf "%6d total\n", t }'
 
 clean:
 	rm -rf results

@@ -505,7 +505,7 @@ func runDemo(n int, ttl, timeout time.Duration, metricsAddr string, hold time.Du
 	}
 	// In-band scrape: any node can ask any other for its counters.
 	resp, err := nodes[1].Transport().RoundTrip(nodes[0].Addr(), wire.Message{Type: wire.MsgStats}, timeout)
-	if err == nil && resp.Type == wire.MsgStatsReply && resp.Stats != nil {
+	if err == nil && resp.Stats != nil {
 		total := 0.0
 		if f, ok := resp.Stats.Family("wire_requests_total"); ok {
 			for _, s := range f.Series {

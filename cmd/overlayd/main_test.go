@@ -62,6 +62,16 @@ func TestRequiresLandmarks(t *testing.T) {
 	}
 }
 
+// TestRejectsWideCurve: three landmarks at 30 bits per axis need a
+// 90-bit landmark number; the node must refuse to start.
+func TestRejectsWideCurve(t *testing.T) {
+	var buf bytes.Buffer
+	err := run([]string{"-listen", "127.0.0.1:0", "-landmarks", "a,b,c", "-bits", "30", "-oneshot"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "exceeds 64") {
+		t.Fatalf("run(-bits 30) = %v, want the curve's width error", err)
+	}
+}
+
 func TestOneshotStartup(t *testing.T) {
 	// A landmark node to ping, started directly.
 	lm, err := wire.NewNode("127.0.0.1:0", wire.SpaceConfig{

@@ -6,10 +6,11 @@
 // soft-state entry expiry is the simulated-time suspicion source (a
 // member that stops refreshing eventually expires out of every region
 // map, one event per map), and timed-out probes — a candidate returned
-// by a map lookup that does not answer — are the reactive source. Live
-// deployments feed a third through SuspectMember: the wire layer's
-// circuit breaker reports a peer whose breaker opened (see
-// wire.WithBreakerSink). Signals only accumulate suspicion; nothing is
+// by a map lookup that does not answer — are the reactive source.
+// SuspectMember is exported so an embedding program can report evidence
+// of its own; no live node feeds it today (the wire layer's circuit
+// breakers stay inside the wire client). Signals only accumulate
+// suspicion; nothing is
 // removed until a HealStep confirms the crash with a probe from a live
 // CAN neighbor and repairs the overlay without the dead node's
 // cooperation.
@@ -93,8 +94,7 @@ func (s *System) observeStoreEvent(ev softstate.Event) {
 
 // SuspectMember records one failure-suspicion signal against m. The
 // internal sources are soft-state expiry and timed-out candidate probes;
-// external callers report live-mode evidence — canonically a wire-layer
-// circuit breaker opening for the member's address. Suspicion is
+// an embedding program may report evidence of its own. Suspicion is
 // evidence, not a verdict: repair happens only after HealStep confirms.
 func (s *System) SuspectMember(m *can.Member) {
 	if m == nil || !s.overlay.CAN().IsMember(m) {

@@ -50,13 +50,6 @@ func TopologyGenerations() (generations, cacheHits int64) {
 	return misses, hits
 }
 
-// ResetSharedCaches drops every cached topology and harness core. Tests
-// use it to measure cold-cache behavior; production runs never need it.
-func ResetSharedCaches() {
-	netCache = engine.Memo[netKey, *topology.Network]{}
-	nnCache = engine.Memo[nnKey, *nnCore]{}
-}
-
 // buildNet returns the requested preset topology at the scale's size,
 // generating it at most once per distinct (kind, lat, TopoScale, Seed)
 // process-wide. Concurrent callers for the same key block on a single

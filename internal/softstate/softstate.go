@@ -415,11 +415,6 @@ func WithCapacity(capacity float64) PublishOption {
 	return func(e *Entry) { e.Capacity = capacity }
 }
 
-// WithLoad sets the entry's current load.
-func WithLoad(load float64) PublishOption {
-	return func(e *Entry) { e.Load = load }
-}
-
 // regionsOf returns the high-order regions enclosing m whose maps must
 // carry m's entry: prefixes of m's path at every digit boundary (one map
 // per high-order zone, at most log N of them).

@@ -93,7 +93,10 @@ func (b *batcher) send(owner string, recs []Record, timeout time.Duration) {
 	n := b.n
 	root := n.opt.spans.StartRoot("publish-batch")
 	n.metrics.batchSize.Observe(float64(len(recs)))
-	errs, err := n.sendBatchCtx(root.Context(), owner, recs, timeout)
+	resp, _, err := n.rpc(root.Context(), owner, Message{Type: MsgPublishBatch, Records: recs}, timeout)
+	if err == nil && resp.Errs != nil && len(resp.Errs) != len(recs) {
+		err = fmt.Errorf("wire: batch ack carries %d errors for %d records", len(resp.Errs), len(recs))
+	}
 	root.Finish(span.Outcome(err), 0, err)
 	if err != nil {
 		n.metrics.batchErrors.Add(float64(len(recs)))
@@ -102,7 +105,7 @@ func (b *batcher) send(owner string, recs []Record, timeout time.Duration) {
 		return
 	}
 	failed := 0
-	for i, e := range errs {
+	for i, e := range resp.Errs {
 		if e == "" {
 			continue
 		}
@@ -114,37 +117,4 @@ func (b *batcher) send(owner string, recs []Record, timeout time.Duration) {
 	if failed > 0 {
 		n.metrics.batchErrors.Add(float64(failed))
 	}
-}
-
-// sendBatch ships recs to owner in one MsgPublishBatch frame through the
-// breaker + retry machinery. It returns the per-record errors (nil when
-// every record stored; otherwise one entry per record, empty = stored)
-// and the transport-level error when the frame itself failed.
-func (n *Node) sendBatch(owner string, recs []Record, timeout time.Duration) ([]string, error) {
-	return n.sendBatchCtx(span.Context{}, owner, recs, timeout)
-}
-
-func (n *Node) sendBatchCtx(parent span.Context, owner string, recs []Record, timeout time.Duration) ([]string, error) {
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	var errs []string
-	err := n.call(MsgPublishBatch, owner, parent, func(tc *span.Context) error {
-		resp, err := n.tr.RoundTrip(owner, Message{Type: MsgPublishBatch, Records: recs, Trace: tc}, timeout)
-		if err != nil {
-			return err
-		}
-		if resp.Type != MsgBatchAck {
-			return permanent(fmt.Errorf("wire: unexpected response %q to publish-batch", resp.Type))
-		}
-		errs = resp.Errs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if errs != nil && len(errs) != len(recs) {
-		return nil, fmt.Errorf("wire: batch ack carries %d errors for %d records", len(errs), len(recs))
-	}
-	return errs, nil
 }

@@ -3,6 +3,8 @@ package wire
 import (
 	"testing"
 	"time"
+
+	"gsso/internal/obs/span"
 )
 
 // Serve/dial fast-path benchmarks: the resilience layer (retry wrapper,
@@ -43,7 +45,7 @@ func BenchmarkPingResilient(b *testing.B) {
 	server, client := benchTargets(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.ping(server.Addr(), time.Second); err != nil {
+		if _, err := client.ping(span.Context{}, server.Addr(), time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -52,7 +54,7 @@ func BenchmarkPingResilient(b *testing.B) {
 func BenchmarkServeQuery(b *testing.B) {
 	server, _ := benchTargets(b)
 	rec := Record{Addr: "x:1", Number: 12, ExpiresUnixMilli: time.Now().Add(time.Hour).UnixMilli()}
-	if _, err := call(server.Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, time.Second); err != nil {
+	if _, err := call(server.Addr(), Message{Type: MsgStore, Record: &rec}, time.Second); err != nil {
 		b.Fatal(err)
 	}
 	tr := NewTransport(1)
@@ -95,14 +97,14 @@ func BenchmarkStorePooled(b *testing.B) {
 	server, client := benchTargets(b)
 	rec := Record{Addr: "x:1", Number: 12, ExpiresUnixMilli: time.Now().Add(time.Hour).UnixMilli()}
 	// Warm the pool so the handful of initial dials is not billed to ops.
-	if err := client.store(server.Addr(), rec, time.Second); err != nil {
+	if _, _, err := client.rpc(span.Context{}, server.Addr(), Message{Type: MsgStore, Record: &rec}, time.Second); err != nil {
 		b.Fatal(err)
 	}
 	dials, reuse := poolCounters(client)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := client.store(server.Addr(), rec, time.Second); err != nil {
+		if _, _, err := client.rpc(span.Context{}, server.Addr(), Message{Type: MsgStore, Record: &rec}, time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -114,14 +116,14 @@ func BenchmarkStorePooled(b *testing.B) {
 // vectors: round trip on an established connection, no dial in the loop.
 func BenchmarkPingPooled(b *testing.B) {
 	server, client := benchTargets(b)
-	if _, err := client.ping(server.Addr(), time.Second); err != nil {
+	if _, err := client.ping(span.Context{}, server.Addr(), time.Second); err != nil {
 		b.Fatal(err)
 	}
 	dials, reuse := poolCounters(client)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.ping(server.Addr(), time.Second); err != nil {
+		if _, err := client.ping(span.Context{}, server.Addr(), time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,14 +140,14 @@ func BenchmarkPublishBatch64(b *testing.B) {
 	for i := range recs {
 		recs[i] = Record{Addr: "x:1", Number: uint64(i), ExpiresUnixMilli: exp}
 	}
-	if _, err := client.sendBatch(server.Addr(), recs, time.Second); err != nil {
+	if _, _, err := client.rpc(span.Context{}, server.Addr(), Message{Type: MsgPublishBatch, Records: recs}, time.Second); err != nil {
 		b.Fatal(err)
 	}
 	dials, reuse := poolCounters(client)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := client.sendBatch(server.Addr(), recs, time.Second); err != nil {
+		if _, _, err := client.rpc(span.Context{}, server.Addr(), Message{Type: MsgPublishBatch, Records: recs}, time.Second); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,7 +169,7 @@ func BenchmarkStoreReplicated(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, o := range owners {
-			if err := client.store(o, rec, time.Second); err != nil {
+			if _, _, err := client.rpc(span.Context{}, o, Message{Type: MsgStore, Record: &rec}, time.Second); err != nil {
 				b.Fatal(err)
 			}
 		}

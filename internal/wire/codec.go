@@ -81,6 +81,20 @@ var msgTypeCode = map[MsgType]byte{
 	MsgPeersReply:   15,
 }
 
+// replyType pairs each request type a node serves with the one reply
+// type that answers it. MsgError may answer anything; the transport
+// rejects every other reply as a permanent error, so no caller checks a
+// reply's type. Its request column is the set of per-type metric labels.
+var replyType = map[MsgType]MsgType{
+	MsgPing:         MsgPong,
+	MsgStore:        MsgStored,
+	MsgQuery:        MsgRecords,
+	MsgStats:        MsgStatsReply,
+	MsgRemove:       MsgRemoved,
+	MsgPublishBatch: MsgBatchAck,
+	MsgPeers:        MsgPeersReply,
+}
+
 // msgTypeByCode is the reverse mapping; index 0 stays empty.
 var msgTypeByCode = [...]MsgType{
 	1: MsgPing, 2: MsgPong, 3: MsgStore, 4: MsgStored, 5: MsgQuery,

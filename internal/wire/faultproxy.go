@@ -108,9 +108,6 @@ func NewFaultProxy(backend string, seed uint64) (*FaultProxy, error) {
 // Addr returns the proxy's dialable address.
 func (p *FaultProxy) Addr() string { return p.ln.Addr().String() }
 
-// Backend returns the address the proxy forwards to.
-func (p *FaultProxy) Backend() string { return p.backend }
-
 // SetLoss drops each incoming connection independently with probability
 // rate (the client sees a reset/EOF, the retry layer's bread and butter).
 func (p *FaultProxy) SetLoss(rate float64) {

@@ -15,14 +15,14 @@ func TestFaultProxyForwards(t *testing.T) {
 	}
 	defer p.Close()
 
-	if _, err := call(p.Addr(), Message{Type: MsgPing}, MsgPong, testTimeout); err != nil {
+	if _, err := call(p.Addr(), Message{Type: MsgPing}, testTimeout); err != nil {
 		t.Fatalf("ping through clean proxy: %v", err)
 	}
 	rec := Record{Addr: "x:1", Number: 9, ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli()}
-	if _, err := call(p.Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, testTimeout); err != nil {
+	if _, err := call(p.Addr(), Message{Type: MsgStore, Record: &rec}, testTimeout); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := call(p.Addr(), Message{Type: MsgQuery, Number: 9, Max: 4}, MsgRecords, testTimeout); err != nil || len(got.Records) != 1 {
+	if got, err := call(p.Addr(), Message{Type: MsgQuery, Number: 9, Max: 4}, testTimeout); err != nil || len(got.Records) != 1 {
 		t.Fatalf("query through proxy = %v, %v", got.Records, err)
 	}
 	if p.Forwarded() != 3 || p.Dropped() != 0 {
@@ -41,7 +41,7 @@ func TestFaultProxyLossHealedByRetry(t *testing.T) {
 
 	pol := RetryPolicy{MaxAttempts: 12, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 	for i := 0; i < 10; i++ {
-		if _, err := call(p.Addr(), Message{Type: MsgPing}, MsgPong, testTimeout, pol); err != nil {
+		if _, err := call(p.Addr(), Message{Type: MsgPing}, testTimeout, pol); err != nil {
 			t.Fatalf("ping %d through 50%% loss with retries: %v", i, err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestFaultProxyBlackholeTimesOut(t *testing.T) {
 	p.SetBlackhole(true)
 
 	start := time.Now()
-	if _, err := call(p.Addr(), Message{Type: MsgPing}, MsgPong, 150*time.Millisecond); err == nil {
+	if _, err := call(p.Addr(), Message{Type: MsgPing}, 150*time.Millisecond); err == nil {
 		t.Fatal("ping through blackhole succeeded")
 	}
 	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
@@ -83,7 +83,7 @@ func TestFaultProxyDelay(t *testing.T) {
 	p.SetDelay(80 * time.Millisecond)
 
 	start := time.Now()
-	if _, err := call(p.Addr(), Message{Type: MsgPing}, MsgPong, testTimeout); err != nil {
+	if _, err := call(p.Addr(), Message{Type: MsgPing}, testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
@@ -117,14 +117,14 @@ func TestFaultProxyPartitionBoth(t *testing.T) {
 	defer p.Close()
 	p.SetPartition(PartitionBoth, false)
 
-	if _, err := call(p.Addr(), Message{Type: MsgPing}, MsgPong, testTimeout, RetryPolicy{MaxAttempts: 1}); err == nil {
+	if _, err := call(p.Addr(), Message{Type: MsgPing}, testTimeout, RetryPolicy{MaxAttempts: 1}); err == nil {
 		t.Fatal("ping crossed a symmetric partition")
 	}
 	if p.Partitioned() == 0 {
 		t.Fatalf("partitioned = %d, want > 0", p.Partitioned())
 	}
 	p.SetPartition(PartitionOff, false)
-	if _, err := call(p.Addr(), Message{Type: MsgPing}, MsgPong, testTimeout); err != nil {
+	if _, err := call(p.Addr(), Message{Type: MsgPing}, testTimeout); err != nil {
 		t.Fatalf("ping after lifting partition: %v", err)
 	}
 }
@@ -143,7 +143,7 @@ func TestFaultProxyPartitionToBackend(t *testing.T) {
 
 	rec := Record{Addr: "x:1", Number: 9, ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli()}
 	start := time.Now()
-	_, err = call(p.Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, 150*time.Millisecond, RetryPolicy{MaxAttempts: 1})
+	_, err = call(p.Addr(), Message{Type: MsgStore, Record: &rec}, 150*time.Millisecond, RetryPolicy{MaxAttempts: 1})
 	if err == nil {
 		t.Fatal("store crossed a to-backend partition")
 	}
@@ -173,7 +173,7 @@ func TestFaultProxyPartitionFromBackend(t *testing.T) {
 	p.SetPartition(PartitionFromBackend, false)
 
 	rec := Record{Addr: "x:1", Number: 9, ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli()}
-	_, err = call(p.Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, 150*time.Millisecond, RetryPolicy{MaxAttempts: 1})
+	_, err = call(p.Addr(), Message{Type: MsgStore, Record: &rec}, 150*time.Millisecond, RetryPolicy{MaxAttempts: 1})
 	if err == nil {
 		t.Fatal("store acked across a from-backend partition")
 	}

@@ -28,8 +28,8 @@ func TestCloseRacesRefreshAndHandlers(t *testing.T) {
 					return
 				default:
 				}
-				_, _ = call(target.Addr(), Message{Type: MsgPing}, MsgPong, 200*time.Millisecond)
-				_, _ = call(target.Addr(), Message{Type: MsgQuery, Number: 7, Max: 4}, MsgRecords, 200*time.Millisecond)
+				_, _ = call(target.Addr(), Message{Type: MsgPing}, 200*time.Millisecond)
+				_, _ = call(target.Addr(), Message{Type: MsgQuery, Number: 7, Max: 4}, 200*time.Millisecond)
 			}
 		}()
 	}

@@ -12,16 +12,9 @@ import (
 type nodeMetrics struct {
 	reg *obs.Registry
 
-	// requests and errors are resolved per known message type; the
-	// "other" slot bounds label cardinality against garbage frames.
-	requests map[MsgType]*obs.Counter
-	errors   map[MsgType]*obs.Counter
-	retries  map[MsgType]*obs.Counter
-	// rpc observes whole client calls — the full retry loop, backoff
-	// waits included, plus breaker fail-fasts — per type and outcome.
-	// wire_serve_latency_ms sees only the server side of one attempt;
-	// this is the latency a caller actually experienced.
-	rpc     map[MsgType]map[string]*obs.Histogram
+	// byType is resolved per request type of replyType; the "other"
+	// entry bounds label cardinality against garbage frames.
+	byType  map[MsgType]*typeMetrics
 	serve   *obs.Histogram
 	dial    *obs.Histogram
 	records *obs.Gauge
@@ -38,6 +31,26 @@ type nodeMetrics struct {
 	batchSize    *obs.Histogram
 	batchRecords *obs.Counter
 	batchErrors  *obs.Counter
+}
+
+// typeMetrics are one message type's series.
+type typeMetrics struct {
+	requests *obs.Counter // wire_requests_total
+	errors   *obs.Counter // wire_request_errors_total
+	retries  *obs.Counter // wire_retries_total
+	// rpc observes whole client calls — the full retry loop, backoff
+	// waits included, plus breaker fail-fasts — by outcome.
+	// wire_serve_latency_ms sees only the server side of one attempt;
+	// this is the latency a caller actually experienced.
+	rpc map[string]*obs.Histogram
+}
+
+// observeRPC records one whole client call (retry loop included) under
+// its outcome.
+func (tm *typeMetrics) observeRPC(outcome string, d time.Duration) {
+	if h, ok := tm.rpc[outcome]; ok {
+		h.Observe(float64(d.Microseconds()) / 1000)
+	}
 }
 
 // transportMetrics is the pooled transport's nil-safe telemetry hook: a
@@ -70,10 +83,6 @@ func (m *transportMetrics) reuse() {
 	m.reused.Inc()
 }
 
-// knownRequestTypes are the request types a node serves (response types
-// never reach dispatch).
-var knownRequestTypes = []MsgType{MsgPing, MsgStore, MsgQuery, MsgStats, MsgRemove, MsgPublishBatch, MsgPeers}
-
 // msgTypeOther labels requests of unrecognized type.
 const msgTypeOther = "other"
 
@@ -96,11 +105,8 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		"Client-side latency of whole calls (full retry loop, backoff included), milliseconds, by message type and outcome.",
 		obs.DefBuckets, "type", "outcome")
 	m := &nodeMetrics{
-		reg:      reg,
-		requests: make(map[MsgType]*obs.Counter, len(knownRequestTypes)+1),
-		errors:   make(map[MsgType]*obs.Counter, len(knownRequestTypes)+1),
-		retries:  make(map[MsgType]*obs.Counter, len(knownRequestTypes)+1),
-		rpc:      make(map[MsgType]map[string]*obs.Histogram, len(knownRequestTypes)+1),
+		reg:    reg,
+		byType: make(map[MsgType]*typeMetrics, len(replyType)+1),
 		serve: reg.Histogram("wire_serve_latency_ms",
 			"Time to serve one request, milliseconds.", obs.DefBuckets).With(),
 		dial: reg.Histogram("wire_dial_rtt_ms",
@@ -136,56 +142,35 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		batchErrors: reg.Counter("wire_batch_errors_total",
 			"Batched records lost to whole-frame failures or per-record rejections.").With(),
 	}
-	for _, t := range append(append([]MsgType(nil), knownRequestTypes...), msgTypeOther) {
-		m.requests[t] = requests.With(string(t))
-		m.errors[t] = errors.With(string(t))
-		m.retries[t] = retries.With(string(t))
-		byOutcome := make(map[string]*obs.Histogram, len(rpcOutcomes))
-		for _, o := range rpcOutcomes {
-			byOutcome[o] = rpcLatency.With(string(t), o)
+	resolve := func(t MsgType) {
+		tm := &typeMetrics{
+			requests: requests.With(string(t)),
+			errors:   errors.With(string(t)),
+			retries:  retries.With(string(t)),
+			rpc:      make(map[string]*obs.Histogram, len(rpcOutcomes)),
 		}
-		m.rpc[t] = byOutcome
+		for _, o := range rpcOutcomes {
+			tm.rpc[o] = rpcLatency.With(string(t), o)
+		}
+		m.byType[t] = tm
 	}
+	for t := range replyType {
+		resolve(t)
+	}
+	resolve(msgTypeOther)
 	return m
 }
 
-// request returns the request counter for a message type.
-func (m *nodeMetrics) request(t MsgType) *obs.Counter {
-	if c, ok := m.requests[t]; ok {
-		return c
+// of returns the series of a message type, or of "other" for a type
+// that is not a request.
+func (m *nodeMetrics) of(t MsgType) *typeMetrics {
+	if tm, ok := m.byType[t]; ok {
+		return tm
 	}
-	return m.requests[msgTypeOther]
-}
-
-// err returns the error counter for a message type.
-func (m *nodeMetrics) err(t MsgType) *obs.Counter {
-	if c, ok := m.errors[t]; ok {
-		return c
-	}
-	return m.errors[msgTypeOther]
-}
-
-// retry returns the retry counter for a message type.
-func (m *nodeMetrics) retry(t MsgType) *obs.Counter {
-	if c, ok := m.retries[t]; ok {
-		return c
-	}
-	return m.retries[msgTypeOther]
+	return m.byType[msgTypeOther]
 }
 
 // observeDial records one client-side round trip.
 func (m *nodeMetrics) observeDial(rtt time.Duration) {
 	m.dial.Observe(float64(rtt.Microseconds()) / 1000)
-}
-
-// observeRPC records one whole client call (retry loop included) under
-// its type and outcome.
-func (m *nodeMetrics) observeRPC(t MsgType, outcome string, d time.Duration) {
-	byOutcome, ok := m.rpc[t]
-	if !ok {
-		byOutcome = m.rpc[msgTypeOther]
-	}
-	if h, ok := byOutcome[outcome]; ok {
-		h.Observe(float64(d.Microseconds()) / 1000)
-	}
 }

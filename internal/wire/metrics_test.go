@@ -27,19 +27,19 @@ func TestServeMetricsCountRequests(t *testing.T) {
 	n := startNode(t, stubCfg(), nil)
 	timeout := 2 * time.Second
 
-	if _, err := call(n.Addr(), Message{Type: MsgPing}, MsgPong, timeout); err != nil {
+	if _, err := call(n.Addr(), Message{Type: MsgPing}, timeout); err != nil {
 		t.Fatal(err)
 	}
 	rec := Record{Addr: "x:1", Number: 3, ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli()}
-	if _, err := call(n.Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, timeout); err != nil {
+	if _, err := call(n.Addr(), Message{Type: MsgStore, Record: &rec}, timeout); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := call(n.Addr(), Message{Type: MsgQuery, Number: 3, Max: 4}, MsgRecords, timeout); err != nil {
+	if _, err := call(n.Addr(), Message{Type: MsgQuery, Number: 3, Max: 4}, timeout); err != nil {
 		t.Fatal(err)
 	}
 	// A request of a type the node does not serve (a response type)
 	// lands in the "other" error counter.
-	if _, err := call(n.Addr(), Message{Type: MsgPong}, MsgPong, timeout); err == nil {
+	if _, err := call(n.Addr(), Message{Type: MsgPong}, timeout); err == nil {
 		t.Fatal("pong request did not error")
 	}
 
@@ -67,11 +67,11 @@ func TestServeMetricsCountRequests(t *testing.T) {
 func TestStatsWireOp(t *testing.T) {
 	n := startNode(t, stubCfg(), nil)
 	timeout := 2 * time.Second
-	if _, err := call(n.Addr(), Message{Type: MsgPing}, MsgPong, timeout); err != nil {
+	if _, err := call(n.Addr(), Message{Type: MsgPing}, timeout); err != nil {
 		t.Fatal(err)
 	}
 
-	resp, err := call(n.Addr(), Message{Type: MsgStats}, MsgStatsReply, timeout)
+	resp, err := call(n.Addr(), Message{Type: MsgStats}, timeout)
 	if err != nil || resp.Stats == nil {
 		t.Fatalf("stats scrape = %+v, %v", resp, err)
 	}
@@ -80,7 +80,7 @@ func TestStatsWireOp(t *testing.T) {
 	}
 	// The scrape itself is counted on the serving side, visible to the
 	// next scrape (the snapshot is taken before the counter bump).
-	resp, err = call(n.Addr(), Message{Type: MsgStats}, MsgStatsReply, timeout)
+	resp, err = call(n.Addr(), Message{Type: MsgStats}, timeout)
 	if err != nil || resp.Stats == nil {
 		t.Fatalf("stats scrape = %+v, %v", resp, err)
 	}
@@ -118,10 +118,10 @@ func TestSharedRegistryAggregates(t *testing.T) {
 		t.Fatal("nodes did not adopt the shared registry")
 	}
 	timeout := 2 * time.Second
-	if _, err := call(a.Addr(), Message{Type: MsgPing}, MsgPong, timeout); err != nil {
+	if _, err := call(a.Addr(), Message{Type: MsgPing}, timeout); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := call(b.Addr(), Message{Type: MsgPing}, MsgPong, timeout); err != nil {
+	if _, err := call(b.Addr(), Message{Type: MsgPing}, timeout); err != nil {
 		t.Fatal(err)
 	}
 	if v, _ := reg.Snapshot().Value("wire_requests_total", "ping"); v != 2 {
@@ -133,10 +133,10 @@ func TestStatsSnapshotSerializes(t *testing.T) {
 	// The snapshot must survive the wire framing with label values
 	// intact (the \x1f series separator never leaks).
 	n := startNode(t, stubCfg(), nil)
-	if _, err := call(n.Addr(), Message{Type: MsgPing}, MsgPong, 2*time.Second); err != nil {
+	if _, err := call(n.Addr(), Message{Type: MsgPing}, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := call(n.Addr(), Message{Type: MsgStats}, MsgStatsReply, 2*time.Second)
+	resp, err := call(n.Addr(), Message{Type: MsgStats}, 2*time.Second)
 	if err != nil || resp.Stats == nil {
 		t.Fatalf("stats scrape = %+v, %v", resp, err)
 	}

@@ -33,7 +33,8 @@ type SpaceConfig struct {
 	MaxRTTMs float64
 }
 
-// Validate checks the config.
+// Validate checks the config, including that its curve fits a 64-bit
+// landmark number.
 func (c SpaceConfig) Validate() error {
 	switch {
 	case len(c.Landmarks) == 0:
@@ -45,7 +46,8 @@ func (c SpaceConfig) Validate() error {
 	case c.MaxRTTMs <= 0:
 		return errors.New("wire: MaxRTTMs must be > 0")
 	}
-	return nil
+	_, err := c.curve()
+	return err
 }
 
 func (c SpaceConfig) curve() (hilbert.Curve, error) {
@@ -74,7 +76,6 @@ type nodeOptions struct {
 	replication      int
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	breakerSink      func(peer string, open bool)
 	logger           *slog.Logger
 	poolSize         int
 	batchWindow      time.Duration
@@ -139,18 +140,6 @@ func WithBreaker(threshold int, cooldown time.Duration) NodeOption {
 	}
 }
 
-// WithBreakerSink installs an observer of per-peer breaker open/close
-// transitions (open=true when a peer's breaker trips, false when the
-// half-open probe recovers it). This is the wire layer's live-mode
-// failure-detection signal: a deployment embedding the overlay forwards
-// trips to its failure detector (core.SuspectMember) the same way the
-// simulator feeds soft-state expiry. The sink runs on the calling
-// goroutine under the breaker's lock — keep it non-blocking and do not
-// call back into the node.
-func WithBreakerSink(fn func(peer string, open bool)) NodeOption {
-	return func(o *nodeOptions) { o.breakerSink = fn }
-}
-
 // WithPoolSize sets how many persistent connections the node's transport
 // keeps per peer (default 2). Concurrent calls multiplex over them; a
 // pool of 1 still pipelines every request onto the single connection.
@@ -212,10 +201,11 @@ type peerRing struct {
 // Node is one wire participant: a TCP server holding a shard of the
 // soft-state plus a client side for measuring, publishing and querying.
 type Node struct {
-	cfg  SpaceConfig
-	ring atomic.Pointer[peerRing] // current membership; swapped by SetPeers
-	ttl  time.Duration
-	opt  nodeOptions
+	cfg   SpaceConfig
+	curve hilbert.Curve            // cfg's curve, built once
+	ring  atomic.Pointer[peerRing] // current membership; swapped by SetPeers
+	ttl   time.Duration
+	opt   nodeOptions
 
 	// reconfMu serializes SetPeers calls: concurrent swaps would race on
 	// the epoch bump and interleave their re-homing passes.
@@ -269,8 +259,10 @@ func NewNodeWithRegistry(listenAddr string, cfg SpaceConfig, peers []string, ttl
 	if err != nil {
 		return nil, err
 	}
+	curve, _ := cfg.curve() // Validate has built it once already
 	n := &Node{
 		cfg:      cfg,
+		curve:    curve,
 		ttl:      ttl,
 		opt:      opt,
 		ln:       ln,
@@ -437,9 +429,10 @@ func (n *Node) handle(conn net.Conn) {
 		}
 		resp := n.dispatch(req, &rs)
 		n.metrics.serve.Observe(float64(time.Since(start).Microseconds()) / 1000)
-		n.metrics.request(req.Type).Inc()
+		tm := n.metrics.of(req.Type)
+		tm.requests.Inc()
 		if resp.Type == MsgError {
-			n.metrics.err(req.Type).Inc()
+			tm.errors.Inc()
 			sp.Finish(span.OutcomeError, 0, errors.New(resp.Err))
 		} else {
 			sp.Finish(span.OutcomeOK, 0, nil)
@@ -607,8 +600,6 @@ func (n *Node) breakerFor(addr string) *breaker {
 	if !ok {
 		b = newBreaker(n.opt.breakerThreshold, n.opt.breakerCooldown,
 			n.metrics.breakerState.With(addr))
-		b.peer = addr
-		b.sink = n.opt.breakerSink
 		n.breakers[addr] = b
 	}
 	return b
@@ -617,11 +608,13 @@ func (n *Node) breakerFor(addr string) *breaker {
 // errBreakerOpen fails calls fast while a peer's breaker is open.
 var errBreakerOpen = errors.New("wire: circuit breaker open")
 
-// call runs one client RPC to addr through the per-peer failure detector
-// and the node's retry policy. attempt performs a single round trip on
-// the pooled transport; it is re-run on transport failures with backoff,
-// and since a transport failure closes the pooled connection it rode on,
-// the retry reopens a fresh one. The breaker counts whole calls: retries
+// rpc sends req to addr through the per-peer failure detector and the
+// node's retry policy, and returns the reply with the wire round trip of
+// the attempt that got it. Every client RPC of the node goes through
+// here. A transport failure is retried with backoff, and since it closes
+// the pooled connection it rode on, the retry reopens a fresh one. A
+// remote error or a wrong reply type is permanent (the transport checks
+// the type against replyType). The breaker counts whole calls: retries
 // happen inside one call, so only a call that exhausts its attempt
 // budget (or hits a permanent error) counts as a failure. A call that
 // opens the breaker also evicts the peer's pooled connections — stale
@@ -629,156 +622,80 @@ var errBreakerOpen = errors.New("wire: circuit breaker open")
 //
 // Observability: the whole call — every attempt, backoff waits, or the
 // breaker fail-fast — is one observation in wire_rpc_latency_ms and,
-// under a sampled parent, one span whose context (tc) the attempt stamps
-// onto its frame so the server continues the trace.
-func (n *Node) call(op MsgType, addr string, parent span.Context, attempt func(tc *span.Context) error) error {
+// under a sampled parent, one span whose context rides req's frame so
+// the server continues the trace.
+func (n *Node) rpc(parent span.Context, addr string, req Message, timeout time.Duration) (Message, time.Duration, error) {
 	start := time.Now()
-	sp := n.opt.spans.StartChild(string(op), parent)
+	tm := n.metrics.of(req.Type)
+	sp := n.opt.spans.StartChild(string(req.Type), parent)
 	sp.SetPeer(addr)
-	tc := sp.Context().Ptr()
+	req.Trace = sp.Context().Ptr()
 	br := n.breakerFor(addr)
 	if !br.allow(start) {
 		err := fmt.Errorf("%w for %s", errBreakerOpen, addr)
-		n.metrics.observeRPC(op, span.OutcomeBreakerOpen, time.Since(start))
+		tm.observeRPC(span.OutcomeBreakerOpen, time.Since(start))
 		sp.Finish(span.OutcomeBreakerOpen, 0, err)
-		return err
+		return Message{}, 0, err
 	}
+	var resp Message
+	var rtt time.Duration
 	attempts := 0
-	err := withRetry(n.opt.retry, func() { n.metrics.retry(op).Inc() }, n.stop, func() error {
+	err := withRetry(n.opt.retry, tm.retries.Inc, n.stop, func() error {
 		attempts++
-		return attempt(tc)
+		var err error
+		resp, rtt, err = n.tr.roundTripRTT(addr, req, timeout)
+		return err
 	})
 	if err != nil {
 		br.failure(time.Now())
 		if br.snapshot() == breakerOpen {
 			n.tr.Evict(addr)
 		}
-		n.metrics.observeRPC(op, span.OutcomeError, time.Since(start))
-		sp.Finish(span.OutcomeError, attempts, err)
-		return err
+	} else {
+		br.success()
 	}
-	br.success()
-	n.metrics.observeRPC(op, span.OutcomeOK, time.Since(start))
-	sp.Finish(span.OutcomeOK, attempts, nil)
-	return nil
+	tm.observeRPC(span.Outcome(err), time.Since(start))
+	sp.Finish(span.Outcome(err), attempts, err)
+	return resp, rtt, err
 }
 
-// ping is the node-side Ping: breaker + retry + dial histogram. The RTT
-// is the wire round trip on the established pooled connection — a dial,
-// when one is needed, happens before the clock starts, so landmark
-// vectors measure network distance, not amortized connection setup.
-func (n *Node) ping(addr string, timeout time.Duration) (time.Duration, error) {
-	return n.pingCtx(span.Context{}, addr, timeout)
-}
-
-func (n *Node) pingCtx(parent span.Context, addr string, timeout time.Duration) (time.Duration, error) {
-	var rtt time.Duration
-	err := n.call(MsgPing, addr, parent, func(tc *span.Context) error {
-		resp, d, err := n.tr.roundTripRTT(addr, Message{Type: MsgPing, Trace: tc}, timeout)
-		if err != nil {
-			return err
-		}
-		if resp.Type != MsgPong {
-			return permanent(fmt.Errorf("wire: unexpected response %q to ping", resp.Type))
-		}
-		rtt = d
-		return nil
-	})
+// ping is an rpc whose RTT also feeds wire_dial_rtt_ms. The RTT is the
+// wire round trip on the established pooled connection — a dial, when
+// one is needed, happens before the clock starts, so landmark vectors
+// measure network distance, not amortized connection setup.
+func (n *Node) ping(parent span.Context, addr string, timeout time.Duration) (time.Duration, error) {
+	_, rtt, err := n.rpc(parent, addr, Message{Type: MsgPing}, timeout)
 	if err == nil {
 		n.metrics.observeDial(rtt)
 	}
 	return rtt, err
 }
 
-// store is the node-side Store under breaker + retry.
-func (n *Node) store(addr string, rec Record, timeout time.Duration) error {
-	return n.storeCtx(span.Context{}, addr, rec, timeout)
-}
-
-func (n *Node) storeCtx(parent span.Context, addr string, rec Record, timeout time.Duration) error {
-	return n.call(MsgStore, addr, parent, func(tc *span.Context) error {
-		resp, err := n.tr.RoundTrip(addr, Message{Type: MsgStore, Record: &rec, Trace: tc}, timeout)
-		if err != nil {
-			return err
-		}
-		if resp.Type != MsgStored {
-			return permanent(fmt.Errorf("wire: unexpected response %q to store", resp.Type))
-		}
-		return nil
-	})
-}
-
-// query is the node-side Query under breaker + retry.
-func (n *Node) query(addr string, number uint64, max int, timeout time.Duration) ([]Record, error) {
-	return n.queryCtx(span.Context{}, addr, number, max, timeout)
-}
-
-func (n *Node) queryCtx(parent span.Context, addr string, number uint64, max int, timeout time.Duration) ([]Record, error) {
-	var recs []Record
-	err := n.call(MsgQuery, addr, parent, func(tc *span.Context) error {
-		resp, err := n.tr.RoundTrip(addr, Message{Type: MsgQuery, Number: number, Max: max, Trace: tc}, timeout)
-		if err != nil {
-			return err
-		}
-		if resp.Type != MsgRecords {
-			return permanent(fmt.Errorf("wire: unexpected response %q to query", resp.Type))
-		}
-		recs = resp.Records
-		return nil
-	})
-	return recs, err
-}
-
-// remove is the node-side Remove under breaker + retry.
-func (n *Node) remove(addr, recordAddr string, timeout time.Duration) error {
-	return n.removeCtx(span.Context{}, addr, recordAddr, timeout)
-}
-
-func (n *Node) removeCtx(parent span.Context, addr, recordAddr string, timeout time.Duration) error {
-	return n.call(MsgRemove, addr, parent, func(tc *span.Context) error {
-		resp, err := n.tr.RoundTrip(addr, Message{Type: MsgRemove, Addr: recordAddr, Trace: tc}, timeout)
-		if err != nil {
-			return err
-		}
-		if resp.Type != MsgRemoved {
-			return permanent(fmt.Errorf("wire: unexpected response %q to remove", resp.Type))
-		}
-		return nil
-	})
-}
-
 // MeasureVector pings every landmark (pings per landmark, keeping the
 // minimum, as real deployments do to shed scheduler noise) and returns
-// the landmark vector in ms.
+// the landmark vector in ms. It degrades gracefully: when a landmark is
+// unreachable but was measured before, its dimension is filled from the
+// last known RTT (counted in wire_vector_fallback_total) instead of
+// failing the whole vector. Only a landmark that has never been measured
+// makes the call fail — with no prior, a made-up coordinate would place
+// the node arbitrarily in the space.
 func (n *Node) MeasureVector(pings int, timeout time.Duration) ([]float64, error) {
-	vec, _, err := n.MeasureVectorFull(pings, timeout)
-	return vec, err
+	return n.measureVector(span.Context{}, pings, timeout)
 }
 
-// MeasureVectorFull is MeasureVector with graceful degradation made
-// visible: when a landmark is unreachable but was measured before, its
-// dimension is filled from the last known RTT and flagged in the returned
-// stale mask instead of failing the whole vector. Only a landmark that
-// has never been measured makes the call fail — with no prior, a made-up
-// coordinate would place the node arbitrarily in the space.
-func (n *Node) MeasureVectorFull(pings int, timeout time.Duration) (vec []float64, stale []bool, err error) {
-	return n.measureVectorCtx(span.Context{}, pings, timeout)
-}
-
-// measureVectorCtx is MeasureVectorFull under a trace parent: the
-// landmark pings become child spans of the operation that needed the
-// vector (publish, find-nearest).
-func (n *Node) measureVectorCtx(parent span.Context, pings int, timeout time.Duration) (vec []float64, stale []bool, err error) {
+// measureVector is MeasureVector under a trace parent: the landmark
+// pings become child spans of the operation that needed the vector
+// (publish, find-nearest).
+func (n *Node) measureVector(parent span.Context, pings int, timeout time.Duration) ([]float64, error) {
 	if pings < 1 {
 		pings = 1
 	}
-	vec = make([]float64, len(n.cfg.Landmarks))
-	stale = make([]bool, len(n.cfg.Landmarks))
+	vec := make([]float64, len(n.cfg.Landmarks))
 	for i, lm := range n.cfg.Landmarks {
 		best := math.Inf(1)
 		var lastErr error
 		for p := 0; p < pings; p++ {
-			rtt, err := n.pingCtx(parent, lm, timeout)
+			rtt, err := n.ping(parent, lm, timeout)
 			if err != nil {
 				lastErr = err
 				if errors.Is(err, errBreakerOpen) {
@@ -793,18 +710,17 @@ func (n *Node) measureVectorCtx(parent span.Context, pings int, timeout time.Dur
 		if math.IsInf(best, 1) {
 			if last, ok := n.lastKnownRTT(i); ok {
 				vec[i] = last
-				stale[i] = true
 				n.metrics.vectorFallback.Inc()
 				n.opt.logger.Debug("wire: landmark unreachable, using last known RTT",
 					"node", n.addr, "landmark", lm, "rtt_ms", last, "err", lastErr)
 				continue
 			}
-			return nil, nil, fmt.Errorf("wire: landmark %s unreachable: %w", lm, lastErr)
+			return nil, fmt.Errorf("wire: landmark %s unreachable: %w", lm, lastErr)
 		}
 		vec[i] = best
 		n.setLastKnownRTT(i, best)
 	}
-	return vec, stale, nil
+	return vec, nil
 }
 
 // lastKnownRTT returns the cached RTT for a landmark index, if any.
@@ -838,11 +754,7 @@ func normalizePeers(peers []string) []string {
 
 // ownerSlot maps a landmark number to its primary slot on a peer ring.
 func (n *Node) ownerSlot(peers []string, number uint64) int {
-	curve, err := n.cfg.curve()
-	if err != nil {
-		return 0
-	}
-	span := curve.MaxIndex() + 1
+	span := n.curve.MaxIndex() + 1
 	var slot uint64
 	if span == 0 { // full 64-bit curve
 		slot = number / (^uint64(0)/uint64(len(peers)) + 1)
@@ -976,16 +888,10 @@ func (n *Node) SetPeers(peers []string, timeout time.Duration) (uint64, error) {
 	n.mu.Unlock()
 	n.metrics.records.Set(float64(count))
 
+	// A moved record's new owners exclude this node by construction.
 	for _, rec := range moved {
-		for _, owner := range n.ownersOn(nr, rec.Number, n.opt.replication) {
-			if owner == n.addr {
-				continue
-			}
-			if err := n.store(owner, rec, timeout); err != nil {
-				n.opt.logger.Debug("wire: re-home store failed",
-					"node", n.addr, "owner", owner, "record", rec.Addr, "err", err)
-			}
-		}
+		n.toOwners(span.Context{}, n.ownersOn(nr, rec.Number, n.opt.replication),
+			Message{Type: MsgStore, Record: &rec}, timeout)
 		n.metrics.rehomed.Inc()
 	}
 
@@ -995,25 +901,40 @@ func (n *Node) SetPeers(peers []string, timeout time.Duration) (uint64, error) {
 		if !slices.Equal(oldOwners, newOwners) {
 			rec := *last
 			rec.ExpiresUnixMilli = time.Now().Add(n.ttl).UnixMilli()
-			for _, owner := range newOwners {
-				if err := n.store(owner, rec, timeout); err != nil {
-					n.opt.logger.Debug("wire: own-record republish failed",
-						"node", n.addr, "owner", owner, "err", err)
-				}
-			}
+			n.toOwners(span.Context{}, newOwners, Message{Type: MsgStore, Record: &rec}, timeout)
 			n.mu.Lock()
 			if n.lastRec != nil && n.lastRec.Addr == rec.Addr {
 				n.lastRec = &rec
 			}
 			n.mu.Unlock()
-			for _, owner := range oldOwners {
-				if in[owner] && !slices.Contains(newOwners, owner) {
-					_ = n.remove(owner, n.addr, timeout) // best effort; TTL reaps stragglers
-				}
-			}
+			// Best effort off the ex-owners still in the ring; TTL reaps stragglers.
+			exOwners := slices.DeleteFunc(oldOwners, func(o string) bool {
+				return !in[o] || slices.Contains(newOwners, o)
+			})
+			n.toOwners(span.Context{}, exOwners, Message{Type: MsgRemove, Addr: n.addr}, timeout)
 		}
 	}
 	return nr.epoch, nil
+}
+
+// toOwners sends req to each owner in turn under parent and returns how
+// many acknowledged and the last failure; each failure is debug-logged.
+// Every replica store and withdrawal leaves the node here (Publish,
+// Withdraw, SetPeers' re-home and own-record republish), so this is the
+// one place to make them concurrent.
+func (n *Node) toOwners(parent span.Context, owners []string, req Message, timeout time.Duration) (int, error) {
+	acked := 0
+	var lastErr error
+	for _, owner := range owners {
+		if _, _, err := n.rpc(parent, owner, req, timeout); err != nil {
+			lastErr = err
+			n.opt.logger.Debug("wire: owner rpc failed",
+				"node", n.addr, "op", req.Type, "owner", owner, "err", err)
+			continue
+		}
+		acked++
+	}
+	return acked, lastErr
 }
 
 // Replication returns the node's configured replication factor.
@@ -1023,42 +944,15 @@ func (n *Node) Replication() int { return n.opt.replication }
 // stores its record at the replication-factor nearest ring owners. It
 // succeeds if at least one replica is stored (soft-state heals the rest
 // on the next refresh) and returns the published record.
-func (n *Node) Publish(pings int, timeout time.Duration) (Record, error) {
+func (n *Node) Publish(pings int, timeout time.Duration) (rec Record, err error) {
 	root := n.opt.spans.StartRoot("publish")
-	rec, err := n.publish(root.Context(), pings, timeout)
-	root.Finish(span.Outcome(err), 0, err)
-	return rec, err
-}
-
-func (n *Node) publish(parent span.Context, pings int, timeout time.Duration) (Record, error) {
-	vec, _, err := n.measureVectorCtx(parent, pings, timeout)
-	if err != nil {
+	defer func() { root.Finish(span.Outcome(err), 0, err) }()
+	if rec, err = n.measureRecord(root.Context(), pings, timeout); err != nil {
 		return Record{}, err
 	}
-	num, err := n.cfg.Number(vec)
-	if err != nil {
-		return Record{}, err
-	}
-	rec := Record{
-		Addr:             n.addr,
-		Vector:           vec,
-		Number:           num,
-		ExpiresUnixMilli: time.Now().Add(n.ttl).UnixMilli(),
-	}
-	owners := n.OwnersOf(num, n.opt.replication)
-	stored := 0
-	var lastErr error
-	for _, owner := range owners {
-		if err := n.storeCtx(parent, owner, rec, timeout); err != nil {
-			lastErr = err
-			n.opt.logger.Debug("wire: replica store failed",
-				"node", n.addr, "owner", owner, "err", err)
-			continue
-		}
-		stored++
-	}
-	if stored == 0 {
-		return Record{}, fmt.Errorf("wire: publish: no owner of %d reachable: %w", num, lastErr)
+	owners := n.OwnersOf(rec.Number, n.opt.replication)
+	if stored, err := n.toOwners(root.Context(), owners, Message{Type: MsgStore, Record: &rec}, timeout); stored == 0 {
+		return Record{}, fmt.Errorf("wire: publish: no owner of %d reachable: %w", rec.Number, err)
 	}
 	n.mu.Lock()
 	n.lastRec = &rec
@@ -1071,39 +965,43 @@ func (n *Node) publish(parent span.Context, pings int, timeout time.Duration) (R
 // ring owner instead of storing synchronously. Delivery errors surface
 // through wire_batch_errors_total when the window flushes; measurement
 // errors still fail the call so the refresh loop counts them.
-func (n *Node) publishBatched(pings int, timeout time.Duration) (Record, error) {
+func (n *Node) publishBatched(pings int, timeout time.Duration) (rec Record, err error) {
 	// The measurement traces as its own root; delivery happens later in
 	// the batcher's flush, which roots a "publish-batch" trace per frame
 	// (one frame carries many nodes' records, so it cannot parent to any
 	// single publish).
 	root := n.opt.spans.StartRoot("publish-enqueue")
-	rec, err := n.publishBatchedCtx(root.Context(), pings, timeout)
-	root.Finish(span.Outcome(err), 0, err)
-	return rec, err
-}
-
-func (n *Node) publishBatchedCtx(parent span.Context, pings int, timeout time.Duration) (Record, error) {
-	vec, _, err := n.measureVectorCtx(parent, pings, timeout)
-	if err != nil {
+	defer func() { root.Finish(span.Outcome(err), 0, err) }()
+	if rec, err = n.measureRecord(root.Context(), pings, timeout); err != nil {
 		return Record{}, err
 	}
-	num, err := n.cfg.Number(vec)
-	if err != nil {
-		return Record{}, err
-	}
-	rec := Record{
-		Addr:             n.addr,
-		Vector:           vec,
-		Number:           num,
-		ExpiresUnixMilli: time.Now().Add(n.ttl).UnixMilli(),
-	}
-	for _, owner := range n.OwnersOf(num, n.opt.replication) {
+	for _, owner := range n.OwnersOf(rec.Number, n.opt.replication) {
 		n.batch.Enqueue(owner, rec)
 	}
 	n.mu.Lock()
 	n.lastRec = &rec
 	n.mu.Unlock()
 	return rec, nil
+}
+
+// measureRecord measures this node's landmark vector under parent and
+// builds its record: the vector's number, a TTL from now. Publish
+// stores it; FindNearest queries for the records nearest to it.
+func (n *Node) measureRecord(parent span.Context, pings int, timeout time.Duration) (Record, error) {
+	vec, err := n.measureVector(parent, pings, timeout)
+	if err != nil {
+		return Record{}, err
+	}
+	num, err := landmark.CurveNumber(n.curve, vec, n.cfg.MaxRTTMs)
+	if err != nil {
+		return Record{}, err
+	}
+	return Record{
+		Addr:             n.addr,
+		Vector:           vec,
+		Number:           num,
+		ExpiresUnixMilli: time.Now().Add(n.ttl).UnixMilli(),
+	}, nil
 }
 
 // Withdraw is the proactive departure of §5.2 on the wire: the node
@@ -1113,14 +1011,9 @@ func (n *Node) publishBatchedCtx(parent span.Context, pings int, timeout time.Du
 // published withdraws trivially (0, nil). Call before Close when shutting
 // down gracefully; crashed nodes skip it, which is exactly the case the
 // failure detector and takeover exist for.
-func (n *Node) Withdraw(timeout time.Duration) (int, error) {
+func (n *Node) Withdraw(timeout time.Duration) (removed int, err error) {
 	root := n.opt.spans.StartRoot("withdraw")
-	removed, err := n.withdraw(root.Context(), timeout)
-	root.Finish(span.Outcome(err), 0, err)
-	return removed, err
-}
-
-func (n *Node) withdraw(parent span.Context, timeout time.Duration) (int, error) {
+	defer func() { root.Finish(span.Outcome(err), 0, err) }()
 	// Flush pending batches first: a removal must not race a queued
 	// republish of the very record being withdrawn, and a drain must not
 	// silently drop other nodes' queued records either.
@@ -1134,19 +1027,8 @@ func (n *Node) withdraw(parent span.Context, timeout time.Duration) (int, error)
 		return 0, nil
 	}
 	owners := n.OwnersOf(rec.Number, n.opt.replication)
-	removed := 0
-	var lastErr error
-	for _, owner := range owners {
-		if err := n.removeCtx(parent, owner, n.addr, timeout); err != nil {
-			lastErr = err
-			n.opt.logger.Debug("wire: withdraw failed",
-				"node", n.addr, "owner", owner, "err", err)
-			continue
-		}
-		removed++
-	}
-	if removed == 0 {
-		return 0, fmt.Errorf("wire: withdraw: no owner reachable: %w", lastErr)
+	if removed, err = n.toOwners(root.Context(), owners, Message{Type: MsgRemove, Addr: n.addr}, timeout); removed == 0 {
+		return 0, fmt.Errorf("wire: withdraw: no owner reachable: %w", err)
 	}
 	return removed, nil
 }
@@ -1156,41 +1038,31 @@ func (n *Node) withdraw(parent span.Context, timeout time.Duration) (int, error)
 // closest responding peer and its measured RTT. The query fails over
 // down the owner list: a crashed primary's shard is served by the
 // replicas written at publish time.
-func (n *Node) FindNearest(budget int, timeout time.Duration) (string, time.Duration, error) {
+func (n *Node) FindNearest(budget int, timeout time.Duration) (addr string, rtt time.Duration, err error) {
 	root := n.opt.spans.StartRoot("find-nearest")
-	addr, rtt, err := n.findNearest(root.Context(), budget, timeout)
-	root.Finish(span.Outcome(err), 0, err)
-	return addr, rtt, err
-}
-
-func (n *Node) findNearest(parent span.Context, budget int, timeout time.Duration) (string, time.Duration, error) {
-	vec, _, err := n.measureVectorCtx(parent, 1, timeout)
+	defer func() { root.Finish(span.Outcome(err), 0, err) }()
+	parent := root.Context()
+	self, err := n.measureRecord(parent, 1, timeout)
 	if err != nil {
 		return "", 0, err
 	}
-	num, err := n.cfg.Number(vec)
-	if err != nil {
-		return "", 0, err
-	}
-	owners := n.OwnersOf(num, n.opt.replication)
-	var recs []Record
-	var qerr error
+	owners := n.OwnersOf(self.Number, n.opt.replication)
+	var resp Message
 	for i, owner := range owners {
-		recs, qerr = n.queryCtx(parent, owner, num, 3*budget, timeout)
-		if qerr == nil {
+		if resp, _, err = n.rpc(parent, owner, Message{Type: MsgQuery, Number: self.Number, Max: 3 * budget}, timeout); err == nil {
 			if i > 0 {
 				n.metrics.failover.Inc()
 			}
 			break
 		}
 		n.opt.logger.Debug("wire: owner query failed",
-			"node", n.addr, "owner", owner, "err", qerr)
+			"node", n.addr, "owner", owner, "err", err)
 	}
-	if qerr != nil {
-		return "", 0, fmt.Errorf("wire: all %d owners unreachable: %w", len(owners), qerr)
+	if err != nil {
+		return "", 0, fmt.Errorf("wire: all %d owners unreachable: %w", len(owners), err)
 	}
-	addr, rtt, _ := pickNearest(n.addr, vec, recs, budget, func(addr string) (time.Duration, error) {
-		return n.pingCtx(parent, addr, timeout)
+	addr, rtt, _ = pickNearest(n.addr, self.Vector, resp.Records, budget, func(addr string) (time.Duration, error) {
+		return n.ping(parent, addr, timeout)
 	})
 	if addr == "" {
 		return "", 0, errors.New("wire: no reachable candidates")

@@ -28,7 +28,7 @@ func TestStartRefreshKeepsRecordAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := call(target.OwnerOf(num), Message{Type: MsgQuery, Number: num, Max: 16}, MsgRecords, testTimeout)
+	resp, err := call(target.OwnerOf(num), Message{Type: MsgQuery, Number: num, Max: 16}, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestWithoutRefreshRecordExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(150 * time.Millisecond)
-	resp, err := call(target.OwnerOf(rec.Number), Message{Type: MsgQuery, Number: rec.Number, Max: 16}, MsgRecords, testTimeout)
+	resp, err := call(target.OwnerOf(rec.Number), Message{Type: MsgQuery, Number: rec.Number, Max: 16}, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

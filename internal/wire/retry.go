@@ -115,13 +115,6 @@ type breaker struct {
 	threshold int
 	cooldown  time.Duration
 	gauge     *obs.Gauge // wire_breaker_state{peer}; may be nil in tests
-	peer      string
-	// sink observes open/close transitions (open=true on trip, false on
-	// recovery). It is the wire layer's live-mode failure-detection feed:
-	// deployments forward trips as suspicion signals (the analogue of
-	// core.SuspectMember). Called under the breaker's lock — keep it fast
-	// and never call back into the breaker.
-	sink func(peer string, open bool)
 
 	mu    sync.Mutex
 	state int
@@ -177,13 +170,9 @@ func (b *breaker) failure(now time.Time) {
 }
 
 func (b *breaker) set(state int) {
-	prev := b.state
 	b.state = state
 	if b.gauge != nil {
 		b.gauge.Set(float64(state))
-	}
-	if b.sink != nil && (prev == breakerOpen) != (state == breakerOpen) {
-		b.sink(b.peer, state == breakerOpen)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"gsso/internal/obs/span"
 )
 
 func TestRetryPolicyDelayJitterAndCap(t *testing.T) {
@@ -142,11 +144,11 @@ func TestNodeBreakerTripsAndRecovers(t *testing.T) {
 	dead := "127.0.0.1:1"
 
 	for i := 0; i < 2; i++ {
-		if err := n.store(dead, Record{Addr: "x"}, 200*time.Millisecond); err == nil {
+		if _, _, err := n.rpc(span.Context{}, dead, Message{Type: MsgStore, Record: &Record{Addr: "x"}}, 200*time.Millisecond); err == nil {
 			t.Fatal("store to dead peer succeeded")
 		}
 	}
-	if err := n.store(dead, Record{Addr: "x"}, 200*time.Millisecond); !errors.Is(err, errBreakerOpen) {
+	if _, _, err := n.rpc(span.Context{}, dead, Message{Type: MsgStore, Record: &Record{Addr: "x"}}, 200*time.Millisecond); !errors.Is(err, errBreakerOpen) {
 		t.Fatalf("tripped breaker did not fail fast: %v", err)
 	}
 	if v, ok := n.Registry().Snapshot().Value("wire_breaker_state", dead); !ok || v != breakerOpen {
@@ -169,7 +171,7 @@ func TestRetriesMetricCounted(t *testing.T) {
 	nodes := cluster(t, 2, 1)
 	n := nodes[0]
 	n.opt.retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	if err := n.store("127.0.0.1:1", Record{Addr: "x"}, 100*time.Millisecond); err == nil {
+	if _, _, err := n.rpc(span.Context{}, "127.0.0.1:1", Message{Type: MsgStore, Record: &Record{Addr: "x"}}, 100*time.Millisecond); err == nil {
 		t.Fatal("store to dead peer succeeded")
 	}
 	if v, _ := n.Registry().Snapshot().Value("wire_retries_total", "store"); v != 2 {

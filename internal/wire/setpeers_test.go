@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gsso/internal/obs/span"
 )
 
 // waitFor polls cond every millisecond until it holds or the deadline
@@ -98,7 +100,7 @@ func TestSetPeersSwapsRingAndRehomes(t *testing.T) {
 	}
 
 	// The membership RPC reports the new ring.
-	resp, err := call(addrs[0], Message{Type: MsgPeers}, MsgPeersReply, testTimeout)
+	resp, err := call(addrs[0], Message{Type: MsgPeers}, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestSetPeersEvictsRemovedPeer(t *testing.T) {
 		addrs[i] = nd.Addr()
 	}
 	gone := addrs[2]
-	if _, err := nodes[0].ping(gone, testTimeout); err != nil {
+	if _, err := nodes[0].ping(span.Context{}, gone, testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if nodes[0].tr.Open(gone) == 0 {
@@ -192,8 +194,10 @@ func TestSetPeersConcurrentHammer(t *testing.T) {
 	work(func() { _, _ = nodes[1].publishBatched(1, 50*time.Millisecond) })
 	// Queries and pings keep the transport pools and breakers hot,
 	// including against the address being evicted.
-	work(func() { _, _ = nodes[2].query(addrs[5], 42, 4, 50*time.Millisecond) })
-	work(func() { _, _ = nodes[3].ping(addrs[5], 50*time.Millisecond) })
+	work(func() {
+		_, _, _ = nodes[2].rpc(span.Context{}, addrs[5], Message{Type: MsgQuery, Number: 42, Max: 4}, 50*time.Millisecond)
+	})
+	work(func() { _, _ = nodes[3].ping(span.Context{}, addrs[5], 50*time.Millisecond) })
 	// Breaker churn racing the swap's breaker deletion.
 	work(func() { nodes[0].breakerFor(addrs[5]).failure(time.Now()) })
 

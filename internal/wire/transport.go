@@ -66,8 +66,9 @@ var errTransportClosed = errors.New("wire: transport closed")
 
 // RoundTrip sends req to addr on a pooled connection and returns the
 // matching response. req.Seq is assigned by the transport; the caller's
-// value is ignored. Remote MsgError responses return a permanent error
-// alongside the response: retrying the identical request cannot help.
+// value is ignored. A remote MsgError, or any reply other than the one
+// replyType pairs with the request, returns a permanent error alongside
+// the response: retrying the identical request cannot help.
 func (t *Transport) RoundTrip(addr string, req Message, timeout time.Duration) (Message, error) {
 	resp, _, err := t.roundTripRTT(addr, req, timeout)
 	return resp, err
@@ -75,8 +76,8 @@ func (t *Transport) RoundTrip(addr string, req Message, timeout time.Duration) (
 
 // roundTripRTT is RoundTrip plus the request's wire round-trip time,
 // measured from frame write to response arrival on the established
-// connection — dial cost, when a dial was needed, is excluded. Ping uses
-// this so landmark vectors keep reflecting true network RTT.
+// connection — dial cost, when a dial was needed, is excluded. Node.rpc
+// uses this, so landmark vectors keep reflecting true network RTT.
 func (t *Transport) roundTripRTT(addr string, req Message, timeout time.Duration) (Message, time.Duration, error) {
 	pc, err := t.get(addr, timeout)
 	if err != nil {
@@ -305,6 +306,9 @@ func (p *pconn) do(req Message, timeout time.Duration) (Message, time.Duration, 
 		}
 		if resp.Seq != req.Seq {
 			return resp, rtt, permanent(fmt.Errorf("wire: response seq %d for request %d", resp.Seq, req.Seq))
+		}
+		if resp.Type != replyType[req.Type] {
+			return resp, rtt, permanent(fmt.Errorf("wire: unexpected response %q to %s", resp.Type, req.Type))
 		}
 		return resp, rtt, nil
 	case <-timer.C:

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gsso/internal/obs/span"
 )
 
 // testPair starts a plain server and client node for transport tests.
@@ -39,7 +41,7 @@ func TestTransportReusesConnections(t *testing.T) {
 	server, client := testPair(t)
 	const calls = 50
 	for i := 0; i < calls; i++ {
-		if _, err := client.ping(server.Addr(), time.Second); err != nil {
+		if _, err := client.ping(span.Context{}, server.Addr(), time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +80,7 @@ func TestTransportMultiplexesOneConnection(t *testing.T) {
 	const records = 32
 	for i := 0; i < records; i++ {
 		rec := Record{Addr: fmt.Sprintf("r%d:1", i), Number: uint64(i * 1000), ExpiresUnixMilli: exp}
-		if _, err := call(server.Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, time.Second); err != nil {
+		if _, err := call(server.Addr(), Message{Type: MsgStore, Record: &rec}, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +90,8 @@ func TestTransportMultiplexesOneConnection(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			recs, err := client.query(server.Addr(), uint64(i*1000), 1, 2*time.Second)
+			resp, _, err := client.rpc(span.Context{}, server.Addr(), Message{Type: MsgQuery, Number: uint64(i * 1000), Max: 1}, 2*time.Second)
+			recs := resp.Records
 			if err != nil {
 				errc <- err
 				return
@@ -125,7 +128,7 @@ func TestBreakerOpenEvictsPool(t *testing.T) {
 	defer client.Close()
 	addr := server.Addr()
 
-	if _, err := client.ping(addr, time.Second); err != nil {
+	if _, err := client.ping(span.Context{}, addr, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if client.tr.Open(addr) == 0 {
@@ -137,7 +140,7 @@ func TestBreakerOpenEvictsPool(t *testing.T) {
 	// Two failed calls trip the threshold-2 breaker; the open transition
 	// must evict whatever the pool still holds.
 	for i := 0; i < 2; i++ {
-		if _, err := client.ping(addr, 200*time.Millisecond); err == nil {
+		if _, err := client.ping(span.Context{}, addr, 200*time.Millisecond); err == nil {
 			t.Fatal("ping to closed server succeeded")
 		}
 	}
@@ -149,7 +152,7 @@ func TestBreakerOpenEvictsPool(t *testing.T) {
 	}
 	// While open, calls fail fast without dialing.
 	dials := metric(t, client, "wire_conn_dials_total")
-	if _, err := client.ping(addr, time.Second); !errors.Is(err, errBreakerOpen) {
+	if _, err := client.ping(span.Context{}, addr, time.Second); !errors.Is(err, errBreakerOpen) {
 		t.Fatalf("ping with open breaker = %v, want breaker-open", err)
 	}
 	if after := metric(t, client, "wire_conn_dials_total"); after != dials {
@@ -161,7 +164,7 @@ func TestBreakerOpenEvictsPool(t *testing.T) {
 // instead of dialing.
 func TestTransportClosedRejectsCalls(t *testing.T) {
 	server, client := testPair(t)
-	if _, err := client.ping(server.Addr(), time.Second); err != nil {
+	if _, err := client.ping(span.Context{}, server.Addr(), time.Second); err != nil {
 		t.Fatal(err)
 	}
 	client.tr.Close()
@@ -204,7 +207,7 @@ func TestTransportRaceHammer(t *testing.T) {
 	const records = 16
 	for i := 0; i < records; i++ {
 		rec := Record{Addr: fmt.Sprintf("r%d:1", i), Number: uint64(i * 1000), ExpiresUnixMilli: exp}
-		if _, err := call(steady.Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, time.Second); err != nil {
+		if _, err := call(steady.Addr(), Message{Type: MsgStore, Record: &rec}, time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +226,8 @@ func TestTransportRaceHammer(t *testing.T) {
 				default:
 				}
 				want := (g*7 + i) % records
-				recs, err := client.query(steady.Addr(), uint64(want*1000), 1, time.Second)
+				resp, _, err := client.rpc(span.Context{}, steady.Addr(), Message{Type: MsgQuery, Number: uint64(want * 1000), Max: 1}, time.Second)
+				recs := resp.Records
 				if err != nil {
 					continue // transient: pool churn from the flaky peer's failures
 				}
@@ -234,7 +238,7 @@ func TestTransportRaceHammer(t *testing.T) {
 				// Calls to the flaky peer fail and trip the breaker while
 				// it is down; that must never corrupt the steady peer's
 				// multiplexing above.
-				_, _ = client.ping(flakyAddr, 50*time.Millisecond)
+				_, _ = client.ping(span.Context{}, flakyAddr, 50*time.Millisecond)
 			}
 		}(g)
 	}
@@ -274,7 +278,7 @@ func TestTransportRaceHammer(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// And the steady peer kept its pool healthy throughout.
-	if _, err := client.ping(steady.Addr(), time.Second); err != nil {
+	if _, err := client.ping(span.Context{}, steady.Addr(), time.Second); err != nil {
 		t.Fatalf("steady peer unreachable after the storm: %v", err)
 	}
 }

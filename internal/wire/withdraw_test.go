@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"gsso/internal/obs/span"
 )
 
 func TestRemoveMessageRoundTrip(t *testing.T) {
@@ -31,13 +33,13 @@ func TestRemoveDeletesStoredRecord(t *testing.T) {
 		Number:           500,
 		ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli(),
 	}
-	if _, err := call(nodes[0].Addr(), Message{Type: MsgStore, Record: &rec}, MsgStored, testTimeout); err != nil {
+	if _, err := call(nodes[0].Addr(), Message{Type: MsgStore, Record: &rec}, testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if nodes[0].RecordCount() != 1 {
 		t.Fatal("record not stored")
 	}
-	if _, err := call(nodes[0].Addr(), Message{Type: MsgRemove, Addr: rec.Addr}, MsgRemoved, testTimeout); err != nil {
+	if _, err := call(nodes[0].Addr(), Message{Type: MsgRemove, Addr: rec.Addr}, testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	if nodes[0].RecordCount() != 0 {
@@ -45,7 +47,7 @@ func TestRemoveDeletesStoredRecord(t *testing.T) {
 	}
 	// Removing an absent record is an acknowledged no-op, not an error —
 	// withdrawals race with TTL expiry and must stay idempotent.
-	if _, err := call(nodes[0].Addr(), Message{Type: MsgRemove, Addr: rec.Addr}, MsgRemoved, testTimeout); err != nil {
+	if _, err := call(nodes[0].Addr(), Message{Type: MsgRemove, Addr: rec.Addr}, testTimeout); err != nil {
 		t.Fatalf("second remove: %v", err)
 	}
 }
@@ -70,7 +72,7 @@ func TestWithdrawAfterPublish(t *testing.T) {
 	if len(owners) == 0 {
 		t.Fatal("no owners")
 	}
-	resp, err := call(owners[0], Message{Type: MsgQuery, Number: rec.Number, Max: 10}, MsgRecords, testTimeout)
+	resp, err := call(owners[0], Message{Type: MsgQuery, Number: rec.Number, Max: 10}, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestWithdrawAfterPublish(t *testing.T) {
 	if acked == 0 {
 		t.Fatal("no owner acknowledged the withdrawal")
 	}
-	resp, err = call(owners[0], Message{Type: MsgQuery, Number: rec.Number, Max: 10}, MsgRecords, testTimeout)
+	resp, err = call(owners[0], Message{Type: MsgQuery, Number: rec.Number, Max: 10}, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +143,11 @@ func TestBatchPartialFailureReportsPerRecordErrors(t *testing.T) {
 		{Addr: "good:1", Number: 42, ExpiresUnixMilli: exp},
 		{Number: 43, ExpiresUnixMilli: exp}, // no addr: unstorable
 	}
-	errs, err := nodes[1].sendBatch(nodes[0].Addr(), recs, testTimeout)
+	resp, _, err := nodes[1].rpc(span.Context{}, nodes[0].Addr(), Message{Type: MsgPublishBatch, Records: recs}, testTimeout)
 	if err != nil {
-		t.Fatalf("sendBatch failed outright: %v", err)
+		t.Fatalf("publish-batch failed outright: %v", err)
 	}
+	errs := resp.Errs
 	if len(errs) != len(recs) {
 		t.Fatalf("got %d per-record errors for %d records", len(errs), len(recs))
 	}
@@ -159,14 +162,14 @@ func TestBatchPartialFailureReportsPerRecordErrors(t *testing.T) {
 	}
 
 	// A fully-storable batch acks with no per-record errors at all.
-	errs, err = nodes[1].sendBatch(nodes[0].Addr(), []Record{
+	resp, _, err = nodes[1].rpc(span.Context{}, nodes[0].Addr(), Message{Type: MsgPublishBatch, Records: []Record{
 		{Addr: "also-good:1", Number: 44, ExpiresUnixMilli: exp},
-	}, testTimeout)
+	}}, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(errs) != 0 {
-		t.Fatalf("clean batch returned errors: %v", errs)
+	if len(resp.Errs) != 0 {
+		t.Fatalf("clean batch returned errors: %v", resp.Errs)
 	}
 }
 
@@ -222,60 +225,5 @@ func TestCloseFlushesPendingBatch(t *testing.T) {
 	}
 	if got := owner.RecordCount(); got == 0 {
 		t.Fatal("queued records lost on close")
-	}
-}
-
-// TestBreakerSinkTransitions pins the detector feed: the sink fires
-// exactly on open↔non-open transitions, not on every state change, so a
-// core.SuspectMember wired through wire.WithBreakerSink sees one signal
-// per outage, and one recovery.
-func TestBreakerSinkTransitions(t *testing.T) {
-	type event struct {
-		peer string
-		open bool
-	}
-	var events []event
-	b := newBreaker(2, 50*time.Millisecond, nil)
-	b.peer = "10.0.0.1:7"
-	b.sink = func(peer string, open bool) { events = append(events, event{peer, open}) }
-	now := time.Now()
-
-	b.failure(now)
-	if len(events) != 0 {
-		t.Fatalf("sink fired below threshold: %v", events)
-	}
-	b.failure(now) // trips
-	b.failure(now) // already open: no second event
-	if len(events) != 1 || !events[0].open || events[0].peer != "10.0.0.1:7" {
-		t.Fatalf("events after trip = %v", events)
-	}
-
-	// Half-open is not a recovery: the probe allowance must not fire the
-	// sink until the probe actually succeeds.
-	later := now.Add(60 * time.Millisecond)
-	if !b.allow(later) {
-		t.Fatal("no half-open probe")
-	}
-	if len(events) != 2 || events[1].open {
-		t.Fatalf("half-open transition not reported as recovery: %v", events)
-	}
-	// Failed probe re-opens: that IS a new outage signal.
-	b.failure(later)
-	if len(events) != 3 || !events[2].open {
-		t.Fatalf("re-open not reported: %v", events)
-	}
-	// Successful probe after another cooldown closes for good. The
-	// recovery was already reported at the half-open transition;
-	// half-open → closed is non-open → non-open and stays silent.
-	relater := later.Add(60 * time.Millisecond)
-	if !b.allow(relater) {
-		t.Fatal("no second probe")
-	}
-	if len(events) != 4 || events[3].open {
-		t.Fatalf("events after second probe = %v", events)
-	}
-	b.success()
-	if len(events) != 4 {
-		t.Fatalf("closing fired a duplicate recovery: %v", events)
 	}
 }
