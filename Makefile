@@ -1,6 +1,6 @@
 # Developer conveniences; everything is plain `go` underneath.
 
-.PHONY: all build vet test race check fmt-check bench-module soak e2e bench mon-smoke results quick-results examples lines clean
+.PHONY: all build vet test race check fmt-check bench-module soak e2e bench bench-build mon-smoke results quick-results examples lines clean
 
 # Worker-pool width for the experiment engine; override with `make J=8 results`.
 J ?= $(shell nproc 2>/dev/null || echo 1)
@@ -61,6 +61,12 @@ soak:
 # One testing.B benchmark per paper table/figure, plus package micro-benches.
 bench:
 	go test -bench=. -benchmem ./...
+
+# The 10^5-host world build path layer by layer: CAN joins and topology
+# generation, ns/op and allocs/op, five samples each.
+bench-build:
+	go test -run '^$$' -bench '^(BenchmarkJoinRandom100k|BenchmarkGenerateSizedWide100k)$$' \
+	  -benchmem -count 5 ./internal/can ./internal/topology
 
 # Live-process chaos gate: boot a real overlayd fleet under
 # cmd/overlayctl's supervisor (internal/cluster), every inter-node link

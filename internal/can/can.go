@@ -13,6 +13,12 @@
 // tree, derived when first asked for and memoized per leaf until the next
 // join or departure.
 //
+// Splits are dyadic midpoints, so the first decisions on a point's path
+// are the bit-interleaved (Z-order) prefix of its coordinates: a prefix
+// directory indexed by them starts every point and path descent a few
+// levels above the leaves. Zones and members live in blocks that make no
+// heap object per member (DESIGN §5c).
+//
 // Overlays are not safe for concurrent mutation; concurrent readers are
 // fine once construction settles.
 package can
@@ -21,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -187,14 +194,15 @@ func (m *Member) String() string {
 }
 
 // zone is a node of the binary split tree. Internal zones have exactly two
-// children; leaf zones have a member (nil only for an empty overlay root).
+// children, one pair from the overlay's blocks; leaf zones have a member
+// (nil only for an empty overlay root).
 type zone struct {
 	// What leafAt reads per level comes first and shares a cache line; the
 	// midpoint is kept rather than recomputed from lo and hi, whose
 	// coordinates live in two more.
-	children [2]*zone
-	splitDim int     // dimension split at this node (internal zones)
-	splitAt  float64 // midpoint of the split (internal zones)
+	kids     *[2]zone // nil for a leaf
+	splitDim int      // dimension split at this node (internal zones)
+	splitAt  float64  // midpoint of the split (internal zones)
 	path     Path
 	lo, hi   Point
 	member   *Member
@@ -209,7 +217,7 @@ type nbMemo struct {
 	list []*zone
 }
 
-func (z *zone) isLeaf() bool { return z.children[0] == nil }
+func (z *zone) isLeaf() bool { return z.kids == nil }
 
 // pathLess is the canonical order on zone paths: by bits, then length.
 // Leaf paths are prefix-free, so among leaves the bits alone decide.
@@ -243,6 +251,118 @@ type Overlay struct {
 	root *zone
 	size int    // leaves that have a member
 	gen  uint64 // bumped by every structural change; dates neighbor memos
+
+	// dir is the prefix directory: dir[x] is the deepest zone of depth at
+	// most dirDepth on the path whose first dirDepth decisions are x (the
+	// first decision is the most significant bit). Descents start there.
+	dir      []*zone
+	dirDepth int
+
+	// Zone pairs, members and their coordinates come from blocks whose
+	// pointers never move; pairs merged away wait in free for the next
+	// splits. Members are never reused: callers may hold a departed one.
+	pairs   blocks[[2]zone]
+	members blocks[Member]
+	floats  blocks[float64] // join points, and each fresh pair's two corners
+	free    []*[2]zone
+}
+
+// blocks hands out elements of T from arrays it never grows in place, so a
+// pointer to an element stays valid for the overlay's lifetime (unlike an
+// arena.Arena, whose slice moves as it grows). Each new block holds an
+// eighth of everything handed out before it, at least minBlock: n elements
+// take O(log n) blocks, at most an eighth of them spare, and a small
+// overlay makes a few small ones.
+type blocks[T any] struct {
+	cur   []T // the newest block; its length is what has been handed out
+	total int // elements handed out from every block
+	count int // blocks made
+}
+
+// minBlock is the element count of an overlay's first block of each kind.
+const minBlock = 16
+
+// take returns n fresh zeroed elements, capacity-clipped so appending to
+// them cannot reach a neighbour's.
+func (b *blocks[T]) take(n int) []T {
+	if cap(b.cur)-len(b.cur) < n {
+		b.cur = make([]T, 0, max(minBlock, b.total/8, n))
+		b.count++
+	}
+	i := len(b.cur)
+	b.cur = b.cur[:i+n]
+	b.total += n
+	return b.cur[i : i+n : i+n]
+}
+
+// maxDirDepth caps the directory depth so no dimension is split more than
+// 52 times within it: dirIndex reads 52 fractional bits per coordinate.
+const maxDirDepth = 52
+
+// dirDepthFor is the directory depth an overlay of n members wants: about
+// log2(n) - 3, so the directory holds one entry per eight members or fewer
+// and descents start a few levels above the leaves.
+func dirDepthFor(n int) int {
+	return min(max(bits.Len(uint(n))-4, 0), maxDirDepth)
+}
+
+// resizeDir rebuilds the directory when the overlay has outgrown its depth,
+// or shrunk to well below it (the slack keeps a size that wobbles around a
+// power of two from rebuilding on every join and departure).
+func (o *Overlay) resizeDir() {
+	d := dirDepthFor(o.size)
+	if d <= o.dirDepth && d+1 >= o.dirDepth {
+		return
+	}
+	o.dirDepth = d
+	o.dir = make([]*zone, 1<<d)
+	o.fillDir(o.root)
+}
+
+// fillDir points every directory slot under z at the deepest zone of depth
+// at most dirDepth on its path.
+func (o *Overlay) fillDir(z *zone) {
+	if z.isLeaf() || z.path.Len == o.dirDepth {
+		o.refill(z)
+		return
+	}
+	o.fillDir(&z.kids[0])
+	o.fillDir(&z.kids[1])
+}
+
+// refill points the directory slots on z's path at z, if z is no deeper
+// than the directory; a split refills with each child, a merge with the
+// parent. Path bits beyond Len are zero, so z's slots start at its bits.
+func (o *Overlay) refill(z *zone) {
+	if z.path.Len > o.dirDepth {
+		return
+	}
+	first := z.path.Bits >> (64 - o.dirDepth)
+	slots := o.dir[first : first+1<<(o.dirDepth-z.path.Len)]
+	for i := range slots {
+		slots[i] = z
+	}
+}
+
+// dirIndex returns the directory slot of the leaf containing p: the first
+// dirDepth decisions of a root descent. Decision i splits dimension
+// k = i mod dim for the j = i/dim-th time, at the dyadic midpoint of an
+// interval of width 2^-j, so it goes right exactly when bit 51-j of
+// floor(p[k]*2^52) is set (DESIGN §5c).
+func (o *Overlay) dirIndex(p Point) uint64 {
+	var u [16]uint64
+	for k := range p {
+		u[k] = uint64(p[k] * (1 << 52))
+	}
+	x := uint64(0)
+	k, shift := 0, 51
+	for i := 0; i < o.dirDepth; i++ {
+		x = x<<1 | u[k]>>shift&1
+		if k++; k == o.dim {
+			k, shift = 0, shift-1
+		}
+	}
+	return x
 }
 
 // New returns an empty CAN of the given dimensionality.
@@ -255,7 +375,8 @@ func New(dim int) (*Overlay, error) {
 	for i := range hi {
 		hi[i] = 1
 	}
-	return &Overlay{dim: dim, root: &zone{lo: lo, hi: hi}}, nil
+	root := &zone{lo: lo, hi: hi}
+	return &Overlay{dim: dim, root: root, dir: []*zone{root}}, nil
 }
 
 // Dim returns the overlay dimensionality.
@@ -279,8 +400,8 @@ func (o *Overlay) Members() []*Member {
 // appendMembers appends the members under z in zone-path order.
 func appendMembers(out []*Member, z *zone) []*Member {
 	for !z.isLeaf() {
-		out = appendMembers(out, z.children[0])
-		z = z.children[1]
+		out = appendMembers(out, &z.kids[0])
+		z = &z.kids[1]
 	}
 	if z.member != nil {
 		out = append(out, z.member)
@@ -288,14 +409,16 @@ func appendMembers(out []*Member, z *zone) []*Member {
 	return out
 }
 
-// leafAt descends to the leaf zone containing p.
-func (o *Overlay) leafAt(p Point) *zone {
-	z := o.root
+// leafAt descends to the leaf zone containing p, from its directory slot.
+func (o *Overlay) leafAt(p Point) *zone { return descend(o.dir[o.dirIndex(p)], p) }
+
+// descend walks from z to the leaf below it that contains p.
+func descend(z *zone, p Point) *zone {
 	for !z.isLeaf() {
 		if p[z.splitDim] < z.splitAt {
-			z = z.children[0]
+			z = &z.kids[0]
 		} else {
-			z = z.children[1]
+			z = &z.kids[1]
 		}
 	}
 	return z
@@ -325,23 +448,35 @@ func (o *Overlay) Join(host topology.NodeID, p Point) (*Member, error) {
 	if !p.Valid(o.dim) {
 		return nil, fmt.Errorf("can: invalid join point %v for dim %d", p, o.dim)
 	}
-	return o.join(host, append(Point(nil), p...))
+	q := o.newPoint()
+	copy(q, p)
+	return o.join(host, q)
 }
 
-// JoinRandom joins host at a uniformly random point.
+// JoinRandom joins host at a uniformly random point, drawn as RandomPoint
+// draws it.
 func (o *Overlay) JoinRandom(host topology.NodeID, rng *simrand.Source) (*Member, error) {
-	return o.join(host, RandomPoint(o.dim, rng))
+	p := o.newPoint()
+	for i := range p {
+		p[i] = rng.Float64()
+	}
+	return o.join(host, p)
 }
+
+// newPoint returns a zeroed point from the overlay's blocks.
+func (o *Overlay) newPoint() Point { return o.floats.take(o.dim) }
 
 // join is Join for a valid point the member may keep as its JoinPoint.
 func (o *Overlay) join(host topology.NodeID, p Point) (*Member, error) {
-	m := &Member{Host: host, JoinPoint: p, owner: o}
+	m := &o.members.take(1)[0]
+	m.Host, m.JoinPoint, m.owner = host, p, o
 	leaf := o.leafAt(p)
 	if leaf.member == nil {
 		// First member adopts the whole space.
 		leaf.member = m
 		m.leaf = leaf
 		o.size++
+		o.resizeDir()
 		return m, nil
 	}
 	if leaf.path.Len >= MaxDepth {
@@ -361,31 +496,48 @@ func (o *Overlay) join(host topology.NodeID, p Point) (*Member, error) {
 	oldSide.member = old
 	old.leaf = oldSide
 	o.size++
+	o.resizeDir()
 	return m, nil
 }
 
 // split turns leaf into an internal zone with two children along dimension
-// depth mod d. Both children come from one allocation, and the two corners
-// they do not share with leaf from another.
+// depth mod d, and refills the directory slots the children now own.
 func (o *Overlay) split(leaf *zone) (left, right *zone) {
 	k := leaf.path.Len % o.dim
 	mid := (leaf.lo[k] + leaf.hi[k]) / 2
 
-	pair := new([2]zone)
+	pair := o.newPair()
 	left, right = &pair[0], &pair[1]
-	corners := make(Point, 2*o.dim)
-	lhi, rlo := corners[:o.dim:o.dim], corners[o.dim:]
+	// The corners the children do not share with leaf are the pair's own.
+	lhi, rlo := left.hi, right.lo
 	copy(lhi, leaf.hi)
 	lhi[k] = mid
 	copy(rlo, leaf.lo)
 	rlo[k] = mid
-	left.path, left.lo, left.hi = leaf.path.child(0), leaf.lo, lhi
-	right.path, right.lo, right.hi = leaf.path.child(1), rlo, leaf.hi
+	left.path, left.lo = leaf.path.child(0), leaf.lo
+	right.path, right.hi = leaf.path.child(1), leaf.hi
 
 	leaf.splitDim = k
 	leaf.splitAt = mid
-	leaf.children = [2]*zone{left, right}
+	leaf.kids = pair
+	o.refill(left)
+	o.refill(right)
 	return left, right
+}
+
+// newPair returns a pair of leaf zones with no member, each owning the one
+// corner it does not share with its parent: a merged-away pair if there is
+// one, else a fresh pair with corners from the float blocks.
+func (o *Overlay) newPair() *[2]zone {
+	if n := len(o.free); n > 0 {
+		pair := o.free[n-1]
+		o.free = o.free[:n-1]
+		return pair
+	}
+	pair := &o.pairs.take(1)[0]
+	c := o.floats.take(2 * o.dim)
+	pair[0].hi, pair[1].lo = c[:o.dim:o.dim], c[o.dim:]
+	return pair
 }
 
 // Depart removes member m, handing its zone over per the CAN departure
@@ -440,6 +592,7 @@ func (o *Overlay) takeover(m *Member, avoid func(*Member) bool) (Handover, error
 	}
 	o.size--
 	o.gen++
+	defer o.resizeDir()
 	leaf := m.leaf
 	m.leaf, m.owner = nil, nil
 	if leaf == o.root {
@@ -447,9 +600,9 @@ func (o *Overlay) takeover(m *Member, avoid func(*Member) bool) (Handover, error
 		return Handover{}, nil
 	}
 	parent := o.parentOf(leaf)
-	sibling := parent.children[0]
+	sibling := &parent.kids[0]
 	if sibling == leaf {
-		sibling = parent.children[1]
+		sibling = &parent.kids[1]
 	}
 	if sibling.isLeaf() {
 		succ := sibling.member
@@ -458,8 +611,8 @@ func (o *Overlay) takeover(m *Member, avoid func(*Member) bool) (Handover, error
 	}
 	// Relocate the owner of one leaf of a sibling-leaf pair.
 	pairParent := pickLeafPair(sibling, avoid)
-	mover := pairParent.children[0].member
-	survivor := pairParent.children[1].member
+	mover := pairParent.kids[0].member
+	survivor := pairParent.kids[1].member
 	if avoid != nil && avoid(mover) && !avoid(survivor) {
 		// The successor inherits m's zone; prefer a live one.
 		mover, survivor = survivor, mover
@@ -474,7 +627,7 @@ func (o *Overlay) takeover(m *Member, avoid func(*Member) bool) (Handover, error
 func (o *Overlay) parentOf(z *zone) *zone {
 	cur := o.root
 	for {
-		next := cur.children[z.path.Bit(cur.path.Len)]
+		next := &cur.kids[z.path.Bit(cur.path.Len)]
 		if next == z {
 			return cur
 		}
@@ -500,12 +653,12 @@ func pickLeafPair(z *zone, avoid func(*Member) bool) *zone {
 		if z.isLeaf() {
 			return
 		}
-		if z.children[0].isLeaf() && z.children[1].isLeaf() {
+		if z.kids[0].isLeaf() && z.kids[1].isLeaf() {
 			score := 0
-			if !avoid(z.children[0].member) {
+			if !avoid(z.kids[0].member) {
 				score++
 			}
-			if !avoid(z.children[1].member) {
+			if !avoid(z.kids[1].member) {
 				score++
 			}
 			if score > bestScore {
@@ -513,8 +666,8 @@ func pickLeafPair(z *zone, avoid func(*Member) bool) *zone {
 			}
 			return
 		}
-		walk(z.children[0])
-		walk(z.children[1])
+		walk(&z.kids[0])
+		walk(&z.kids[1])
 	}
 	walk(z)
 	return best
@@ -524,12 +677,12 @@ func pickLeafPair(z *zone, avoid func(*Member) bool) *zone {
 // leaves, found by walking toward internal children.
 func deepestLeafPair(z *zone) *zone {
 	for {
-		if !z.children[0].isLeaf() {
-			z = z.children[0]
+		if !z.kids[0].isLeaf() {
+			z = &z.kids[0]
 			continue
 		}
-		if !z.children[1].isLeaf() {
-			z = z.children[1]
+		if !z.kids[1].isLeaf() {
+			z = &z.kids[1]
 			continue
 		}
 		return z
@@ -538,11 +691,19 @@ func deepestLeafPair(z *zone) *zone {
 
 // mergeChildren collapses parent's two leaf children into parent, which
 // becomes a leaf owned by survivor (the other child's member is the
-// caller's to relocate or discard).
+// caller's to relocate or discard). The children's pair goes on the free
+// list holding nothing but its corners.
 func (o *Overlay) mergeChildren(parent *zone, survivor *Member) {
-	parent.children = [2]*zone{}
+	pair := parent.kids
+	for i := range pair {
+		pair[i].member = nil
+		pair[i].nbs.Store(nil)
+	}
+	o.free = append(o.free, pair)
+	parent.kids = nil
 	parent.member = survivor
 	survivor.leaf = parent
+	o.refill(parent)
 }
 
 // neighbors returns leaf z's neighbors: derived from the split tree on the
@@ -570,7 +731,7 @@ func (o *Overlay) neighbors(z *zone) []*zone {
 func (o *Overlay) deriveNeighbors(z *zone) []*zone {
 	var ancestors [MaxDepth]*zone
 	anc := ancestors[:0]
-	for a := o.root; a != z; a = a.children[z.path.Bit(a.path.Len)] {
+	for a := o.root; a != z; a = &a.kids[z.path.Bit(a.path.Len)] {
 		anc = append(anc, a)
 	}
 	var scratch [32]*zone
@@ -585,20 +746,20 @@ func (o *Overlay) deriveNeighbors(z *zone) []*zone {
 			top = a
 			if z.path.Bit(d) == 1 {
 				if loFace == nil {
-					loFace = a.children[0]
+					loFace = &a.kids[0]
 				}
 			} else if hiFace == nil {
-				hiFace = a.children[1]
+				hiFace = &a.kids[1]
 			}
 		}
 		if top == nil {
 			continue
 		}
 		if loFace == nil {
-			loFace = top.children[1]
+			loFace = &top.kids[1]
 		}
 		if hiFace == nil {
-			hiFace = top.children[0]
+			hiFace = &top.kids[0]
 		}
 		from := len(out)
 		out = appendFace(out, loFace, z, k, 1, from)
@@ -616,14 +777,14 @@ func appendFace(out []*zone, r, z *zone, k, side, from int) []*zone {
 	for !r.isLeaf() {
 		switch j := r.splitDim; {
 		case j == k:
-			r = r.children[side]
+			r = &r.kids[side]
 		case z.hi[j] <= r.splitAt:
-			r = r.children[0]
+			r = &r.kids[0]
 		case z.lo[j] >= r.splitAt:
-			r = r.children[1]
+			r = &r.kids[1]
 		default: // z's span straddles the split: both halves touch it
-			out = appendFace(out, r.children[0], z, k, side, from)
-			r = r.children[1]
+			out = appendFace(out, &r.kids[0], z, k, side, from)
+			r = &r.kids[1]
 		}
 	}
 	if slices.Contains(out[from:], r) {
@@ -735,7 +896,7 @@ func (o *Overlay) MembersUnder(prefix Path) []*Member {
 			}
 			return []*Member{z.member}
 		}
-		z = z.children[prefix.Bit(z.path.Len)]
+		z = &z.kids[prefix.Bit(z.path.Len)]
 	}
 	if !z.path.HasPrefix(prefix) {
 		return nil
@@ -748,15 +909,23 @@ func (o *Overlay) MembersUnder(prefix Path) []*Member {
 // returned member owns the leaf zone that contains (or is contained by)
 // the region the path names. Returns nil only for an empty overlay.
 func (o *Overlay) LeafAlong(path Path) *Member {
-	z := o.root
+	// The directory slot reads path's bits beyond Len as the 0-children
+	// the descent takes there.
+	b := path.Bits & (^uint64(0) << (64 - min(max(path.Len, 0), 64)))
+	return descendAlong(o.dir[b>>(64-o.dirDepth)], path).member
+}
+
+// descendAlong walks from z to a leaf following the bits of path, then
+// 0-children once the path runs out.
+func descendAlong(z *zone, path Path) *zone {
 	for !z.isLeaf() {
 		bit := 0
 		if z.path.Len < path.Len {
 			bit = path.Bit(z.path.Len)
 		}
-		z = z.children[bit]
+		z = &z.kids[bit]
 	}
-	return z.member
+	return z
 }
 
 // RegionIndex returns a map from every zone path in the split tree (leaves
@@ -775,8 +944,8 @@ func (o *Overlay) RegionIndex() map[Path][]*Member {
 			idx[z.path] = ms
 			return ms
 		}
-		left := walk(z.children[0])
-		right := walk(z.children[1])
+		left := walk(&z.kids[0])
+		right := walk(&z.kids[1])
 		ms := make([]*Member, 0, len(left)+len(right))
 		ms = append(ms, left...)
 		ms = append(ms, right...)
@@ -796,8 +965,8 @@ func (o *Overlay) LeafPaths() []Path {
 			out = append(out, z.path)
 			return
 		}
-		walk(z.children[0])
-		walk(z.children[1])
+		walk(&z.kids[0])
+		walk(&z.kids[1])
 	}
 	walk(o.root)
 	return out
@@ -805,13 +974,15 @@ func (o *Overlay) LeafPaths() []Path {
 
 // CheckInvariants exhaustively validates the overlay structure: leaf zones
 // tile the space, member/leaf/owner links are consistent, Size matches the
-// tree, and every leaf's neighbor list — as Neighbors and Route see it —
-// holds each leaf adjacent to it exactly once and nothing else. O(n^2);
-// intended for tests.
+// tree, every leaf's neighbor list — as Neighbors and Route see it — holds
+// each leaf adjacent to it exactly once and nothing else, and the
+// directory and free list are as checkDirectory requires. O(n^2); intended
+// for tests.
 func (o *Overlay) CheckInvariants() error {
-	var leaves []*zone
+	var leaves, zones []*zone
 	var walk func(*zone) error
 	walk = func(z *zone) error {
+		zones = append(zones, z)
 		if z.isLeaf() {
 			if z.member == nil && z != o.root {
 				return fmt.Errorf("leaf %s has no member", z.path)
@@ -822,17 +993,17 @@ func (o *Overlay) CheckInvariants() error {
 			leaves = append(leaves, z)
 			return nil
 		}
-		for _, c := range z.children {
-			if c == nil {
-				return fmt.Errorf("internal zone %s has nil child", z.path)
-			}
-			if err := walk(c); err != nil {
+		for i := range z.kids {
+			if err := walk(&z.kids[i]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	if err := walk(o.root); err != nil {
+		return err
+	}
+	if err := o.checkDirectory(zones); err != nil {
 		return err
 	}
 	vol := 0.0
@@ -872,6 +1043,49 @@ func (o *Overlay) CheckInvariants() error {
 	}
 	if count != o.size {
 		return fmt.Errorf("member count mismatch: %d leaves vs Size() = %d", count, o.size)
+	}
+	return nil
+}
+
+// checkDirectory validates the prefix directory against root descents, and
+// the free list against zones, every zone of the tree: the depth is what
+// the size allows, every slot holds the deepest zone of depth at most
+// dirDepth on its prefix, leafAt and LeafAlong (also for paths with bits
+// set beyond Len) land where a descent from the root does, and no pair on
+// the free list holds a zone of the tree or a member.
+func (o *Overlay) checkDirectory(zones []*zone) error {
+	if d := dirDepthFor(o.size); o.dirDepth < d || o.dirDepth > d+1 || len(o.dir) != 1<<o.dirDepth {
+		return fmt.Errorf("directory depth %d with %d slots for %d members", o.dirDepth, len(o.dir), o.size)
+	}
+	for x, got := range o.dir {
+		want := o.root
+		for !want.isLeaf() && want.path.Len < o.dirDepth {
+			want = &want.kids[x>>(o.dirDepth-1-want.path.Len)&1]
+		}
+		if got != want {
+			return fmt.Errorf("directory slot %d holds %s, want %s", x, got.path, want.path)
+		}
+	}
+	live := make(map[*zone]bool, len(zones))
+	for _, z := range zones {
+		live[z] = true
+		if z.isLeaf() {
+			if got := o.leafAt(z.lo); got != z || got != descend(o.root, z.lo) {
+				return fmt.Errorf("leafAt(lo of %s) = %s", z.path, got.path)
+			}
+		}
+		for _, path := range []Path{z.path, {Bits: z.path.Bits | ^uint64(0)>>z.path.Len, Len: z.path.Len}} {
+			if got, want := o.LeafAlong(path), descendAlong(o.root, path).member; got != want {
+				return fmt.Errorf("LeafAlong(%064b/%d) = %v, a root descent finds %v", path.Bits, path.Len, got, want)
+			}
+		}
+	}
+	for _, pair := range o.free {
+		for i := range pair {
+			if live[&pair[i]] || pair[i].member != nil {
+				return fmt.Errorf("free pair holds zone %s, which is live or has a member", pair[i].path)
+			}
+		}
 	}
 	return nil
 }

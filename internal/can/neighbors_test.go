@@ -134,9 +134,11 @@ func TestDerivedNeighborsMatchAdjacency(t *testing.T) {
 
 // TestNeighborMemoConcurrentReaders: readers of a settled overlay fill the
 // per-leaf neighbor memos concurrently (the experiment engine shares one
-// overlay's expanding-ring search across workers). Under -race this pins
-// the memo's atomics; without it, it still checks that every reader sees
-// what a serial reader of an identically built overlay sees.
+// overlay's expanding-ring search across workers) while others descend
+// from the prefix directory through Lookup, PathOf and LeafAlong. Under
+// -race this pins the memo's atomics and the directory's read-only use;
+// without it, it still checks that every reader sees what a serial reader
+// of an identically built overlay sees.
 func TestNeighborMemoConcurrentReaders(t *testing.T) {
 	const n, workers, queries = 2000, 4, 300
 	want, got := takeoverOverlay(t, n, 17), takeoverOverlay(t, n, 17)
@@ -147,12 +149,23 @@ func TestNeighborMemoConcurrentReaders(t *testing.T) {
 		targets[i] = RandomPoint(2, rng)
 	}
 	hops := make([]int, queries)
+	paths := make([]Path, queries)
+	// along[i] names the region two levels above target i's leaf with every
+	// bit beyond its length set, which LeafAlong must read as zeros.
+	along := make([]Path, queries)
+	owners, alongOwners := make([]topology.NodeID, queries), make([]topology.NodeID, queries)
 	for i, p := range targets {
 		path, err := want.Route(wantMs[(i*7)%n], p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hops[i] = len(path)
+		if paths[i], err = want.PathOf(p); err != nil {
+			t.Fatal(err)
+		}
+		l := max(paths[i].Len-2, 0)
+		along[i] = Path{Bits: paths[i].Prefix(l).Bits | ^uint64(0)>>l, Len: l}
+		owners[i], alongOwners[i] = want.Lookup(p).Host, want.LeafAlong(along[i]).Host
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, workers)
@@ -169,6 +182,14 @@ func TestNeighborMemoConcurrentReaders(t *testing.T) {
 				path, err := got.Route(gotMs[(i*7)%n], targets[i])
 				if err != nil || len(path) != hops[i] {
 					errs <- "Route differs from a serial reader's"
+					return
+				}
+				if got.Lookup(targets[i]).Host != owners[i] || got.LeafAlong(along[i]).Host != alongOwners[i] {
+					errs <- "Lookup or LeafAlong differs from a serial reader's"
+					return
+				}
+				if zp, err := got.PathOf(targets[i]); err != nil || zp != paths[i] {
+					errs <- "PathOf differs from a serial reader's"
 					return
 				}
 			}

@@ -41,9 +41,11 @@ func Generate(spec Spec, rng *simrand.Source) (*Network, error) {
 	latRNG := rng.Split("latency")
 	wireRNG := rng.Split("wiring")
 
-	// Transit nodes and intra-domain backbones.
+	// Transit nodes and intra-domain backbones, which the backbone graph
+	// mirrors.
 	backbone := NewGraph(transitCount)
 	domains := make([][]NodeID, spec.TransitDomains)
+	var wiring []edge // one domain's or one stub's edges, in draw order
 	next := NodeID(0)
 	for d := 0; d < spec.TransitDomains; d++ {
 		ids := make([]NodeID, spec.TransitNodesPerDomain)
@@ -53,10 +55,17 @@ func Generate(spec Spec, rng *simrand.Source) (*Network, error) {
 			next++
 		}
 		domains[d] = ids
-		if err := net.randomConnected(backbone, ids, spec.ExtraTransitEdgeProb,
-			spec.Latency.IntraTransit, LinkIntraTransit, wireRNG, latRNG); err != nil {
-			return nil, err
+		wiring = randomConnected(wiring[:0], ids, spec.ExtraTransitEdgeProb,
+			spec.Latency.IntraTransit, wireRNG, latRNG)
+		for _, e := range wiring {
+			if err := net.graph.AddEdge(e.u, e.v, e.w); err != nil {
+				return nil, err
+			}
+			if err := backbone.AddEdge(e.u, e.v, e.w); err != nil {
+				return nil, err
+			}
 		}
+		net.edgeCounts[LinkIntraTransit] += len(wiring)
 	}
 
 	// Inter-domain links: spanning tree over domains plus extras.
@@ -81,12 +90,16 @@ func Generate(spec Spec, rng *simrand.Source) (*Network, error) {
 	// Stub domains. Oversized stubs (see Spec.HubStubThreshold) are wired
 	// hub-and-spoke, which makes the egress array the whole distance
 	// structure; preset-sized stubs are random local graphs whose egress
-	// column a stubSolver computes (see stubDomain).
+	// column a stubSolver computes (see stubDomain). A stub's edges,
+	// uplink last, are drawn into wiring and laid into the graph as one
+	// arc block (Graph.addBlock): one allocation per stub, not a growing
+	// list per host.
 	hub := spec.NodesPerStub > spec.hubThreshold()
 	net.hubStubs = hub
 	net.stubs = make([]stubDomain, spec.TotalStubs())
 	egress := make([]float64, len(net.stubs)*spec.NodesPerStub) // one backing array
 	ids := make([]NodeID, spec.NodesPerStub)
+	deg := make([]int, spec.NodesPerStub)
 	var solver *stubSolver
 	if !hub {
 		solver = newStubSolver(net.graph)
@@ -110,27 +123,27 @@ func Generate(spec Spec, rng *simrand.Source) (*Network, error) {
 			sd.first, sd.size, sd.gateway = first, spec.NodesPerStub, NodeID(t)
 			sd.egress = egress[stubIdx*sd.size : (stubIdx+1)*sd.size : (stubIdx+1)*sd.size]
 			stubIdx++
+			wiring = wiring[:0]
 			if hub {
 				// Every host wired straight to the stub's local hub (host
 				// 0), one intra-stub latency draw per spoke, which is also
 				// the spoke's egress distance: no Dijkstra at all.
 				for i := 1; i < spec.NodesPerStub; i++ {
 					w := spec.Latency.IntraStub.Draw(latRNG)
-					if err := net.graph.AddEdge(ids[0], ids[i], w); err != nil {
-						return nil, err
-					}
-					net.edgeCounts[LinkIntraStub]++
+					wiring = append(wiring, edge{ids[0], ids[i], w})
 					sd.egress[i] = w
 				}
-			} else if err := net.randomConnected(nil, ids, spec.ExtraStubEdgeProb,
-				spec.Latency.IntraStub, LinkIntraStub, wireRNG, latRNG); err != nil {
-				return nil, err
+			} else {
+				wiring = randomConnected(wiring, ids, spec.ExtraStubEdgeProb,
+					spec.Latency.IntraStub, wireRNG, latRNG)
 			}
+			net.edgeCounts[LinkIntraStub] += len(wiring)
 			// Gateway uplink: stub host 0 <-> sponsoring transit node. It goes
 			// in before the solver sees the stub, so no worker ever reads an
 			// adjacency list this goroutine still appends to.
 			gwLat := spec.Latency.TransitStub.Draw(latRNG)
-			if err := net.graph.AddEdge(ids[0], NodeID(t), gwLat); err != nil {
+			wiring = append(wiring, edge{ids[0], NodeID(t), gwLat})
+			if err := net.graph.addBlock(first, deg, wiring); err != nil {
 				return nil, err
 			}
 			net.edgeCounts[LinkTransitStub]++
@@ -233,51 +246,34 @@ func MustGenerate(spec Spec, rng *simrand.Source) *Network {
 	return net
 }
 
-// randomConnected wires ids (global IDs) into a connected random graph:
-// a random attachment tree guarantees connectivity, then every remaining
-// pair receives an edge with probability extraProb. Edges go into the full
-// graph and, when mirror is non-nil, into mirror as well (same IDs; the
-// transit domains mirror into the backbone graph).
+// randomConnected appends to out the edges that wire ids (global IDs) into
+// a connected random graph, in draw order: a random attachment tree
+// guarantees connectivity, then every remaining pair receives an edge with
+// probability extraProb.
 //
 // Duplicate suppression needs no per-pair map: the extra-edge double loop
 // visits each unordered pair at most once, so the only possible duplicate
 // is an extra edge re-proposing a tree edge — detected in O(1) against the
-// flat parent index. A suppressed pair draws no latency, exactly like the
-// map-based seed implementation.
-func (n *Network) randomConnected(mirror *Graph, ids []NodeID, extraProb float64,
-	dist Dist, class LinkClass, wireRNG, latRNG *simrand.Source) error {
-	add := func(u, v NodeID) error {
-		w := dist.Draw(latRNG)
-		if err := n.graph.AddEdge(u, v, w); err != nil {
-			return err
-		}
-		n.edgeCounts[class]++
-		if mirror == nil {
-			return nil
-		}
-		return mirror.AddEdge(u, v, w)
-	}
-	parent := make([]int32, len(ids)) // parent[i]: tree parent of ids[i], by index
-	parent[0] = -1
+// tree edge of ids[j], which is out[tree+j-1] = {ids[j], ids[parent]}. A
+// suppressed pair draws no latency, exactly like the map-based seed
+// implementation.
+func randomConnected(out []edge, ids []NodeID, extraProb float64,
+	dist Dist, wireRNG, latRNG *simrand.Source) []edge {
+	tree := len(out)
 	for i := 1; i < len(ids); i++ {
 		p := wireRNG.Intn(i)
-		parent[i] = int32(p)
-		if err := add(ids[i], ids[p]); err != nil {
-			return err
-		}
+		out = append(out, edge{ids[i], ids[p], dist.Draw(latRNG)})
 	}
 	if extraProb > 0 {
 		for i := 0; i < len(ids); i++ {
 			for j := i + 1; j < len(ids); j++ {
-				if wireRNG.Bool(extraProb) && int(parent[j]) != i {
-					if err := add(ids[i], ids[j]); err != nil {
-						return err
-					}
+				if wireRNG.Bool(extraProb) && out[tree+j-1].v != ids[i] {
+					out = append(out, edge{ids[i], ids[j], dist.Draw(latRNG)})
 				}
 			}
 		}
 	}
-	return nil
+	return out
 }
 
 // wireDomains connects transit domains with a random spanning tree plus

@@ -46,17 +46,69 @@ func (g *Graph) Len() int { return len(g.adj) }
 // AddEdge inserts an undirected edge {u, v} with weight w. It returns an
 // error on out-of-range endpoints, self-loops, or non-positive weights.
 func (g *Graph) AddEdge(u, v NodeID, w float64) error {
-	if u == v {
-		return fmt.Errorf("topology: self-loop on node %d", u)
-	}
-	if int(u) < 0 || int(u) >= len(g.adj) || int(v) < 0 || int(v) >= len(g.adj) {
-		return fmt.Errorf("topology: edge (%d,%d) out of range [0,%d)", u, v, len(g.adj))
-	}
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		return fmt.Errorf("topology: edge (%d,%d) has invalid weight %v", u, v, w)
+	if err := g.checkEdge(edge{u, v, w}); err != nil {
+		return err
 	}
 	g.adj[u] = append(g.adj[u], Arc{To: v, W: w})
 	g.adj[v] = append(g.adj[v], Arc{To: u, W: w})
+	return nil
+}
+
+// edge is one undirected edge as the generator draws it.
+type edge struct {
+	u, v NodeID
+	w    float64
+}
+
+// checkEdge is AddEdge's validation.
+func (g *Graph) checkEdge(e edge) error {
+	if e.u == e.v {
+		return fmt.Errorf("topology: self-loop on node %d", e.u)
+	}
+	if int(e.u) < 0 || int(e.u) >= len(g.adj) || int(e.v) < 0 || int(e.v) >= len(g.adj) {
+		return fmt.Errorf("topology: edge (%d,%d) out of range [0,%d)", e.u, e.v, len(g.adj))
+	}
+	if e.w <= 0 || math.IsNaN(e.w) || math.IsInf(e.w, 0) {
+		return fmt.Errorf("topology: edge (%d,%d) has invalid weight %v", e.u, e.v, e.w)
+	}
+	return nil
+}
+
+// addBlock inserts edges in order, as AddEdge would one by one, except that
+// the arcs of nodes [first, first+len(deg)) are laid out in one new block:
+// each such node's list gets capacity equal to its final degree, so a later
+// AddEdge copies it out instead of writing over the next node's arcs. Arcs
+// to nodes outside the range are appended as AddEdge appends them. deg is
+// scratch.
+func (g *Graph) addBlock(first NodeID, deg []int, edges []edge) error {
+	total := 0
+	for i := range deg {
+		deg[i] = len(g.adj[first+NodeID(i)])
+		total += deg[i]
+	}
+	for _, e := range edges {
+		if err := g.checkEdge(e); err != nil {
+			return err
+		}
+		for _, x := range [2]NodeID{e.u, e.v} {
+			if i := int(x - first); uint(i) < uint(len(deg)) {
+				deg[i]++
+				total++
+			}
+		}
+	}
+	block := make([]Arc, total)
+	off := 0
+	for i, d := range deg {
+		h := first + NodeID(i)
+		n := copy(block[off:], g.adj[h])
+		g.adj[h] = block[off : off+n : off+d]
+		off += d
+	}
+	for _, e := range edges {
+		g.adj[e.u] = append(g.adj[e.u], Arc{To: e.v, W: e.w})
+		g.adj[e.v] = append(g.adj[e.v], Arc{To: e.u, W: e.w})
+	}
 	return nil
 }
 

@@ -172,7 +172,9 @@ func (t *Transport) drop(pc *pconn) {
 
 // Evict closes every pooled connection to addr. The node calls it when
 // the peer's circuit breaker opens: a crashed peer's stale connections
-// must be torn down, not handed to the half-open probe.
+// must be torn down, not handed to the half-open probe. The connections
+// leave the pool before Evict returns, also those a read error is
+// already failing: that fail may not have reached its drop yet.
 func (t *Transport) Evict(addr string) {
 	t.mu.Lock()
 	pp := t.peers[addr]
@@ -181,7 +183,11 @@ func (t *Transport) Evict(addr string) {
 		return
 	}
 	pp.mu.Lock()
-	conns := append([]*pconn(nil), pp.conns...)
+	conns := pp.conns
+	pp.conns = nil
+	for range conns {
+		t.m.dropped()
+	}
 	pp.mu.Unlock()
 	for _, pc := range conns {
 		pc.fail(fmt.Errorf("wire: connection to %s evicted", addr))
