@@ -39,10 +39,13 @@ bench-module:
 # membership machine (join/depart/crash interleavings must keep the split
 # tree invariant-clean), and of the wire codec (arbitrary frames must
 # never panic, hang, or round-trip lossily; every JSON-describable message
-# must survive the binary layout). Performance is not gated here: bench/
-# (bash bench/run.sh) is the perf contract.
+# must survive the binary layout). The wire node's cached landmark vector
+# and its refresh loop are re-run five times under the race detector, the
+# condition that shakes out timing-dependent tests. Performance is not
+# gated here: bench/ (bash bench/run.sh) is the perf contract.
 check: build vet fmt-check bench-module race
 	GSSO_WORKERS=4 go test -race -count=1 ./internal/experiment/... ./internal/netsim/...
+	go test -race -count=5 -run 'OwnVector|Refresh|Fallback' ./internal/wire
 	go run ./cmd/topobench -run ext-scale -scale quick -seed $(SEED) > /dev/null
 	go test -fuzz FuzzMembership -fuzztime 10s -run '^$$' ./internal/can
 	go test -fuzz FuzzArena -fuzztime 10s -run '^$$' ./internal/arena

@@ -22,6 +22,7 @@ type nodeMetrics struct {
 	failover        *obs.Counter
 	refreshFailures *obs.Counter
 	vectorFallback  *obs.Counter
+	vectorMeasured  *obs.Gauge    // wire_vector_measured_unix_seconds
 	breakerState    *obs.GaugeVec // one series per peer, resolved lazily
 	ringEpoch       *obs.Gauge    // wire_ring_epoch
 	rehomed         *obs.Counter  // wire_rehome_total
@@ -119,7 +120,9 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 		refreshFailures: reg.Counter("wire_refresh_failures_total",
 			"Refresh-loop publishes that failed (healed on a later tick).").With(),
 		vectorFallback: reg.Counter("wire_vector_fallback_total",
-			"Landmark dimensions filled from the last known RTT because the landmark was unreachable.").With(),
+			"Landmark dimensions filled from the cached own vector because the landmark was unreachable.").With(),
+		vectorMeasured: reg.Gauge("wire_vector_measured_unix_seconds",
+			"Unix time of the last complete landmark measurement, the cached own vector Publish and FindNearest reuse; its age is scrape time minus this.").With(),
 		breakerState: reg.Gauge("wire_breaker_state",
 			"Per-peer failure detector state: 0 closed, 1 half-open, 2 open.", "peer"),
 		ringEpoch: reg.Gauge("wire_ring_epoch",

@@ -225,11 +225,24 @@ type Node struct {
 	closed  bool
 	wg      sync.WaitGroup
 
-	// Per-peer failure detectors and the last known landmark RTTs used
-	// for graceful degradation, both client-side state.
+	// Per-peer failure detectors, client-side state.
 	bmu      sync.Mutex
 	breakers map[string]*breaker
-	lastRTT  []float64 // by landmark index; NaN = never measured
+
+	// own is the node's landmark vector as soft state: its last complete
+	// measurement, which Publish and FindNearest reuse while it is younger
+	// than vectorMaxAge. An atomic word of its own, so a measurement never
+	// waits on the record-store lock that query scans hold.
+	own          atomic.Pointer[ownVector]
+	refreshEvery atomic.Int64 // StartRefresh's interval in ns; 0 until it runs
+}
+
+// ownVector is one complete landmark measurement of a node: every
+// dimension answered by its landmark. Never mutated once stored.
+type ownVector struct {
+	vec   []float64
+	at    time.Time // when the measurement started
+	pings int       // pings per landmark it kept the minimum of
 }
 
 // NewNode creates a node listening on listenAddr (use "127.0.0.1:0" for
@@ -272,7 +285,6 @@ func NewNodeWithRegistry(listenAddr string, cfg SpaceConfig, peers []string, ttl
 		records:  make(map[string]Record),
 		conns:    make(map[net.Conn]struct{}),
 		breakers: make(map[string]*breaker),
-		lastRTT:  make([]float64, len(cfg.Landmarks)),
 	}
 	n.tr = newTransport(opt.poolSize, n.metrics.transport)
 	opt.spans.SetNode(n.addr)
@@ -280,9 +292,6 @@ func NewNodeWithRegistry(listenAddr string, cfg SpaceConfig, peers []string, ttl
 		n.batch = newBatcher(n, opt.batchWindow)
 		n.wg.Add(1)
 		go n.batch.loop()
-	}
-	for i := range n.lastRTT {
-		n.lastRTT[i] = math.NaN()
 	}
 	n.ring.Store(&peerRing{peers: normalizePeers(peers), epoch: 1})
 	n.metrics.ringEpoch.Set(1)
@@ -333,16 +342,19 @@ func (n *Node) Close() error {
 	return err
 }
 
-// StartRefresh launches the soft-state refresh loop: the node republishes
-// its record every interval (keeping it alive against the TTL) until the
-// node is closed. Failures are tolerated and retried on the next tick —
-// soft-state's whole point is that transient losses heal themselves.
+// StartRefresh launches the soft-state refresh loop: the node re-measures
+// its landmark vector and republishes its record every interval (keeping
+// it alive against the TTL) until the node is closed. The interval also
+// becomes the age up to which Publish and FindNearest reuse the vector.
+// Failures are tolerated and retried on the next tick — soft-state's
+// whole point is that transient losses heal themselves.
 // With WithBatchWindow set, republishes enqueue into the per-owner
 // batcher instead of paying one synchronous store per owner per tick.
 func (n *Node) StartRefresh(interval time.Duration, pings int, timeout time.Duration) {
 	if interval <= 0 {
 		interval = n.ttl / 3
 	}
+	n.refreshEvery.Store(int64(interval))
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -357,7 +369,7 @@ func (n *Node) StartRefresh(interval time.Duration, pings int, timeout time.Dura
 				if n.batch != nil {
 					_, err = n.publishBatched(pings, timeout)
 				} else {
-					_, err = n.Publish(pings, timeout)
+					_, err = n.publish(pings, timeout, false)
 				}
 				if err != nil {
 					n.metrics.refreshFailures.Inc()
@@ -673,12 +685,13 @@ func (n *Node) ping(parent span.Context, addr string, timeout time.Duration) (ti
 
 // MeasureVector pings every landmark (pings per landmark, keeping the
 // minimum, as real deployments do to shed scheduler noise) and returns
-// the landmark vector in ms. It degrades gracefully: when a landmark is
-// unreachable but was measured before, its dimension is filled from the
-// last known RTT (counted in wire_vector_fallback_total) instead of
-// failing the whole vector. Only a landmark that has never been measured
-// makes the call fail — with no prior, a made-up coordinate would place
-// the node arbitrarily in the space.
+// the landmark vector in ms. It always measures, and a complete
+// measurement becomes the node's cached own vector. It degrades
+// gracefully: when a landmark is unreachable, its dimension is filled
+// from the cached vector (counted in wire_vector_fallback_total) instead
+// of failing the whole vector; such a vector serves this call only and is
+// not cached. With no cached vector the call fails — with no prior, a
+// made-up coordinate would place the node arbitrarily in the space.
 func (n *Node) MeasureVector(pings int, timeout time.Duration) ([]float64, error) {
 	return n.measureVector(span.Context{}, pings, timeout)
 }
@@ -690,7 +703,10 @@ func (n *Node) measureVector(parent span.Context, pings int, timeout time.Durati
 	if pings < 1 {
 		pings = 1
 	}
+	start := time.Now()
+	prev := n.own.Load()
 	vec := make([]float64, len(n.cfg.Landmarks))
+	complete := true
 	for i, lm := range n.cfg.Landmarks {
 		best := math.Inf(1)
 		var lastErr error
@@ -708,33 +724,33 @@ func (n *Node) measureVector(parent span.Context, pings int, timeout time.Durati
 			}
 		}
 		if math.IsInf(best, 1) {
-			if last, ok := n.lastKnownRTT(i); ok {
-				vec[i] = last
-				n.metrics.vectorFallback.Inc()
-				n.opt.logger.Debug("wire: landmark unreachable, using last known RTT",
-					"node", n.addr, "landmark", lm, "rtt_ms", last, "err", lastErr)
-				continue
+			if prev == nil {
+				return nil, fmt.Errorf("wire: landmark %s unreachable: %w", lm, lastErr)
 			}
-			return nil, fmt.Errorf("wire: landmark %s unreachable: %w", lm, lastErr)
+			vec[i] = prev.vec[i]
+			complete = false
+			n.metrics.vectorFallback.Inc()
+			n.opt.logger.Debug("wire: landmark unreachable, using cached RTT",
+				"node", n.addr, "landmark", lm, "rtt_ms", vec[i], "err", lastErr)
+			continue
 		}
 		vec[i] = best
-		n.setLastKnownRTT(i, best)
+	}
+	if complete {
+		n.own.Store(&ownVector{vec: slices.Clone(vec), at: start, pings: pings})
+		n.metrics.vectorMeasured.Set(float64(start.UnixNano()) / 1e9)
 	}
 	return vec, nil
 }
 
-// lastKnownRTT returns the cached RTT for a landmark index, if any.
-func (n *Node) lastKnownRTT(i int) (float64, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	v := n.lastRTT[i]
-	return v, !math.IsNaN(v)
-}
-
-func (n *Node) setLastKnownRTT(i int, ms float64) {
-	n.mu.Lock()
-	n.lastRTT[i] = ms
-	n.mu.Unlock()
+// vectorMaxAge is how long the cached own vector serves Publish and
+// FindNearest: the refresh interval, after which the refresh loop has
+// re-measured it anyway (before the loop runs, its default, ttl/3).
+func (n *Node) vectorMaxAge() time.Duration {
+	if d := n.refreshEvery.Load(); d > 0 {
+		return time.Duration(d)
+	}
+	return n.ttl / 3
 }
 
 // normalizePeers returns a sorted, deduplicated copy of a peer list.
@@ -940,24 +956,38 @@ func (n *Node) toOwners(parent span.Context, owners []string, req Message, timeo
 // Replication returns the node's configured replication factor.
 func (n *Node) Replication() int { return n.opt.replication }
 
-// Publish measures this node's landmark vector, derives its number, and
+// Publish derives this node's number from its landmark vector (measured
+// with pings per landmark, or the cached one, see measureRecord) and
 // stores its record at the replication-factor nearest ring owners. It
 // succeeds if at least one replica is stored (soft-state heals the rest
 // on the next refresh) and returns the published record.
-func (n *Node) Publish(pings int, timeout time.Duration) (rec Record, err error) {
+func (n *Node) Publish(pings int, timeout time.Duration) (Record, error) {
+	return n.publish(pings, timeout, true)
+}
+
+// publish is Publish; a refresh tick passes reuse=false to re-measure the
+// vector whatever its age.
+func (n *Node) publish(pings int, timeout time.Duration, reuse bool) (rec Record, err error) {
 	root := n.opt.spans.StartRoot("publish")
 	defer func() { root.Finish(span.Outcome(err), 0, err) }()
-	if rec, err = n.measureRecord(root.Context(), pings, timeout); err != nil {
+	if rec, err = n.measureRecord(root.Context(), pings, timeout, reuse); err != nil {
 		return Record{}, err
 	}
 	owners := n.OwnersOf(rec.Number, n.opt.replication)
 	if stored, err := n.toOwners(root.Context(), owners, Message{Type: MsgStore, Record: &rec}, timeout); stored == 0 {
 		return Record{}, fmt.Errorf("wire: publish: no owner of %d reachable: %w", rec.Number, err)
 	}
+	n.setLastRec(rec)
+	return rec, nil
+}
+
+// setLastRec keeps rec as the record SetPeers republishes and Withdraw
+// removes, with a vector of its own: the caller may change its copy.
+func (n *Node) setLastRec(rec Record) {
+	rec.Vector = slices.Clone(rec.Vector)
 	n.mu.Lock()
 	n.lastRec = &rec
 	n.mu.Unlock()
-	return rec, nil
 }
 
 // publishBatched is the refresh loop's Publish under batching: it
@@ -972,24 +1002,29 @@ func (n *Node) publishBatched(pings int, timeout time.Duration) (rec Record, err
 	// single publish).
 	root := n.opt.spans.StartRoot("publish-enqueue")
 	defer func() { root.Finish(span.Outcome(err), 0, err) }()
-	if rec, err = n.measureRecord(root.Context(), pings, timeout); err != nil {
+	if rec, err = n.measureRecord(root.Context(), pings, timeout, false); err != nil {
 		return Record{}, err
 	}
 	for _, owner := range n.OwnersOf(rec.Number, n.opt.replication) {
 		n.batch.Enqueue(owner, rec)
 	}
-	n.mu.Lock()
-	n.lastRec = &rec
-	n.mu.Unlock()
+	n.setLastRec(rec)
 	return rec, nil
 }
 
-// measureRecord measures this node's landmark vector under parent and
-// builds its record: the vector's number, a TTL from now. Publish
-// stores it; FindNearest queries for the records nearest to it.
-func (n *Node) measureRecord(parent span.Context, pings int, timeout time.Duration) (Record, error) {
-	vec, err := n.measureVector(parent, pings, timeout)
-	if err != nil {
+// measureRecord builds this node's record: its landmark vector's number,
+// a TTL from now. Publish stores it; FindNearest queries for the records
+// nearest to it. With reuse, the vector is a copy of the cached own
+// vector while that is younger than vectorMaxAge and kept the minimum of
+// at least pings pings per landmark; otherwise the landmarks are pinged
+// again under parent.
+func (n *Node) measureRecord(parent span.Context, pings int, timeout time.Duration, reuse bool) (Record, error) {
+	var vec []float64
+	if c := n.own.Load(); reuse && c != nil && c.pings >= pings && time.Since(c.at) < n.vectorMaxAge() {
+		vec = slices.Clone(c.vec)
+	} else if v, err := n.measureVector(parent, pings, timeout); err == nil {
+		vec = v
+	} else {
 		return Record{}, err
 	}
 	num, err := landmark.CurveNumber(n.curve, vec, n.cfg.MaxRTTMs)
@@ -1034,15 +1069,16 @@ func (n *Node) Withdraw(timeout time.Duration) (removed int, err error) {
 }
 
 // FindNearest queries the soft-state for candidates near this node's
-// landmark position and RTT-probes up to budget of them, returning the
-// closest responding peer and its measured RTT. The query fails over
-// down the owner list: a crashed primary's shard is served by the
-// replicas written at publish time.
+// landmark position (its cached vector while fresh, see measureRecord)
+// and RTT-probes up to budget of them, returning the closest responding
+// peer and its measured RTT. The query fails over down the owner list: a
+// crashed primary's shard is served by the replicas written at publish
+// time.
 func (n *Node) FindNearest(budget int, timeout time.Duration) (addr string, rtt time.Duration, err error) {
 	root := n.opt.spans.StartRoot("find-nearest")
 	defer func() { root.Finish(span.Outcome(err), 0, err) }()
 	parent := root.Context()
-	self, err := n.measureRecord(parent, 1, timeout)
+	self, err := n.measureRecord(parent, 1, timeout, true)
 	if err != nil {
 		return "", 0, err
 	}

@@ -247,6 +247,9 @@ func TestMeasureVectorUnreachableLandmark(t *testing.T) {
 	if _, err := node.MeasureVector(1, 200*time.Millisecond); err == nil {
 		t.Fatal("unreachable landmark did not error")
 	}
+	if node.own.Load() != nil {
+		t.Fatal("a failed measurement was cached")
+	}
 }
 
 func TestOwnerOfDeterministicAndCovering(t *testing.T) {
