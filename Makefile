@@ -41,9 +41,11 @@ bench-module:
 # never panic, hang, or round-trip lossily; every JSON-describable message
 # must survive the binary layout). The wire node's cached landmark vector
 # and its refresh loop are re-run five times under the race detector, the
-# condition that shakes out timing-dependent tests. Performance is not
-# gated here: bench/ (bash bench/run.sh) is the perf contract.
-check: build vet fmt-check bench-module race
+# condition that shakes out timing-dependent tests. The examples run
+# the documented public API from a main, examples/wirecluster a live node
+# fleet. Performance is not gated here: bench/ (bash bench/run.sh) is the
+# perf contract.
+check: build vet fmt-check bench-module examples race
 	GSSO_WORKERS=4 go test -race -count=1 ./internal/experiment/... ./internal/netsim/...
 	go test -race -count=5 -run 'OwnVector|Refresh|Fallback' ./internal/wire
 	go run ./cmd/topobench -run ext-scale -scale quick -seed $(SEED) > /dev/null

@@ -25,7 +25,7 @@
 // by itself once its landmarks return.
 //
 // Observability knobs: every root operation (publish, withdraw,
-// find-nearest, batch flush) is head-sampled 1-in-N by -trace-sample
+// find-nearest) is head-sampled 1-in-N by -trace-sample
 // (1 = trace everything, 0 = off) into a fixed -trace-buf span ring
 // buffer served at /traces on the metrics address; cmd/overlaymon
 // stitches those dumps across nodes into per-trace span trees. -slow-ms
@@ -51,10 +51,9 @@
 // resets on every frame, so busy persistent connections live on).
 //
 // Transport knobs: -pool-size sets how many persistent, multiplexed
-// client connections the node keeps per peer, -batch-window makes
-// the refresh loop coalesce publishes headed for the same ring owner
-// into publish-batch frames flushed at that interval (0 keeps the
-// one-store-per-owner behavior).
+// client connections the node keeps per peer. A node publishes one
+// record, its own, and stores it at each ring owner synchronously, on
+// the first publish and on every refresh tick alike.
 //
 // Output is logfmt (log/slog): one line per event, machine-parseable
 // key=value pairs. -v enables debug-level lines.
@@ -209,7 +208,6 @@ func run(args []string, out io.Writer) error {
 		replicas  = fs.Int("replicas", 2, "ring owners each record is stored on")
 		retries   = fs.Int("retries", 3, "attempts per wire call (capped exponential backoff between them)")
 		poolSize  = fs.Int("pool-size", 2, "pooled client connections kept per peer")
-		batchWin  = fs.Duration("batch-window", 0, "coalesce refresh publishes to the same owner within this window (0 disables batching)")
 		drainTO   = fs.Duration("drain-timeout", 2*time.Second, "graceful-drain budget on SIGINT/SIGTERM: withdraw soft-state before closing (0 disables)")
 		joinRetry = fs.Duration("join-retry", 0, "retry a failed initial publish at this interval instead of exiting (0 = fail hard); the node reports not-ready on /readyz until joined")
 		peersFile = fs.String("peers-file", "", "read the peer list from this file instead of -peers; SIGHUP re-reads it and live-swaps the ring")
@@ -254,7 +252,6 @@ func run(args []string, out io.Writer) error {
 		wire.WithReplication(*replicas),
 		wire.WithRetryPolicy(pol),
 		wire.WithPoolSize(*poolSize),
-		wire.WithBatchWindow(*batchWin),
 		wire.WithTracing(col),
 		wire.WithLogger(logger))
 	if err != nil {

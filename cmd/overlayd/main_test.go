@@ -153,8 +153,8 @@ func TestOneshotPublishQuery(t *testing.T) {
 	}
 }
 
-// TestTransportFlags: -pool-size and -batch-window parse and run the
-// publish flow through the pooled transport.
+// TestTransportFlags: -pool-size parses and runs the publish flow
+// through the pooled transport.
 func TestTransportFlags(t *testing.T) {
 	cfgStub := wire.SpaceConfig{Landmarks: []string{"x"}, IndexDims: 1, BitsPerDim: 4, MaxRTTMs: 50}
 	lm, err := wire.NewNode("127.0.0.1:0", cfgStub, nil, time.Minute)
@@ -169,7 +169,6 @@ func TestTransportFlags(t *testing.T) {
 		"-peers", lm.Addr(),
 		"-landmarks", lm.Addr(),
 		"-pool-size", "1",
-		"-batch-window", "5ms",
 		"-publish", "-oneshot",
 		"-timeout", "2s",
 	}, &buf)

@@ -67,7 +67,6 @@ type Spec struct {
 	TTL         Duration `json:"ttl,omitempty"`
 	Refresh     Duration `json:"refresh,omitempty"` // 0 = overlayd's ttl/3 default
 	Timeout     Duration `json:"timeout,omitempty"`
-	BatchWindow Duration `json:"batch_window,omitempty"`
 	TraceSample int      `json:"trace_sample,omitempty"`
 
 	// Supervision knobs. JoinRetry is handed to overlayd so a node

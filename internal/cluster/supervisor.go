@@ -298,9 +298,6 @@ func (s *Supervisor) nodeArgs(p *proc) []string {
 	if s.spec.Refresh > 0 {
 		args = append(args, "-refresh", s.spec.Refresh.String())
 	}
-	if s.spec.BatchWindow > 0 {
-		args = append(args, "-batch-window", s.spec.BatchWindow.String())
-	}
 	return append(args, s.spec.ExtraArgs...)
 }
 

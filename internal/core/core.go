@@ -27,12 +27,10 @@ import (
 type config struct {
 	seed        uint64
 	topoKind    string // "tsk-large" | "tsk-small"
-	manual      bool
 	topoScale   float64
 	overlayN    int
 	landmarks   int
 	probeBudget int
-	condense    int
 	dim         int
 	ttl         netsim.Time
 	confirm     int
@@ -63,10 +61,6 @@ func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 // WithTopology selects "tsk-large" (default) or "tsk-small".
 func WithTopology(kind string) Option { return func(c *config) { c.topoKind = kind } }
 
-// WithManualLatencies switches from GT-ITM-style random link latencies to
-// the paper's fixed per-class latencies.
-func WithManualLatencies() Option { return func(c *config) { c.manual = true } }
-
 // WithTopologyScale scales the host population (1.0 = the paper's ~10k).
 func WithTopologyScale(f float64) Option { return func(c *config) { c.topoScale = f } }
 
@@ -79,9 +73,6 @@ func WithLandmarks(k int) Option { return func(c *config) { c.landmarks = k } }
 // WithProbeBudget sets the RTT measurements spent per neighbor selection
 // or nearest-neighbor query.
 func WithProbeBudget(b int) Option { return func(c *config) { c.probeBudget = b } }
-
-// WithCondenseDepth condenses region maps into 1/2^d of their region.
-func WithCondenseDepth(d int) Option { return func(c *config) { c.condense = d } }
 
 // WithSoftStateTTL overrides the soft-state entry lifetime (virtual ms).
 // Experiments that tick a fast virtual clock shrink it so expiry — the
@@ -214,9 +205,6 @@ func New(opts ...Option) (*System, error) {
 	net := cfg.net
 	if net == nil {
 		model := topology.GTITMLatency()
-		if cfg.manual {
-			model = topology.ManualLatency()
-		}
 		var spec topology.Spec
 		switch cfg.topoKind {
 		case "tsk-large":
@@ -249,10 +237,9 @@ func New(opts ...Option) (*System, error) {
 		return nil, err
 	}
 	store, err := softstate.NewStore(overlay, space, env, softstate.Config{
-		TTL:           cfg.ttl,
-		CondenseDepth: cfg.condense,
-		MaxReturn:     max(16, cfg.probeBudget),
-		ExpandBudget:  8,
+		TTL:          cfg.ttl,
+		MaxReturn:    max(16, cfg.probeBudget),
+		ExpandBudget: 8,
 	})
 	if err != nil {
 		return nil, err
@@ -314,13 +301,9 @@ func (s *System) Space() *landmark.Space { return s.space }
 func (s *System) RNG(label string) *simrand.Source { return s.rng.Split("app/" + label) }
 
 // Registry returns the system's telemetry registry. Env counters are
-// mirrored in on Stats(); call Stats (or Sync) before snapshotting if
-// you need them fresh.
+// mirrored in on Stats(); call Stats before snapshotting if you need
+// them fresh.
 func (s *System) Registry() *obs.Registry { return s.reg }
-
-// Sync mirrors the env's probe and message counters into the registry
-// without building a Stats view.
-func (s *System) Sync() { s.sync() }
 
 // Tracer returns the system's route tracer.
 func (s *System) Tracer() *obs.Tracer { return s.tracer }

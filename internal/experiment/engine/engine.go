@@ -24,11 +24,10 @@ import (
 
 var (
 	workersMu sync.Mutex
-	// workers is the pool width; sem has capacity workers-1 because the
-	// caller of Map is itself a worker (workers==1 means a nil channel:
-	// every unit runs inline, fully sequential).
-	workers int
-	sem     chan struct{}
+	// sem has capacity width-1 because the caller of Map is itself a
+	// worker (width 1 means a nil channel: every unit runs inline, fully
+	// sequential).
+	sem chan struct{}
 )
 
 func init() {
@@ -54,19 +53,11 @@ func SetWorkers(n int) {
 	}
 	workersMu.Lock()
 	defer workersMu.Unlock()
-	workers = n
 	if n > 1 {
 		sem = make(chan struct{}, n-1)
 	} else {
 		sem = nil
 	}
-}
-
-// Workers returns the current pool width.
-func Workers() int {
-	workersMu.Lock()
-	defer workersMu.Unlock()
-	return workers
 }
 
 // Map runs fn(0..n-1) across the pool and returns the results in ordinal

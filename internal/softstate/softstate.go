@@ -29,7 +29,7 @@
 // handed out by Lookup and events stay race-free without locks. Event
 // sinks run after shard locks are released and may safely re-enter the
 // store. Configuration (SetEventSink, AddEventSink, SetPublishFilter,
-// Instrument, SetSpans) must happen before concurrent use.
+// Instrument) must happen before concurrent use.
 package softstate
 
 import (
@@ -45,7 +45,6 @@ import (
 	"gsso/internal/landmark"
 	"gsso/internal/netsim"
 	"gsso/internal/obs"
-	"gsso/internal/obs/span"
 	"gsso/internal/topology"
 )
 
@@ -229,18 +228,7 @@ type Store struct {
 	sinks   []func(Event)
 	filter  func(region can.Path, number uint64) bool
 	metrics *storeMetrics
-	spans   *span.Collector
 }
-
-// SetSpans attaches a span collector: Publish and Lookup record one root
-// span each (op "softstate.publish" / "softstate.lookup", the member's
-// host or the queried region as the peer label, region count or expand
-// hops as the attempt count). This is the simulator analogue of the wire
-// layer's distributed tracing — the same ring buffer and sampler observe
-// the in-process soft-state path, so experiment harnesses can expose
-// /traces like a live node. Nil detaches (the default; zero overhead
-// beyond a nil check).
-func (s *Store) SetSpans(c *span.Collector) { s.spans = c }
 
 // storeMetrics mirrors map churn into a telemetry registry: a live-entry
 // gauge plus one counter per event kind (published, refreshed, removed,
@@ -436,17 +424,9 @@ func (s *Store) Publish(m *can.Member, vec landmark.Vector, opts ...PublishOptio
 	if m == nil {
 		return errors.New("softstate: publish nil member")
 	}
-	sp := s.spans.StartRoot("softstate.publish")
-	sp.SetPeer(fmt.Sprintf("host-%d", m.Host))
-	stored, err := s.publish(m, vec, opts...)
-	sp.Finish(span.Outcome(err), stored, err)
-	return err
-}
-
-func (s *Store) publish(m *can.Member, vec landmark.Vector, opts ...PublishOption) (int, error) {
 	num, err := s.space.Number(vec)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	vcopy := append(landmark.Vector(nil), vec...)
 	oldState, hadOld := s.loadMember(m)
@@ -537,7 +517,7 @@ func (s *Store) publish(m *can.Member, vec landmark.Vector, opts ...PublishOptio
 		s.env.CountMessages("publish-dropped", dropped)
 	}
 	s.env.CountMessages("publish", len(kept))
-	return len(kept), nil
+	return nil
 }
 
 // PublishMeasured measures m's landmark vector (metered probes, one per
@@ -801,14 +781,6 @@ func prevPos(slices [][]*Entry, p catPos) catPos {
 // The queried region must be one of the high-order regions (digit-aligned
 // prefixes); for deeper paths the covering region's map is consulted.
 func (s *Store) Lookup(region can.Path, vec landmark.Vector) ([]*Entry, LookupCost, error) {
-	sp := s.spans.StartRoot("softstate.lookup")
-	sp.SetPeer(region.String())
-	entries, cost, err := s.lookup(region, vec)
-	sp.Finish(span.Outcome(err), cost.ExpandHops, err)
-	return entries, cost, err
-}
-
-func (s *Store) lookup(region can.Path, vec landmark.Vector) ([]*Entry, LookupCost, error) {
 	num, err := s.space.Number(vec)
 	if err != nil {
 		return nil, LookupCost{}, err

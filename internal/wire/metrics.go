@@ -27,11 +27,7 @@ type nodeMetrics struct {
 	ringEpoch       *obs.Gauge    // wire_ring_epoch
 	rehomed         *obs.Counter  // wire_rehome_total
 
-	// Transport pool + batching families.
-	transport    *transportMetrics
-	batchSize    *obs.Histogram
-	batchRecords *obs.Counter
-	batchErrors  *obs.Counter
+	transport *transportMetrics // pooled-connection families
 }
 
 // typeMetrics are one message type's series.
@@ -137,13 +133,6 @@ func newNodeMetrics(reg *obs.Registry) *nodeMetrics {
 			reused: reg.Counter("wire_conn_reuse_total",
 				"Client calls served on an already-open pooled connection.").With(),
 		},
-		batchSize: reg.Histogram("wire_batch_size",
-			"Records per flushed publish-batch frame.",
-			[]float64{1, 2, 4, 8, 16, 32, 64}).With(),
-		batchRecords: reg.Counter("wire_batch_records_total",
-			"Soft-state records stored through publish-batch frames.").With(),
-		batchErrors: reg.Counter("wire_batch_errors_total",
-			"Batched records lost to whole-frame failures or per-record rejections.").With(),
 	}
 	resolve := func(t MsgType) {
 		tm := &typeMetrics{

@@ -78,8 +78,6 @@ type nodeOptions struct {
 	breakerCooldown  time.Duration
 	logger           *slog.Logger
 	poolSize         int
-	batchWindow      time.Duration
-	batchTimeout     time.Duration
 	spans            *span.Collector
 }
 
@@ -92,7 +90,6 @@ func defaultOptions() nodeOptions {
 		breakerCooldown:  2 * time.Second,
 		logger:           slog.Default(),
 		poolSize:         2,
-		batchTimeout:     2 * time.Second,
 	}
 }
 
@@ -151,22 +148,8 @@ func WithPoolSize(size int) NodeOption {
 	}
 }
 
-// WithBatchWindow enables publish batching: refresh-loop republishes
-// enqueue into per-owner batches flushed every window (or sooner when a
-// batch fills) as single MsgPublishBatch frames, instead of paying one
-// round trip per record per owner. Zero disables batching (the
-// default); the first Publish and explicit Publish calls stay
-// synchronous either way, so their error semantics are unchanged.
-func WithBatchWindow(window time.Duration) NodeOption {
-	return func(o *nodeOptions) {
-		if window > 0 {
-			o.batchWindow = window
-		}
-	}
-}
-
 // WithTracing attaches a span collector: every head-sampled operation
-// (Publish, FindNearest, Withdraw, batch flushes) records a span tree —
+// (Publish, FindNearest, Withdraw) records a span tree —
 // one span per client RPC carrying outcome, attempt count, peer address,
 // and latency — and stamps its trace context onto outgoing frames so the
 // serving side continues the same trace. Nil (the default) disables
@@ -216,7 +199,6 @@ type Node struct {
 	stop    chan struct{}
 	metrics *nodeMetrics
 	tr      *Transport // pooled, multiplexed client side
-	batch   *batcher   // publish coalescing; nil unless WithBatchWindow
 
 	mu      sync.Mutex
 	records map[string]Record     // by Addr
@@ -288,11 +270,6 @@ func NewNodeWithRegistry(listenAddr string, cfg SpaceConfig, peers []string, ttl
 	}
 	n.tr = newTransport(opt.poolSize, n.metrics.transport)
 	opt.spans.SetNode(n.addr)
-	if opt.batchWindow > 0 {
-		n.batch = newBatcher(n, opt.batchWindow)
-		n.wg.Add(1)
-		go n.batch.loop()
-	}
 	n.ring.Store(&peerRing{peers: normalizePeers(peers), epoch: 1})
 	n.metrics.ringEpoch.Set(1)
 	n.wg.Add(1)
@@ -315,10 +292,9 @@ func (n *Node) Registry() *obs.Registry { return n.metrics.reg }
 // Serve it with span.Handler to expose /traces.
 func (n *Node) Spans() *span.Collector { return n.opt.spans }
 
-// Close stops the server, the refresh and batch loops if running,
-// flushes any pending publish batch (a drain must not silently abandon
-// queued records), closes the persistent server connections and the
-// client pool, and waits for in-flight handlers.
+// Close stops the server and the refresh loop if running, closes the
+// persistent server connections and the client pool, and waits for
+// in-flight handlers.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -328,9 +304,6 @@ func (n *Node) Close() error {
 	n.closed = true
 	close(n.stop)
 	n.mu.Unlock()
-	if n.batch != nil {
-		n.batch.Flush(n.opt.batchTimeout)
-	}
 	err := n.ln.Close()
 	n.mu.Lock()
 	for c := range n.conns {
@@ -347,9 +320,8 @@ func (n *Node) Close() error {
 // it alive against the TTL) until the node is closed. The interval also
 // becomes the age up to which Publish and FindNearest reuse the vector.
 // Failures are tolerated and retried on the next tick — soft-state's
-// whole point is that transient losses heal themselves.
-// With WithBatchWindow set, republishes enqueue into the per-owner
-// batcher instead of paying one synchronous store per owner per tick.
+// whole point is that transient losses heal themselves. Each tick stores
+// the record at its ring owners synchronously, as Publish does.
 func (n *Node) StartRefresh(interval time.Duration, pings int, timeout time.Duration) {
 	if interval <= 0 {
 		interval = n.ttl / 3
@@ -365,13 +337,7 @@ func (n *Node) StartRefresh(interval time.Duration, pings int, timeout time.Dura
 			case <-n.stop:
 				return
 			case <-ticker.C:
-				var err error
-				if n.batch != nil {
-					_, err = n.publishBatched(pings, timeout)
-				} else {
-					_, err = n.publish(pings, timeout, false)
-				}
-				if err != nil {
+				if _, err := n.publish(pings, timeout, false); err != nil {
 					n.metrics.refreshFailures.Inc()
 					n.opt.logger.Debug("wire: refresh publish failed", "node", n.addr, "err", err)
 				}
@@ -990,28 +956,6 @@ func (n *Node) setLastRec(rec Record) {
 	n.mu.Unlock()
 }
 
-// publishBatched is the refresh loop's Publish under batching: it
-// measures and builds the record like Publish but enqueues it for every
-// ring owner instead of storing synchronously. Delivery errors surface
-// through wire_batch_errors_total when the window flushes; measurement
-// errors still fail the call so the refresh loop counts them.
-func (n *Node) publishBatched(pings int, timeout time.Duration) (rec Record, err error) {
-	// The measurement traces as its own root; delivery happens later in
-	// the batcher's flush, which roots a "publish-batch" trace per frame
-	// (one frame carries many nodes' records, so it cannot parent to any
-	// single publish).
-	root := n.opt.spans.StartRoot("publish-enqueue")
-	defer func() { root.Finish(span.Outcome(err), 0, err) }()
-	if rec, err = n.measureRecord(root.Context(), pings, timeout, false); err != nil {
-		return Record{}, err
-	}
-	for _, owner := range n.OwnersOf(rec.Number, n.opt.replication) {
-		n.batch.Enqueue(owner, rec)
-	}
-	n.setLastRec(rec)
-	return rec, nil
-}
-
 // measureRecord builds this node's record: its landmark vector's number,
 // a TTL from now. Publish stores it; FindNearest queries for the records
 // nearest to it. With reuse, the vector is a copy of the cached own
@@ -1049,12 +993,6 @@ func (n *Node) measureRecord(parent span.Context, pings int, timeout time.Durati
 func (n *Node) Withdraw(timeout time.Duration) (removed int, err error) {
 	root := n.opt.spans.StartRoot("withdraw")
 	defer func() { root.Finish(span.Outcome(err), 0, err) }()
-	// Flush pending batches first: a removal must not race a queued
-	// republish of the very record being withdrawn, and a drain must not
-	// silently drop other nodes' queued records either.
-	if n.batch != nil {
-		n.batch.Flush(timeout)
-	}
 	n.mu.Lock()
 	rec := n.lastRec
 	n.mu.Unlock()

@@ -42,9 +42,9 @@ const (
 	MsgStatsReply MsgType = "stats-reply"
 	MsgRemove     MsgType = "remove"
 	MsgRemoved    MsgType = "removed"
-	// MsgPublishBatch carries several soft-state records in one frame:
-	// publishes and refreshes headed for the same ring owner are coalesced
-	// by the client-side batcher instead of paying one round trip each.
+	// MsgPublishBatch is a bulk store: many soft-state records in one
+	// frame, for a tool that preloads an owner. A node publishes only its
+	// own record and never sends one.
 	MsgPublishBatch MsgType = "publish-batch"
 	// MsgBatchAck answers a publish-batch. A fully stored batch has no
 	// Errs; a partially failed one carries one entry per record (empty

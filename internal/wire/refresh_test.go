@@ -96,6 +96,80 @@ func TestRefreshFailuresCounted(t *testing.T) {
 	t.Fatalf("wire_refresh_failures_total = %v after failing refreshes, want >= 2", v)
 }
 
+// TestRefreshStoreFailuresCounted: the landmark answers but every ring
+// owner is down, so each tick measures and then fails to store anywhere.
+// Those ticks must count in wire_refresh_failures_total as well.
+func TestRefreshStoreFailuresCounted(t *testing.T) {
+	lms, lmAddrs := startLandmarks(t, 1)
+	dead := make([]string, 2)
+	for i := range dead {
+		gone := startNode(t, stubCfg(), nil)
+		dead[i] = gone.Addr()
+		if err := gone.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := NewNode("127.0.0.1:0", testConfig(lmAddrs), dead, time.Minute,
+		WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.StartRefresh(5*time.Millisecond, 1, 50*time.Millisecond)
+
+	failures := func() float64 {
+		v, _ := n.Registry().Snapshot().Value("wire_refresh_failures_total")
+		return v
+	}
+	waitFor(t, 2*time.Second, "two failed refresh ticks", func() bool { return failures() >= 2 })
+	if got := landmarkPings(lms); got < 2 {
+		t.Fatalf("landmark served %d pings; the ticks failed before measuring", got)
+	}
+}
+
+// TestRefreshTickStoresAtEachOwner: a refresh tick measures once and
+// stores the record at exactly replication ring owners, one store frame
+// each, with no publish-batch frame anywhere.
+func TestRefreshTickStoresAtEachOwner(t *testing.T) {
+	const replication = 2
+	lms, lmAddrs := startLandmarks(t, 1)
+	owners := make([]*Node, 3)
+	ownerAddrs := make([]string, len(owners))
+	for i := range owners {
+		owners[i] = startNode(t, stubCfg(), nil)
+		ownerAddrs[i] = owners[i].Addr()
+	}
+	n, err := NewNode("127.0.0.1:0", testConfig(lmAddrs), ownerAddrs, time.Minute,
+		WithReplication(replication), WithRetryPolicy(RetryPolicy{MaxAttempts: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	n.StartRefresh(10*time.Millisecond, 1, testTimeout)
+	waitFor(t, 2*time.Second, "three refresh ticks", func() bool { return landmarkPings(lms) >= 3 })
+	// Close waits out a tick in flight, so every measured tick has
+	// finished its stores when the counters are read.
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ticks := landmarkPings(lms) // one landmark, one ping per tick
+	var stores, batches float64
+	for _, o := range owners {
+		snap := o.Registry().Snapshot()
+		v, _ := snap.Value("wire_requests_total", string(MsgStore))
+		stores += v
+		v, _ = snap.Value("wire_requests_total", string(MsgPublishBatch))
+		batches += v
+	}
+	if want := float64(replication * ticks); stores != want {
+		t.Fatalf("%d ticks sent %v store frames, want %v", ticks, stores, want)
+	}
+	if batches != 0 {
+		t.Fatalf("refresh sent %v publish-batch frames, want 0", batches)
+	}
+}
+
 func TestStartRefreshDefaultInterval(t *testing.T) {
 	nodes := cluster(t, 2, 1)
 	n := nodes[1]

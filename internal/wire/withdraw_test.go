@@ -104,34 +104,6 @@ func TestWithdrawAfterPublish(t *testing.T) {
 	}
 }
 
-// batchedPair starts a landmark/owner node and a client node whose
-// publish batching window is effectively infinite, so tests control
-// flush timing themselves (via Withdraw, Close, or an explicit Flush).
-func batchedPair(t *testing.T) (*Node, *Node) {
-	t.Helper()
-	boot, err := NewNode("127.0.0.1:0", testConfig([]string{"placeholder"}), nil, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ownerAddr := boot.Addr()
-	if err := boot.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cfg := testConfig([]string{ownerAddr})
-	owner, err := NewNode(ownerAddr, cfg, []string{ownerAddr}, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = owner.Close() })
-	client, err := NewNode("127.0.0.1:0", cfg, []string{ownerAddr}, time.Minute,
-		WithBatchWindow(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = client.Close() })
-	return owner, client
-}
-
 // TestBatchPartialFailureReportsPerRecordErrors: a publish-batch frame
 // where one record is storable and one is not must store the good record
 // and report the rejection in the aligned per-record error slot — not
@@ -170,60 +142,5 @@ func TestBatchPartialFailureReportsPerRecordErrors(t *testing.T) {
 	}
 	if len(resp.Errs) != 0 {
 		t.Fatalf("clean batch returned errors: %v", resp.Errs)
-	}
-}
-
-// TestWithdrawFlushesPendingBatch pins the drain ordering: a withdrawal
-// must first flush the queued publishes (other records must not be
-// silently dropped; the node's own queued record must not resurrect it
-// after the remove), then delete this node's record from its owners.
-func TestWithdrawFlushesPendingBatch(t *testing.T) {
-	owner, client := batchedPair(t)
-	if _, err := client.publishBatched(1, testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if client.batch.Pending() == 0 {
-		t.Fatal("publishBatched stored synchronously; nothing queued")
-	}
-	if got := owner.RecordCount(); got != 0 {
-		t.Fatalf("owner stores %d records before any flush", got)
-	}
-
-	acked, err := client.Withdraw(testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acked == 0 {
-		t.Fatal("no owner acknowledged the withdrawal")
-	}
-	if client.batch.Pending() != 0 {
-		t.Fatal("withdraw left records queued")
-	}
-	// The flush did reach the owner (metered as stored batch records),
-	// and the subsequent remove deleted the flushed record again.
-	if v, _ := client.Registry().Snapshot().Value("wire_batch_records_total"); v < 1 {
-		t.Fatalf("wire_batch_records_total = %v, batch never flushed", v)
-	}
-	if got := owner.RecordCount(); got != 0 {
-		t.Fatalf("owner still stores %d records after withdraw", got)
-	}
-}
-
-// TestCloseFlushesPendingBatch: Close drains the pending batch before
-// tearing the transport down, so records queued just before shutdown
-// reach their owners instead of vanishing with the process.
-func TestCloseFlushesPendingBatch(t *testing.T) {
-	owner, client := batchedPair(t)
-	if _, err := client.publishBatched(1, testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if client.batch.Pending() == 0 {
-		t.Fatal("nothing queued")
-	}
-	if err := client.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := owner.RecordCount(); got == 0 {
-		t.Fatal("queued records lost on close")
 	}
 }
