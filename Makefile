@@ -42,8 +42,8 @@ bench-module:
 # must survive the binary layout). The wire node's cached landmark vector
 # and its refresh loop are re-run five times under the race detector, the
 # condition that shakes out timing-dependent tests. The examples run
-# the documented public API from a main, examples/wirecluster a live node
-# fleet. Performance is not gated here: bench/ (bash bench/run.sh) is the
+# the documented public API from a main, the simulator ones diffed
+# against their pinned stdout, examples/wirecluster a live node fleet. Performance is not gated here: bench/ (bash bench/run.sh) is the
 # perf contract.
 check: build vet fmt-check bench-module examples race
 	GSSO_WORKERS=4 go test -race -count=1 ./internal/experiment/... ./internal/netsim/...
@@ -117,11 +117,15 @@ results:
 quick-results:
 	go run ./cmd/topobench -run all -j $(J)
 
+# The four simulator examples are deterministic in their seeds: their
+# stdout must match the checked-in stdout.golden byte for byte.
+# wirecluster runs real sockets, so it is only run.
 examples:
-	go run ./examples/quickstart
-	go run ./examples/nearestpeer
-	go run ./examples/cdn
-	go run ./examples/qos
+	@for e in quickstart nearestpeer cdn qos; do \
+	  echo "go run ./examples/$$e | diff examples/$$e/stdout.golden"; \
+	  go run ./examples/$$e > .examples.out || exit 1; \
+	  diff -u examples/$$e/stdout.golden .examples.out || exit 1; \
+	done; rm -f .examples.out
 	go run ./examples/wirecluster
 
 # Non-test Go lines per package of the root module (bench/ is its own

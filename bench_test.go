@@ -6,6 +6,8 @@ import (
 	"gsso/internal/core"
 	"gsso/internal/experiment"
 	"gsso/internal/obs"
+	"gsso/internal/simrand"
+	"gsso/internal/topology"
 )
 
 // benchExperiment runs one paper artifact end to end per iteration at
@@ -63,9 +65,14 @@ func BenchmarkExtOrderingBaseline(b *testing.B)     { benchExperiment(b, "ext-or
 // atomic load).
 func benchNearest(b *testing.B, sink func(obs.Trace)) {
 	b.Helper()
+	net, err := topology.Generate(topology.TSKLarge(topology.GTITMLatency()).Scaled(0.15),
+		simrand.New(1).Split("topo"))
+	if err != nil {
+		b.Fatal(err)
+	}
 	sys, err := core.New(
 		core.WithSeed(1),
-		core.WithTopologyScale(0.15),
+		core.WithNetwork(net),
 		core.WithOverlaySize(96),
 		core.WithLandmarks(6),
 	)

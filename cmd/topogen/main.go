@@ -39,20 +39,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	model := topology.GTITMLatency()
-	if *latency == "manual" {
-		model = topology.ManualLatency()
-	} else if *latency != "gtitm" {
-		return fmt.Errorf("unknown latency model %q", *latency)
-	}
-	var spec topology.Spec
-	switch *kind {
-	case "tsk-large":
-		spec = topology.TSKLarge(model)
-	case "tsk-small":
-		spec = topology.TSKSmall(model)
-	default:
-		return fmt.Errorf("unknown topology kind %q", *kind)
+	spec, err := topology.Preset(*kind, *latency)
+	if err != nil {
+		return err
 	}
 	spec = spec.Scaled(*scale)
 

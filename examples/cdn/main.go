@@ -12,13 +12,19 @@ import (
 	"sort"
 
 	"gsso/internal/core"
+	"gsso/internal/simrand"
 	"gsso/internal/topology"
 )
 
 func main() {
+	net, err := topology.Generate(topology.TSKLarge(topology.GTITMLatency()).Scaled(0.2),
+		simrand.New(11).Split("topo"))
+	if err != nil {
+		log.Fatal(err)
+	}
 	sys, err := core.New(
 		core.WithSeed(11),
-		core.WithTopologyScale(0.2),
+		core.WithNetwork(net),
 		core.WithOverlaySize(320),
 		core.WithLandmarks(10),
 		core.WithProbeBudget(6),
@@ -26,7 +32,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net := sys.Net()
 	rng := sys.RNG("cdn")
 
 	// Clients are stub hosts that are NOT overlay members.

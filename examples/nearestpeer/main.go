@@ -10,13 +10,19 @@ import (
 	"log"
 
 	"gsso/internal/core"
+	"gsso/internal/simrand"
 	"gsso/internal/topology"
 )
 
 func main() {
+	net, err := topology.Generate(topology.TSKLarge(topology.GTITMLatency()).Scaled(0.2),
+		simrand.New(7).Split("topo"))
+	if err != nil {
+		log.Fatal(err)
+	}
 	sys, err := core.New(
 		core.WithSeed(7),
-		core.WithTopologyScale(0.2),
+		core.WithNetwork(net),
 		core.WithOverlaySize(384),
 		core.WithLandmarks(10),
 		core.WithProbeBudget(8),
@@ -25,7 +31,6 @@ func main() {
 		log.Fatal(err)
 	}
 	members := sys.Members()
-	net := sys.Net()
 	rng := sys.RNG("queries")
 
 	fmt.Println("finding the physically nearest overlay member via global soft-state")

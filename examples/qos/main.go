@@ -13,13 +13,20 @@ import (
 	"gsso/internal/can"
 	"gsso/internal/core"
 	"gsso/internal/pubsub"
+	"gsso/internal/simrand"
 	"gsso/internal/softstate"
+	"gsso/internal/topology"
 )
 
 func main() {
+	net, err := topology.Generate(topology.TSKLarge(topology.GTITMLatency()).Scaled(0.15),
+		simrand.New(23).Split("topo"))
+	if err != nil {
+		log.Fatal(err)
+	}
 	sys, err := core.New(
 		core.WithSeed(23),
-		core.WithTopologyScale(0.15),
+		core.WithNetwork(net),
 		core.WithOverlaySize(192),
 		core.WithLandmarks(8),
 		core.WithProbeBudget(8),

@@ -11,15 +11,22 @@ import (
 	"gsso/internal/can"
 	"gsso/internal/core"
 	"gsso/internal/ecan"
+	"gsso/internal/simrand"
+	"gsso/internal/topology"
 )
 
 func main() {
 	// A simulated deployment: ~2k-host transit-stub Internet, 256-member
 	// eCAN, 8 landmarks, 10 RTT probes per neighbor selection. Everything
 	// is deterministic in the seed.
+	net, err := topology.Generate(topology.TSKLarge(topology.GTITMLatency()).Scaled(0.2),
+		simrand.New(42).Split("topo"))
+	if err != nil {
+		log.Fatal(err)
+	}
 	sys, err := core.New(
 		core.WithSeed(42),
-		core.WithTopologyScale(0.2),
+		core.WithNetwork(net),
 		core.WithOverlaySize(256),
 		core.WithLandmarks(8),
 		core.WithProbeBudget(10),

@@ -26,12 +26,12 @@ import (
 // config collects the tunables; adjust via Options.
 type config struct {
 	seed        uint64
-	topoKind    string // "tsk-large" | "tsk-small"
-	topoScale   float64
+	root        string
 	overlayN    int
 	landmarks   int
 	probeBudget int
-	dim         int
+	maxReturn   int
+	condense    int
 	ttl         netsim.Time
 	confirm     int
 	net         *topology.Network
@@ -41,12 +41,10 @@ type config struct {
 func defaultConfig() config {
 	return config{
 		seed:        1,
-		topoKind:    "tsk-large",
-		topoScale:   0.2,
 		overlayN:    256,
 		landmarks:   8,
 		probeBudget: 10,
-		dim:         2,
+		maxReturn:   16,
 		ttl:         60_000,
 		confirm:     2,
 	}
@@ -58,11 +56,10 @@ type Option func(*config)
 // WithSeed sets the deterministic root seed.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithTopology selects "tsk-large" (default) or "tsk-small".
-func WithTopology(kind string) Option { return func(c *config) { c.topoKind = kind } }
-
-// WithTopologyScale scales the host population (1.0 = the paper's ~10k).
-func WithTopologyScale(f float64) Option { return func(c *config) { c.topoScale = f } }
+// WithStreamRoot roots every seed stream New draws at
+// simrand.New(seed).Split(label) instead of simrand.New(seed), so several
+// systems over one network and seed get independent streams.
+func WithStreamRoot(label string) Option { return func(c *config) { c.root = label } }
 
 // WithOverlaySize sets the number of overlay members.
 func WithOverlaySize(n int) Option { return func(c *config) { c.overlayN = n } }
@@ -74,6 +71,14 @@ func WithLandmarks(k int) Option { return func(c *config) { c.landmarks = k } }
 // or nearest-neighbor query.
 func WithProbeBudget(b int) Option { return func(c *config) { c.probeBudget = b } }
 
+// WithMaxReturn sets X, the most candidates one soft-state map lookup
+// returns (default 16); New raises it to the probe budget when smaller.
+func WithMaxReturn(x int) Option { return func(c *config) { c.maxReturn = x } }
+
+// WithCondenseDepth condenses each region's map into 2^-d of the region
+// (the paper's condense/reduction rate 2^d; default 0, no condensing).
+func WithCondenseDepth(d int) Option { return func(c *config) { c.condense = d } }
+
 // WithSoftStateTTL overrides the soft-state entry lifetime (virtual ms).
 // Experiments that tick a fast virtual clock shrink it so expiry — the
 // paper's implicit failure signal — fires within their horizon.
@@ -84,9 +89,8 @@ func WithSoftStateTTL(ttl netsim.Time) Option { return func(c *config) { c.ttl =
 // accumulate before the failure detector runs a confirmation probe.
 func WithConfirmThreshold(n int) Option { return func(c *config) { c.confirm = n } }
 
-// WithNetwork supplies a pre-generated physical topology instead of
-// generating one from the seed; experiment harnesses pass their memoized
-// shared network so a System costs no topology build.
+// WithNetwork supplies the physical topology the system is deployed on
+// (required). Networks are immutable, so many systems can share one.
 func WithNetwork(net *topology.Network) Option { return func(c *config) { c.net = net } }
 
 // WithRunLabel sets the env's telemetry run label (empty = "main"), so a
@@ -183,63 +187,56 @@ func (s *System) sync() {
 	}
 }
 
-// New builds a simulated deployment: generates the topology, joins the
-// overlay members, measures landmark vectors, publishes everyone's
+// New builds a simulated deployment over the WithNetwork topology: joins
+// the overlay members, calibrates the landmark space, publishes everyone's
 // soft-state, and installs the global-state proximity selector.
 func New(opts ...Option) (*System, error) {
 	cfg := defaultConfig()
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.overlayN < 2 {
-		return nil, fmt.Errorf("core: overlay size %d, need >= 2", cfg.overlayN)
+	net := cfg.net
+	if net == nil {
+		return nil, errors.New("core: no network, pass WithNetwork")
+	}
+	if stubs := net.Len() - net.TransitCount(); cfg.overlayN < 2 || cfg.overlayN > stubs {
+		return nil, fmt.Errorf("core: overlay size %d, need in [2, %d]", cfg.overlayN, stubs)
 	}
 	if cfg.probeBudget < 1 {
 		return nil, fmt.Errorf("core: probe budget %d, need >= 1", cfg.probeBudget)
+	}
+	if cfg.maxReturn < 1 {
+		return nil, fmt.Errorf("core: max return %d, need >= 1", cfg.maxReturn)
+	}
+	if cfg.condense < 0 {
+		return nil, fmt.Errorf("core: condense depth %d, need >= 0", cfg.condense)
 	}
 	if cfg.confirm < 1 {
 		return nil, fmt.Errorf("core: confirm threshold %d, need >= 1", cfg.confirm)
 	}
 
 	rng := simrand.New(cfg.seed)
-	net := cfg.net
-	if net == nil {
-		model := topology.GTITMLatency()
-		var spec topology.Spec
-		switch cfg.topoKind {
-		case "tsk-large":
-			spec = topology.TSKLarge(model)
-		case "tsk-small":
-			spec = topology.TSKSmall(model)
-		default:
-			return nil, fmt.Errorf("core: unknown topology %q", cfg.topoKind)
-		}
-		spec = spec.Scaled(cfg.topoScale)
-		var err error
-		net, err = topology.Generate(spec, rng.Split("topo"))
-		if err != nil {
-			return nil, err
-		}
+	if cfg.root != "" {
+		rng = rng.Split(cfg.root)
 	}
 	env := netsim.NewRun(net, cfg.run)
-	overlay, err := ecan.BuildUniform(net, cfg.overlayN, cfg.dim, 0,
-		ecan.RandomSelector{RNG: rng.Split("bootstrap")}, rng.Split("overlay"))
+	// A 2-d eCAN, as in the paper. The random selector only stands in
+	// until the soft-state selector below replaces it; nothing routes in
+	// between.
+	overlay, err := ecan.BuildUniform(net, cfg.overlayN, 2, 0,
+		ecan.RandomSelector{RNG: rng.Split("select")}, rng.Split("overlay"))
 	if err != nil {
 		return nil, err
 	}
-	set, err := landmark.Choose(net, cfg.landmarks, rng.Split("landmarks"))
-	if err != nil {
-		return nil, err
-	}
-	maxRTT := landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("estimate"), 32))
-	space, err := landmark.NewSpace(set, 3, 6, maxRTT)
+	space, err := landmark.Calibrate(net, cfg.landmarks, rng.Split("landmarks"), rng.Split("estimate"))
 	if err != nil {
 		return nil, err
 	}
 	store, err := softstate.NewStore(overlay, space, env, softstate.Config{
-		TTL:          cfg.ttl,
-		MaxReturn:    max(16, cfg.probeBudget),
-		ExpandBudget: 8,
+		TTL:           cfg.ttl,
+		CondenseDepth: cfg.condense,
+		MaxReturn:     max(cfg.maxReturn, cfg.probeBudget),
+		ExpandBudget:  8,
 	})
 	if err != nil {
 		return nil, err

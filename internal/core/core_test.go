@@ -2,16 +2,26 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"gsso/internal/can"
 	"gsso/internal/pubsub"
+	"gsso/internal/simrand"
 	"gsso/internal/softstate"
+	"gsso/internal/topology"
 )
+
+// testNet is the world every test system is deployed on: tsk-large at
+// 0.15 scale (about 1.6k hosts), generated once per test binary.
+var testNet = sync.OnceValue(func() *topology.Network {
+	return topology.MustGenerate(topology.TSKLarge(topology.GTITMLatency()).Scaled(0.15),
+		simrand.New(1).Split("topo"))
+})
 
 func newSystem(t testing.TB, opts ...Option) *System {
 	t.Helper()
-	base := []Option{WithSeed(1), WithTopologyScale(0.15), WithOverlaySize(96), WithLandmarks(6)}
+	base := []Option{WithSeed(1), WithNetwork(testNet()), WithOverlaySize(96), WithLandmarks(6)}
 	sys, err := New(append(base, opts...)...)
 	if err != nil {
 		t.Fatal(err)
@@ -42,14 +52,25 @@ func TestRefreshSoftState(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(WithOverlaySize(1)); err == nil {
-		t.Fatal("overlay size 1 accepted")
-	}
-	if _, err := New(WithProbeBudget(0)); err == nil {
-		t.Fatal("budget 0 accepted")
-	}
-	if _, err := New(WithTopology("nonsense")); err == nil {
-		t.Fatal("bad topology accepted")
+	net := WithNetwork(testNet())
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"no network", nil},
+		{"overlay size 1", []Option{net, WithOverlaySize(1)}},
+		{"overlay larger than the stub hosts", []Option{net, WithOverlaySize(testNet().Len())}},
+		{"probe budget 0", []Option{net, WithProbeBudget(0)}},
+		{"max return 0", []Option{net, WithMaxReturn(0)}},
+		{"negative condense depth", []Option{net, WithCondenseDepth(-1)}},
+		{"condense depth 33", []Option{net, WithCondenseDepth(33)}},
+		{"no landmarks", []Option{net, WithLandmarks(0)}},
+		{"zero TTL", []Option{net, WithSoftStateTTL(0)}},
+		{"confirm threshold 0", []Option{net, WithConfirmThreshold(0)}},
+	} {
+		if _, err := New(tc.opts...); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 

@@ -19,19 +19,15 @@ func TestChurnReconvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := buildStack(net, sc, stackConfig{
-		overlayN:  sc.OverlayN / 2,
-		landmarks: sc.Landmarks,
-		label:     "extchurn",
-	})
+	sys, err := newStack(net, sc, "extchurn", "", sc.OverlayN/2, sc.Landmarks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	members := st.overlay.CAN().Members()
+	members := sys.Members()
 
 	const k, ticks, maxReconverge = 2, 20, 3
-	for _, scen := range churnPlans(st, net, members) {
-		o, err := runChurnRecall(st, members, scen.plan, k, ticks, churnInterval)
+	for _, scen := range churnPlans(stackRNG(sc, "extchurn"), net, members) {
+		o, err := runChurnRecall(sys.Store(), members, scen.plan, k, ticks, churnInterval)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +41,7 @@ func TestChurnReconvergence(t *testing.T) {
 
 		// Same plan, same relative clock, same probe sequence (the run
 		// rebases both) => identical recall trace.
-		again, err := runChurnRecall(st, members, scen.plan, k, ticks, churnInterval)
+		again, err := runChurnRecall(sys.Store(), members, scen.plan, k, ticks, churnInterval)
 		if err != nil {
 			t.Fatal(err)
 		}

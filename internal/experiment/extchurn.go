@@ -6,6 +6,8 @@ import (
 
 	"gsso/internal/can"
 	"gsso/internal/netsim"
+	"gsso/internal/simrand"
+	"gsso/internal/softstate"
 	"gsso/internal/topology"
 )
 
@@ -41,11 +43,11 @@ type churnOutcome struct {
 // store is one metered probe that the plan may drop, sever, or time out),
 // a crashed owner loses its shard, and records expire after 3 intervals
 // without a successful refresh — the wire layer's ttl = 3*interval rule.
-func runChurnRecall(st *stack, members []*can.Member, plan *netsim.FaultPlan, k, ticks int, interval netsim.Time) (churnOutcome, error) {
+func runChurnRecall(store *softstate.Store, members []*can.Member, plan *netsim.FaultPlan, k, ticks int, interval netsim.Time) (churnOutcome, error) {
 	numbers := make([]uint64, len(members))
 	var span uint64
 	for i, m := range members {
-		num, ok := st.store.Number(m)
+		num, ok := store.Number(m)
 		if !ok {
 			return churnOutcome{}, fmt.Errorf("experiment: member %d has no landmark number", i)
 		}
@@ -71,7 +73,7 @@ func runChurnRecall(st *stack, members []*can.Member, plan *netsim.FaultPlan, k,
 	// Plans are authored against t=0; rebase onto the shared clock so the
 	// schedule fires at the same relative ticks in every run, and rewind
 	// the probe counter so the sequence-keyed loss stream replays too.
-	env := st.env
+	env := store.Env()
 	start := env.Clock().Now()
 	plan = plan.Shifted(start)
 	env.SetFaultPlan(plan)
@@ -166,9 +168,9 @@ func runChurnRecall(st *stack, members []*can.Member, plan *netsim.FaultPlan, k,
 const churnInterval = netsim.Time(1000)
 
 // churnPlans builds the experiment's two seeded fault plans over the
-// member hosts: churn alone, and churn compounded with probe loss and a
-// mid-run stub-domain partition.
-func churnPlans(st *stack, net *topology.Network, members []*can.Member) []struct {
+// member hosts, drawing the crash waves from rng: churn alone, and churn
+// compounded with probe loss and a mid-run stub-domain partition.
+func churnPlans(rng *simrand.Source, net *topology.Network, members []*can.Member) []struct {
 	name string
 	plan *netsim.FaultPlan
 } {
@@ -179,7 +181,7 @@ func churnPlans(st *stack, net *topology.Network, members []*can.Member) []struc
 	mkWaves := func(label string) []netsim.ChurnWave {
 		// Three waves, each crashing a fresh 20% of members for three
 		// refresh intervals, one quiet interval apart.
-		return netsim.CrashWaves(st.rng.Split(label), hosts, 3,
+		return netsim.CrashWaves(rng.Split(label), hosts, 3,
 			2*churnInterval, 4*churnInterval, 3*churnInterval, 0.2)
 	}
 	return []struct {
@@ -207,16 +209,11 @@ func RunExtChurn(sc Scale) ([]*Table, error) {
 	// Deliberately a single unit: every scenario × k cell advances the one
 	// shared virtual clock, so the sequence must not be reordered or
 	// interleaved by the engine.
-	st, err := buildStack(net, sc, stackConfig{
-		overlayN:  sc.OverlayN / 2,
-		landmarks: sc.Landmarks,
-		label:     "extchurn",
-		run:       "ext-churn",
-	})
+	sys, err := newStack(net, sc, "extchurn", "ext-churn", sc.OverlayN/2, sc.Landmarks)
 	if err != nil {
 		return nil, err
 	}
-	members := st.overlay.CAN().Members()
+	members := sys.Members()
 
 	t := &Table{
 		ID:    "ext-churn",
@@ -225,9 +222,9 @@ func RunExtChurn(sc Scale) ([]*Table, error) {
 			"intervals to ≥99% after last wave", "refresh probes"},
 	}
 	const ticks = 20
-	for _, scen := range churnPlans(st, net, members) {
+	for _, scen := range churnPlans(stackRNG(sc, "extchurn"), net, members) {
 		for _, k := range []int{1, 2, 3} {
-			o, err := runChurnRecall(st, members, scen.plan, k, ticks, churnInterval)
+			o, err := runChurnRecall(sys.Store(), members, scen.plan, k, ticks, churnInterval)
 			if err != nil {
 				return nil, err
 			}

@@ -37,41 +37,38 @@ func RunExtLoad(sc Scale) ([]*Table, error) {
 	alphas := []float64{0, 0.5, 1, 2, 4}
 	reports, err := engine.Map(len(alphas), func(i int) (loadbal.Report, error) {
 		alpha := alphas[i]
-		st, err := buildStack(net, sc, stackConfig{
-			overlayN:  sc.OverlayN,
-			landmarks: sc.Landmarks,
-			label:     fmt.Sprintf("extload/a%v", alpha),
-			run:       "ext-load",
-		})
+		label := fmt.Sprintf("extload/a%v", alpha)
+		sys, err := newStack(net, sc, label, "ext-load", sc.OverlayN, sc.Landmarks)
 		if err != nil {
 			return loadbal.Report{}, err
 		}
-		members := st.overlay.CAN().Members()
-		caps := loadbal.AssignHeterogeneousCapacities(members, 0.2, 20*float64(sc.OverlayN)/64, 2*float64(sc.OverlayN)/64, st.rng.Split("caps"))
-		if err := st.store.PublishAll(func(m *can.Member) []softstate.PublishOption {
+		overlay, env, store, rng := sys.Overlay(), sys.Env(), sys.Store(), stackRNG(sc, label)
+		members := sys.Members()
+		caps := loadbal.AssignHeterogeneousCapacities(members, 0.2, 20*float64(sc.OverlayN)/64, 2*float64(sc.OverlayN)/64, rng.Split("caps"))
+		if err := store.PublishAll(func(m *can.Member) []softstate.PublishOption {
 			return []softstate.PublishOption{softstate.WithCapacity(caps[m])}
 		}); err != nil {
 			return loadbal.Report{}, err
 		}
-		sel, err := loadbal.NewSelector(st.store, sc.RTTs, alpha,
-			ecan.RandomSelector{RNG: st.rng.Split("fb")})
+		sel, err := loadbal.NewSelector(store, sc.RTTs, alpha,
+			ecan.RandomSelector{RNG: rng.Split("fb")})
 		if err != nil {
 			return loadbal.Report{}, err
 		}
-		st.overlay.SetSelector(sel)
+		overlay.SetSelector(sel)
 		loads := map[*can.Member]float64{}
 		var rep loadbal.Report
 		for round := 0; round < 3; round++ {
-			rep, err = loadbal.RunTraffic(st.overlay, st.env, caps, loads,
-				sc.QueriesFor(sc.OverlayN)/2, st.rng.Split(fmt.Sprintf("traffic%d", round)))
+			rep, err = loadbal.RunTraffic(overlay, env, caps, loads,
+				sc.QueriesFor(sc.OverlayN)/2, rng.Split(fmt.Sprintf("traffic%d", round)))
 			if err != nil {
 				return loadbal.Report{}, err
 			}
 			for m, l := range loads {
-				st.store.UpdateLoad(m, l)
+				store.UpdateLoad(m, l)
 			}
 			for _, m := range members {
-				st.overlay.InvalidateEntries(m)
+				overlay.InvalidateEntries(m)
 			}
 		}
 		return rep, nil
@@ -114,15 +111,13 @@ func RunExtPubSub(sc Scale) ([]*Table, error) {
 		// The same label for every policy: identical topology, overlay
 		// geometry, landmark set and jitter, so the policies differ only
 		// in maintenance behaviour.
-		st, err := buildStack(net, sc, stackConfig{
-			overlayN:  sc.OverlayN / 2, // churn experiment: keep it nimble
-			landmarks: sc.Landmarks,
-			label:     "extpubsub",
-			run:       "ext-pubsub",
-		})
+		sys, err := newStack(net, sc, "extpubsub", "ext-pubsub",
+			sc.OverlayN/2, // churn experiment: keep it nimble
+			sc.Landmarks)
 		if err != nil {
 			return outcome{}, err
 		}
+		overlay, env, store, rng := sys.Overlay(), sys.Env(), sys.Store(), stackRNG(sc, "extpubsub")
 		// Per-node (access-link) churn: each epoch 10% of nodes congest,
 		// inflating paths through them up to 4x. Re-selection can route
 		// around a congested node; the interesting question is what each
@@ -131,20 +126,20 @@ func RunExtPubSub(sc Scale) ([]*Table, error) {
 		// would distort everyone's position uniformly, a separate failure
 		// mode deployments guard against with redundant landmarks.
 		exempt := make(map[topology.NodeID]struct{})
-		for _, lm := range st.space.Set().Nodes() {
+		for _, lm := range sys.Space().Set().Nodes() {
 			exempt[lm] = struct{}{}
 		}
-		st.env.SetPerturbation(netsim.NodeJitter{
+		env.SetPerturbation(netsim.NodeJitter{
 			Seed: sc.Seed, Amplitude: 3, Period: period, Fraction: 0.1, Exempt: exempt,
 		})
-		members := st.overlay.CAN().Members()
-		sel, err := softstate.NewSelector(st.store, sc.RTTs,
-			ecan.RandomSelector{RNG: st.rng.Split("fb")})
+		members := sys.Members()
+		sel, err := softstate.NewSelector(store, sc.RTTs,
+			ecan.RandomSelector{RNG: rng.Split("fb")})
 		if err != nil {
 			return outcome{}, err
 		}
-		st.overlay.SetSelector(sel)
-		pairs := samplePairs(st.overlay, sc.QueriesFor(sc.OverlayN/2), st.rng.Split("pairs"))
+		overlay.SetSelector(sel)
+		pairs := samplePairs(overlay, sc.QueriesFor(sc.OverlayN/2), rng.Split("pairs"))
 
 		// Pub/sub wiring (only used by the pubsub policy): every member
 		// watches each routing entry its routing has actually selected —
@@ -158,14 +153,8 @@ func RunExtPubSub(sc Scale) ([]*Table, error) {
 		const relMargin = 0.15
 		notified := map[*can.Member]bool{}
 		watchers := map[*can.Member][]*pubsub.Subscription{}
-		var bus *pubsub.Bus
-		if policy == "pubsub" {
-			bus, err = pubsub.NewBus(st.store, st.env)
-			if err != nil {
-				return outcome{}, err
-			}
-		}
-		d := st.overlay.DigitLen()
+		bus := sys.Bus()
+		d := overlay.DigitLen()
 		digitRegion := func(m *can.Member, row, digit int) can.Path {
 			region := m.Path().Prefix(row * d)
 			for b := d - 1; b >= 0; b-- {
@@ -190,7 +179,7 @@ func RunExtPubSub(sc Scale) ([]*Table, error) {
 				bus.Unsubscribe(s)
 			}
 			watchers[m] = nil
-			vec := st.store.Vector(m)
+			vec := store.Vector(m)
 			if vec == nil {
 				return nil
 			}
@@ -205,11 +194,11 @@ func RunExtPubSub(sc Scale) ([]*Table, error) {
 					// Watch only entries routing has actually selected;
 					// forcing selection here would spend probes on entries
 					// no route uses.
-					entry := st.overlay.CachedEntry(m, row, digit)
+					entry := overlay.CachedEntry(m, row, digit)
 					if entry == nil {
 						continue
 					}
-					evec := st.store.Vector(entry)
+					evec := store.Vector(entry)
 					if evec == nil {
 						continue
 					}
@@ -226,23 +215,23 @@ func RunExtPubSub(sc Scale) ([]*Table, error) {
 			return nil
 		}
 
-		st.env.ResetMessages()
-		st.env.ResetProbes()
+		env.ResetMessages()
+		env.ResetProbes()
 		out := outcome{}
 		for epoch := 0; epoch < epochs; epoch++ {
 			if epoch > 0 {
-				st.env.Clock().Advance(period)
+				env.Clock().Advance(period)
 				switch policy {
 				case "stale":
 					// Reactive: nothing moves until an entry is found dead.
 				case "poll":
-					pre := st.env.Probes()
-					if err := st.store.PublishAll(nil); err != nil {
+					pre := env.Probes()
+					if err := store.PublishAll(nil); err != nil {
 						return outcome{}, err
 					}
-					out.refreshProbes += st.env.Probes() - pre
+					out.refreshProbes += env.Probes() - pre
 					for _, m := range members {
-						st.overlay.InvalidateEntries(m)
+						overlay.InvalidateEntries(m)
 					}
 				case "pubsub":
 					// The soft-state refresh happens anyway (TTL); the bus
@@ -250,19 +239,19 @@ func RunExtPubSub(sc Scale) ([]*Table, error) {
 					for k := range notified {
 						delete(notified, k)
 					}
-					pre := st.env.Probes()
-					if err := st.store.PublishAll(nil); err != nil {
+					pre := env.Probes()
+					if err := store.PublishAll(nil); err != nil {
 						return outcome{}, err
 					}
-					out.refreshProbes += st.env.Probes() - pre
+					out.refreshProbes += env.Probes() - pre
 					for m := range notified {
 						// A notification is the cue that this member's
 						// neighborhood moved; refresh its table.
-						st.overlay.InvalidateEntries(m)
+						overlay.InvalidateEntries(m)
 					}
 				}
 			}
-			s, err := meanStretch(st.overlay, st.env, pairs)
+			s, err := meanStretch(overlay, env, pairs)
 			if err != nil {
 				return outcome{}, err
 			}
@@ -289,10 +278,10 @@ func RunExtPubSub(sc Scale) ([]*Table, error) {
 				}
 			}
 		}
-		for _, v := range st.env.MessageTotals() {
+		for _, v := range env.MessageTotals() {
 			out.messages += v
 		}
-		out.selectProbes = st.env.Probes() - out.refreshProbes
+		out.selectProbes = env.Probes() - out.refreshProbes
 		return out, nil
 	}
 
@@ -336,12 +325,7 @@ func RunExtChord(sc Scale) ([]*Table, error) {
 	rng := simrand.New(sc.Seed).Split("extchord")
 	hosts := net.RandomStubHosts(rng.Split("hosts"), sc.OverlayN)
 
-	set, err := landmark.Choose(net, sc.Landmarks, rng.Split("lm"))
-	if err != nil {
-		return nil, err
-	}
-	space, err := landmark.NewSpace(set, 3, 6,
-		landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("est"), 32)))
+	space, err := landmark.Calibrate(net, sc.Landmarks, rng.Split("lm"), rng.Split("est"))
 	if err != nil {
 		return nil, err
 	}

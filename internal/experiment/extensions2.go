@@ -216,12 +216,7 @@ func RunExtHier(sc Scale) ([]*Table, error) {
 
 	globalCount := 5
 	perDomain := 3
-	globalSet, err := landmark.Choose(net, globalCount, rng.Split("global"))
-	if err != nil {
-		return nil, err
-	}
-	maxRTT := landmark.EstimateMaxRTT(net, globalSet, net.RandomStubHosts(rng.Split("est"), 32))
-	globalSpace, err := landmark.NewSpace(globalSet, 3, 6, maxRTT)
+	globalSpace, err := landmark.Calibrate(net, globalCount, rng.Split("global"), rng.Split("est"))
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +233,7 @@ func RunExtHier(sc Scale) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	flatSpace, err := landmark.NewSpace(flatSet, 3, 6, maxRTT)
+	flatSpace, err := landmark.NewSpace(flatSet, 3, 6, globalSpace.MaxRTT())
 	if err != nil {
 		return nil, err
 	}

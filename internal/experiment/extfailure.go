@@ -39,32 +39,28 @@ func RunExtFailure(sc Scale) ([]*Table, error) {
 	}
 
 	run := func(policy string) (outcome, error) {
-		st, err := buildStack(net, sc, stackConfig{
-			overlayN:  sc.OverlayN / 2,
-			landmarks: sc.Landmarks,
-			label:     "extfailure",
-			run:       "ext-failure",
-		})
+		sys, err := newStack(net, sc, "extfailure", "ext-failure", sc.OverlayN/2, sc.Landmarks)
 		if err != nil {
 			return outcome{}, err
 		}
-		members := st.overlay.CAN().Members()
-		sel, err := softstate.NewSelector(st.store, sc.RTTs,
-			ecan.RandomSelector{RNG: st.rng.Split("fb")})
+		overlay, env, store, rng := sys.Overlay(), sys.Env(), sys.Store(), stackRNG(sc, "extfailure")
+		members := sys.Members()
+		sel, err := softstate.NewSelector(store, sc.RTTs,
+			ecan.RandomSelector{RNG: rng.Split("fb")})
 		if err != nil {
 			return outcome{}, err
 		}
-		st.overlay.SetSelector(sel)
-		pairs := samplePairs(st.overlay, sc.QueriesFor(sc.OverlayN/2), st.rng.Split("pairs"))
+		overlay.SetSelector(sel)
+		pairs := samplePairs(overlay, sc.QueriesFor(sc.OverlayN/2), rng.Split("pairs"))
 
 		// Warm the tables, then crash a deterministic member subset.
 		// (Crashed members keep their zones: the overlay repair protocol is
 		// can.Depart; here we study only the soft-state staleness, so the
 		// dead stay as silent forwarders — their zones still route.)
-		if _, err := meanStretch(st.overlay, st.env, pairs); err != nil {
+		if _, err := meanStretch(overlay, env, pairs); err != nil {
 			return outcome{}, err
 		}
-		crashRNG := st.rng.Split("crash")
+		crashRNG := rng.Split("crash")
 		var crashed []*can.Member
 		for _, idx := range crashRNG.Sample(len(members), int(crashFraction*float64(len(members)))) {
 			crashed = append(crashed, members[idx])
@@ -72,7 +68,7 @@ func RunExtFailure(sc Scale) ([]*Table, error) {
 		deadHosts := make(map[*can.Member]bool, len(crashed))
 		for _, m := range crashed {
 			deadHosts[m] = true
-			st.env.SetDown(m.Host, true)
+			env.SetDown(m.Host, true)
 		}
 		out := outcome{}
 
@@ -81,27 +77,27 @@ func RunExtFailure(sc Scale) ([]*Table, error) {
 			// Nothing up front; timeouts during re-selection purge lazily.
 		case "poll":
 			// Every owner probes the liveness of every entry it hosts.
-			pre := st.env.Probes()
+			pre := env.Probes()
 			for _, m := range members {
 				// The store models all shards; sweep by probing each
 				// published member once from its primary owner.
-				if st.store.Vector(m) == nil {
+				if store.Vector(m) == nil {
 					continue
 				}
-				num, _ := st.store.Number(m)
-				owner := st.store.OwnerOf(m.Path().Prefix(st.overlay.DigitLen()), num)
-				if owner == nil || st.env.IsDown(owner.Host) {
+				num, _ := store.Number(m)
+				owner := store.OwnerOf(m.Path().Prefix(overlay.DigitLen()), num)
+				if owner == nil || env.IsDown(owner.Host) {
 					continue // a crashed owner polls nothing; its shard is gone with it
 				}
-				if rtt := st.env.ProbeRTT(owner.Host, m.Host); math.IsInf(rtt, 1) {
-					st.store.ReportUnreachable(m)
+				if rtt := env.ProbeRTT(owner.Host, m.Host); math.IsInf(rtt, 1) {
+					store.ReportUnreachable(m)
 				}
 			}
-			out.livenessProbes = st.env.Probes() - pre
+			out.livenessProbes = env.Probes() - pre
 		case "proactive":
 			// Departing nodes withdraw their own state.
 			for _, m := range crashed {
-				st.store.Remove(m)
+				store.Remove(m)
 				out.withdrawals++
 			}
 		}
@@ -109,19 +105,19 @@ func RunExtFailure(sc Scale) ([]*Table, error) {
 		// Force re-selection and measure: dead entries surface as probe
 		// timeouts (reactive) or are already gone (poll/proactive).
 		for _, m := range members {
-			st.overlay.InvalidateEntries(m)
+			overlay.InvalidateEntries(m)
 		}
-		deadBefore := st.env.Messages("reactive-delete")
-		s, err := meanStretch(st.overlay, st.env, pairs)
+		deadBefore := env.Messages("reactive-delete")
+		s, err := meanStretch(overlay, env, pairs)
 		if err != nil {
 			return outcome{}, err
 		}
 		out.stretch = s
-		out.deadEncounters = st.env.Messages("reactive-delete") - deadBefore
+		out.deadEncounters = env.Messages("reactive-delete") - deadBefore
 
 		// Residual staleness: dead entries still present in any map.
 		for _, m := range crashed {
-			if st.store.Vector(m) != nil {
+			if store.Vector(m) != nil {
 				out.staleEntries++
 			}
 		}

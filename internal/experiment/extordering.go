@@ -30,12 +30,7 @@ func RunExtOrdering(sc Scale) ([]*Table, error) {
 	rng := simrand.New(sc.Seed).Split("extordering")
 	hosts := net.StubHosts()
 
-	set, err := landmark.Choose(net, sc.Landmarks, rng.Split("lm"))
-	if err != nil {
-		return nil, err
-	}
-	space, err := landmark.NewSpace(set, 3, 6,
-		landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("est"), 32)))
+	space, err := landmark.Calibrate(net, sc.Landmarks, rng.Split("lm"), rng.Split("est"))
 	if err != nil {
 		return nil, err
 	}

@@ -28,12 +28,7 @@ func RunExtPastry(sc Scale) ([]*Table, error) {
 	rng := simrand.New(sc.Seed).Split("extpastry")
 	hosts := net.RandomStubHosts(rng.Split("hosts"), sc.OverlayN)
 
-	set, err := landmark.Choose(net, sc.Landmarks, rng.Split("lm"))
-	if err != nil {
-		return nil, err
-	}
-	space, err := landmark.NewSpace(set, 3, 6,
-		landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("est"), 32)))
+	space, err := landmark.Calibrate(net, sc.Landmarks, rng.Split("lm"), rng.Split("est"))
 	if err != nil {
 		return nil, err
 	}

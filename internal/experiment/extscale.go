@@ -71,15 +71,9 @@ func scaleSweepFor(sc Scale) ([]int, error) {
 // are cross-checked against in-RAM totals — the two paths must agree
 // exactly, since the stream stores full float64 bits.
 func RunScaleCell(kind TopoKind, targetN int, sc Scale, dir string) (ScaleCell, error) {
-	model := topology.GTITMLatency()
-	var spec topology.Spec
-	switch kind {
-	case TSKLarge:
-		spec = topology.TSKLarge(model)
-	case TSKSmall:
-		spec = topology.TSKSmall(model)
-	default:
-		return ScaleCell{}, fmt.Errorf("experiment: unknown topology kind %q", kind)
+	spec, err := topology.Preset(string(kind), string(LatGTITM))
+	if err != nil {
+		return ScaleCell{}, err
 	}
 	spec = spec.SizedWide(targetN)
 	rng := simrand.New(sc.Seed).Split(fmt.Sprintf("ext-scale/%s/%d", kind, targetN))
@@ -90,12 +84,7 @@ func RunScaleCell(kind TopoKind, targetN int, sc Scale, dir string) (ScaleCell, 
 	env := netsim.NewRun(net, "ext-scale")
 	hosts := net.StubHosts()
 
-	set, err := landmark.Choose(net, sc.Landmarks, rng.Split("landmarks"))
-	if err != nil {
-		return ScaleCell{}, err
-	}
-	space, err := landmark.NewSpace(set, 3, 6,
-		landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("est"), 32)))
+	space, err := landmark.Calibrate(net, sc.Landmarks, rng.Split("landmarks"), rng.Split("est"))
 	if err != nil {
 		return ScaleCell{}, err
 	}

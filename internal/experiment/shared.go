@@ -58,7 +58,12 @@ func TopologyGenerations() (generations, cacheHits int64) {
 func buildNet(kind TopoKind, lat LatKind, sc Scale) (*topology.Network, error) {
 	key := netKey{kind: kind, lat: lat, topoScale: sc.TopoScale, seed: sc.Seed}
 	return netCache.Do(key, func() (*topology.Network, error) {
-		return generateNet(kind, lat, sc)
+		spec, err := topology.Preset(string(kind), string(lat))
+		if err != nil {
+			return nil, err
+		}
+		rng := simrand.New(sc.Seed).Split("topo/" + string(kind) + "/" + string(lat))
+		return topology.Generate(spec.Scaled(sc.TopoScale), rng)
 	})
 }
 
@@ -93,12 +98,7 @@ func sharedNNCore(kind TopoKind, sc Scale) (*nnCore, error) {
 		rng := simrand.New(sc.Seed).Split("nn/" + string(kind))
 		hosts := net.StubHosts()
 
-		set, err := landmark.Choose(net, sc.Landmarks, rng.Split("landmarks"))
-		if err != nil {
-			return nil, err
-		}
-		space, err := landmark.NewSpace(set, 3, 6,
-			landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("est"), 32)))
+		space, err := landmark.Calibrate(net, sc.Landmarks, rng.Split("landmarks"), rng.Split("est"))
 		if err != nil {
 			return nil, err
 		}

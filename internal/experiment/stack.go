@@ -4,11 +4,10 @@ import (
 	"fmt"
 
 	"gsso/internal/can"
+	"gsso/internal/core"
 	"gsso/internal/ecan"
-	"gsso/internal/landmark"
 	"gsso/internal/netsim"
 	"gsso/internal/simrand"
-	"gsso/internal/softstate"
 	"gsso/internal/topology"
 )
 
@@ -30,87 +29,31 @@ const (
 	LatManual LatKind = "manual"
 )
 
-// generateNet generates the requested preset topology at the scale's
-// size. Callers go through buildNet (shared.go), which memoizes the
-// result per distinct (kind, lat, TopoScale, Seed).
-func generateNet(kind TopoKind, lat LatKind, sc Scale) (*topology.Network, error) {
-	model := topology.GTITMLatency()
-	if lat == LatManual {
-		model = topology.ManualLatency()
-	}
-	var spec topology.Spec
-	switch kind {
-	case TSKLarge:
-		spec = topology.TSKLarge(model)
-	case TSKSmall:
-		spec = topology.TSKSmall(model)
-	default:
-		return nil, fmt.Errorf("experiment: unknown topology kind %q", kind)
-	}
-	spec = spec.Scaled(sc.TopoScale)
-	rng := simrand.New(sc.Seed).Split("topo/" + string(kind) + "/" + string(lat))
-	return topology.Generate(spec, rng)
+// newStack assembles one experiment stack: a core.System of overlayN
+// members and landmarks landmarks over the shared network net, metered
+// under the telemetry run label run. Every seed stream, core's own and the
+// experiment's (stackRNG), roots at simrand.New(sc.Seed).Split("stack/" +
+// label), so two stacks with the same label are identical regardless of
+// build order or worker placement. Membership is static, so entries never
+// expire; opts come last and override the defaults.
+func newStack(net *topology.Network, sc Scale, label, run string, overlayN, landmarks int,
+	opts ...core.Option) (*core.System, error) {
+	return core.New(append([]core.Option{
+		core.WithNetwork(net),
+		core.WithSeed(sc.Seed),
+		core.WithStreamRoot("stack/" + label),
+		core.WithOverlaySize(overlayN),
+		core.WithLandmarks(landmarks),
+		core.WithMaxReturn(32),
+		core.WithSoftStateTTL(1e9),
+		core.WithRunLabel(run),
+	}, opts...)...)
 }
 
-// stack is the full system: topology, environment, overlay, landmark
-// space, and soft-state store with everyone published.
-type stack struct {
-	net     *topology.Network
-	env     *netsim.Env
-	overlay *ecan.Overlay
-	space   *landmark.Space
-	store   *softstate.Store
-	rng     *simrand.Source
-}
-
-// stackConfig parameterizes buildStack.
-type stackConfig struct {
-	overlayN  int
-	landmarks int
-	condense  int
-	maxReturn int
-	label     string // seed-split label, distinct per configuration
-	run       string // telemetry run label, normally the experiment ID
-}
-
-// buildStack assembles the system over an existing network. The overlay's
-// initial selector is random; callers install the selector under test via
-// SetSelector. Every seed stream derives from sc.Seed and cfg.label alone,
-// so two stacks with the same config are identical regardless of build
-// order or worker placement.
-func buildStack(net *topology.Network, sc Scale, cfg stackConfig) (*stack, error) {
-	if cfg.maxReturn == 0 {
-		cfg.maxReturn = 32
-	}
-	rng := simrand.New(sc.Seed).Split("stack/" + cfg.label)
-	env := netsim.NewRun(net, cfg.run)
-	overlay, err := ecan.BuildUniform(net, cfg.overlayN, 2, 0,
-		ecan.RandomSelector{RNG: rng.Split("select")}, rng.Split("overlay"))
-	if err != nil {
-		return nil, err
-	}
-	set, err := landmark.Choose(net, cfg.landmarks, rng.Split("landmarks"))
-	if err != nil {
-		return nil, err
-	}
-	maxRTT := landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("estimate"), 32))
-	space, err := landmark.NewSpace(set, 3, 6, maxRTT)
-	if err != nil {
-		return nil, err
-	}
-	store, err := softstate.NewStore(overlay, space, env, softstate.Config{
-		TTL:           1e9, // static-membership experiments never expire
-		CondenseDepth: cfg.condense,
-		MaxReturn:     cfg.maxReturn,
-		ExpandBudget:  8,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := store.PublishAll(nil); err != nil {
-		return nil, err
-	}
-	return &stack{net: net, env: env, overlay: overlay, space: space, store: store, rng: rng}, nil
+// stackRNG re-derives the root stream of the stack labelled label, for
+// the experiment's own draws next to core's.
+func stackRNG(sc Scale, label string) *simrand.Source {
+	return simrand.New(sc.Seed).Split("stack/" + label)
 }
 
 // pair is one routing measurement: source member, destination member.
@@ -157,7 +100,7 @@ func meanStretch(overlay *ecan.Overlay, env *netsim.Env, pairs []pair) (float64,
 
 // stretchWithSelector installs sel (clearing cached entries) and measures
 // mean stretch over pairs.
-func stretchWithSelector(st *stack, sel ecan.Selector, pairs []pair) (float64, error) {
-	st.overlay.SetSelector(sel)
-	return meanStretch(st.overlay, st.env, pairs)
+func stretchWithSelector(sys *core.System, sel ecan.Selector, pairs []pair) (float64, error) {
+	sys.Overlay().SetSelector(sel)
+	return meanStretch(sys.Overlay(), sys.Env(), pairs)
 }

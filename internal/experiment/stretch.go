@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"gsso/internal/core"
 	"gsso/internal/ecan"
 	"gsso/internal/experiment/engine"
 	"gsso/internal/simrand"
@@ -47,35 +48,30 @@ func runStretchFig(id string, kind TopoKind, lat LatKind, sc Scale) ([]*Table, e
 	}
 	cols, err := engine.Map(len(sc.LandmarkSweep), func(i int) (column, error) {
 		lm := sc.LandmarkSweep[i]
-		st, err := buildStack(net, sc, stackConfig{
-			overlayN:  sc.OverlayN,
-			landmarks: lm,
-			maxReturn: max(32, slices.Max(sc.RTTSweep)),
-			label:     fmt.Sprintf("%s/lm%d", id, lm),
-			run:       id,
-		})
+		sys, err := newStack(net, sc, fmt.Sprintf("%s/lm%d", id, lm), id, sc.OverlayN, lm,
+			core.WithMaxReturn(max(32, slices.Max(sc.RTTSweep))))
 		if err != nil {
 			return column{}, err
 		}
 		// The same measurement pairs throughout for comparability; the
 		// pair stream depends only on the figure's label, so every column
 		// samples the identical host-pair sequence over its own overlay.
-		pairs := samplePairs(st.overlay, sc.QueriesFor(sc.OverlayN),
+		pairs := samplePairs(sys.Overlay(), sc.QueriesFor(sc.OverlayN),
 			simrand.New(sc.Seed).Split(id+"/pairs"))
 		col := column{cells: make([]float64, len(sc.RTTSweep))}
 		if i == 0 {
-			col.optimal, err = stretchWithSelector(st, ecan.ClosestSelector{Env: st.env}, pairs)
+			col.optimal, err = stretchWithSelector(sys, ecan.ClosestSelector{Env: sys.Env()}, pairs)
 			if err != nil {
 				return column{}, err
 			}
 		}
 		for j, rtts := range sc.RTTSweep {
-			sel, err := softstate.NewSelector(st.store, rtts,
+			sel, err := softstate.NewSelector(sys.Store(), rtts,
 				ecan.RandomSelector{RNG: simrand.New(sc.Seed).Split(fmt.Sprintf("%s/fb/%d/%d", id, i, rtts))})
 			if err != nil {
 				return column{}, err
 			}
-			s, err := stretchWithSelector(st, sel, pairs)
+			s, err := stretchWithSelector(sys, sel, pairs)
 			if err != nil {
 				return column{}, err
 			}
@@ -132,27 +128,22 @@ func runSizeFig(id string, lat LatKind, sc Scale) ([]*Table, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		st, err := buildStack(net, sc, stackConfig{
-			overlayN:  n,
-			landmarks: sc.Landmarks,
-			label:     fmt.Sprintf("%s/%s/%d", id, kind, n),
-			run:       id,
-		})
+		sys, err := newStack(net, sc, fmt.Sprintf("%s/%s/%d", id, kind, n), id, n, sc.Landmarks)
 		if err != nil {
 			return cell{}, err
 		}
-		pairs := samplePairs(st.overlay, sc.QueriesFor(n),
+		pairs := samplePairs(sys.Overlay(), sc.QueriesFor(n),
 			simrand.New(sc.Seed).Split(fmt.Sprintf("%s/pairs/%s/%d", id, kind, n)))
-		sel, err := softstate.NewSelector(st.store, sc.RTTs,
+		sel, err := softstate.NewSelector(sys.Store(), sc.RTTs,
 			ecan.RandomSelector{RNG: simrand.New(sc.Seed).Split(id + "/fb")})
 		if err != nil {
 			return cell{}, err
 		}
-		gs, err := stretchWithSelector(st, sel, pairs)
+		gs, err := stretchWithSelector(sys, sel, pairs)
 		if err != nil {
 			return cell{}, err
 		}
-		rnd, err := stretchWithSelector(st,
+		rnd, err := stretchWithSelector(sys,
 			ecan.RandomSelector{RNG: simrand.New(sc.Seed).Split(id + "/rand")}, pairs)
 		if err != nil {
 			return cell{}, err
@@ -199,17 +190,12 @@ func RunFig16(sc Scale) ([]*Table, error) {
 	}
 	rows, err := engine.Map(len(sc.CondenseSweep), func(i int) (row, error) {
 		depth := sc.CondenseSweep[i]
-		st, err := buildStack(net, sc, stackConfig{
-			overlayN:  sc.OverlayN,
-			landmarks: sc.Landmarks,
-			condense:  depth,
-			label:     fmt.Sprintf("fig16/c%d", depth),
-			run:       "fig16",
-		})
+		sys, err := newStack(net, sc, fmt.Sprintf("fig16/c%d", depth), "fig16", sc.OverlayN, sc.Landmarks,
+			core.WithCondenseDepth(depth))
 		if err != nil {
 			return row{}, err
 		}
-		counts := st.store.EntriesPerOwner()
+		counts := sys.Store().EntriesPerOwner()
 		total, maxC := 0, 0
 		for _, c := range counts {
 			total += c
@@ -221,14 +207,14 @@ func RunFig16(sc Scale) ([]*Table, error) {
 		if len(counts) > 0 {
 			mean = float64(total) / float64(len(counts))
 		}
-		pairs := samplePairs(st.overlay, sc.QueriesFor(sc.OverlayN),
+		pairs := samplePairs(sys.Overlay(), sc.QueriesFor(sc.OverlayN),
 			simrand.New(sc.Seed).Split(fmt.Sprintf("fig16/pairs/%d", depth)))
-		sel, err := softstate.NewSelector(st.store, sc.RTTs,
+		sel, err := softstate.NewSelector(sys.Store(), sc.RTTs,
 			ecan.RandomSelector{RNG: simrand.New(sc.Seed).Split("fig16/fb")})
 		if err != nil {
 			return row{}, err
 		}
-		s, err := stretchWithSelector(st, sel, pairs)
+		s, err := stretchWithSelector(sys, sel, pairs)
 		if err != nil {
 			return row{}, err
 		}

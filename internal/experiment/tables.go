@@ -16,12 +16,7 @@ func RunTab1(sc Scale) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := buildStack(net, sc, stackConfig{
-		overlayN:  sc.OverlayN,
-		landmarks: sc.Landmarks,
-		label:     "tab1",
-		run:       "tab1",
-	})
+	sys, err := newStack(net, sc, "tab1", "tab1", sc.OverlayN, sc.Landmarks)
 	if err != nil {
 		return nil, err
 	}
@@ -30,17 +25,17 @@ func RunTab1(sc Scale) ([]*Table, error) {
 		Title:   "Procedure for locating the closest node in a zone (traced)",
 		Columns: []string{"step", "paper", "this run"},
 	}
-	members := st.overlay.CAN().Members()
-	x := members[0]
-	region := x.Path().Prefix(st.overlay.DigitLen())
-	vec := st.store.Vector(x)
-	num, _ := st.store.Number(x)
+	store := sys.Store()
+	x := sys.Members()[0]
+	region := x.Path().Prefix(sys.Overlay().DigitLen())
+	vec := store.Vector(x)
+	num, _ := store.Number(x)
 	t.AddRowf(1, "let px be x's position in the landmark space",
 		fmt.Sprintf("landmark vector of %d dims, number=%d", len(vec), num))
-	owner := st.store.OwnerOf(region, num)
+	owner := store.OwnerOf(region, num)
 	t.AddRowf(2, "map px to px' in Z",
 		fmt.Sprintf("placement inside region %s -> owner host %d", region, owner.Host))
-	entries, cost, err := st.store.Lookup(region, vec)
+	entries, cost, err := store.Lookup(region, vec)
 	if err != nil {
 		return nil, err
 	}
@@ -49,14 +44,14 @@ func RunTab1(sc Scale) ([]*Table, error) {
 	t.AddRowf(4, "if y's map content is not empty, return map content",
 		fmt.Sprintf("%d candidates returned (%d expand hops)", len(entries), cost.ExpandHops))
 	t.AddRowf(5, "define a TTL to search outside y's map content range",
-		fmt.Sprintf("expand budget %d shards", st.store.Config().ExpandBudget))
+		fmt.Sprintf("expand budget %d shards", store.Config().ExpandBudget))
 	best := "no candidates"
 	// Budget = all: the requester probes every candidate but itself.
 	if _, bestRTT, probed := landmark.ProbeBest(entries, len(entries), func(e *softstate.Entry) (float64, float64, bool) {
 		if e.Member == x {
 			return 0, 0, false
 		}
-		r := st.env.ProbeRTT(x.Host, e.Host)
+		r := sys.Env().ProbeRTT(x.Host, e.Host)
 		return r, r, true
 	}, nil); probed > 0 {
 		best = fmt.Sprintf("probed %d candidates, best RTT %.2f ms", probed, bestRTT)

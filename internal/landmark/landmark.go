@@ -223,6 +223,18 @@ func (sp *Space) NumberToUnitPoint(num uint64) ([]float64, error) {
 	return sp.curve.IndexToUnitPoint(num)
 }
 
+// Calibrate picks k landmarks with the pick stream, estimates the
+// quantization scale from 32 stub hosts drawn with the est stream, and
+// returns the space over them: 3 index dimensions at 6 bits each, the
+// setting every simulated deployment uses.
+func Calibrate(net *topology.Network, k int, pick, est *simrand.Source) (*Space, error) {
+	set, err := Choose(net, k, pick)
+	if err != nil {
+		return nil, err
+	}
+	return NewSpace(set, 3, 6, EstimateMaxRTT(net, set, net.RandomStubHosts(est, 32)))
+}
+
 // EstimateMaxRTT returns a quantization scale for a Space by sampling RTTs
 // from sample hosts to the landmark set through the unmetered oracle: the
 // maximum observed RTT padded by 25%. Using the oracle is legitimate here

@@ -2,6 +2,7 @@ package landmark
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -336,5 +337,20 @@ func TestEstimateMaxRTT(t *testing.T) {
 	}
 	if EstimateMaxRTT(net, set, nil) != 1.25 {
 		t.Fatal("empty sample should return padded floor")
+	}
+
+	// Calibrate is Choose -> EstimateMaxRTT over 32 stub hosts -> NewSpace(3, 6).
+	sp, err := Calibrate(net, 4, simrand.New(5), simrand.New(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := EstimateMaxRTT(net, set, net.RandomStubHosts(simrand.New(6), 32))
+	if sp.MaxRTT() != want || sp.IndexDims() != 3 || sp.Curve().Bits() != 6 ||
+		!slices.Equal(sp.Set().Nodes(), set.Nodes()) {
+		t.Fatalf("Calibrate space: maxRTT %v (want %v), dims %d, bits %d",
+			sp.MaxRTT(), want, sp.IndexDims(), sp.Curve().Bits())
+	}
+	if _, err := Calibrate(net, 0, simrand.New(5), simrand.New(6)); err == nil {
+		t.Fatal("Calibrate accepted k = 0")
 	}
 }

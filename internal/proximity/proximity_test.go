@@ -458,12 +458,7 @@ func TestStretch(t *testing.T) {
 func BenchmarkBuildIndex100k(b *testing.B) {
 	net := topology.MustGenerate(topology.TSKLarge(topology.GTITMLatency()).SizedWide(100_000), simrand.New(1))
 	rng := simrand.New(2)
-	set, err := landmark.Choose(net, 15, rng.Split("lm"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	space, err := landmark.NewSpace(set, 3, 6,
-		landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("est"), 32)))
+	space, err := landmark.Calibrate(net, 15, rng.Split("lm"), rng.Split("est"))
 	if err != nil {
 		b.Fatal(err)
 	}

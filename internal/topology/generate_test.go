@@ -76,6 +76,15 @@ func TestPresetShapes(t *testing.T) {
 	if small.NodesPerStub <= large.NodesPerStub {
 		t.Fatal("tsk-small stubs should be denser")
 	}
+	if got, err := Preset("tsk-small", "manual"); err != nil || got != TSKSmall(ManualLatency()) {
+		t.Fatalf("Preset(tsk-small, manual) = %+v, %v", got, err)
+	}
+	if _, err := Preset("mesh", "gtitm"); err == nil {
+		t.Fatal("unknown kind accepted")
+	}
+	if _, err := Preset("tsk-large", "quantum"); err == nil {
+		t.Fatal("unknown latency accepted")
+	}
 }
 
 func TestScaled(t *testing.T) {

@@ -75,18 +75,6 @@ func goldenCells(short bool) []goldenCell {
 	return cells
 }
 
-func goldenSpec(c goldenCell) Spec {
-	model := GTITMLatency()
-	if c.lat == "manual" {
-		model = ManualLatency()
-	}
-	spec := TSKLarge(model)
-	if c.preset == "tsk-small" {
-		spec = TSKSmall(model)
-	}
-	return spec.Scaled(c.scale)
-}
-
 func goldenName(c goldenCell) string {
 	return fmt.Sprintf("golden_%s_%s_s%d_x%v.json", c.preset, c.lat, c.seed, c.scale)
 }
@@ -94,8 +82,11 @@ func goldenName(c goldenCell) string {
 // buildFixture generates the cell's network with the current implementation
 // and summarizes it into a fixture.
 func buildFixture(c goldenCell) (goldenFixture, error) {
-	spec := goldenSpec(c)
-	net, err := Generate(spec, simrand.New(c.seed))
+	spec, err := Preset(c.preset, c.lat)
+	if err != nil {
+		return goldenFixture{}, err
+	}
+	net, err := Generate(spec.Scaled(c.scale), simrand.New(c.seed))
 	if err != nil {
 		return goldenFixture{}, err
 	}

@@ -218,6 +218,29 @@ func TSKSmall(latency LatencyModel) Spec {
 	}
 }
 
+// Preset returns the paper topology named kind ("tsk-large" or
+// "tsk-small") with the link latencies named latency ("gtitm" or
+// "manual"), at paper scale.
+func Preset(kind, latency string) (Spec, error) {
+	var model LatencyModel
+	switch latency {
+	case "gtitm":
+		model = GTITMLatency()
+	case "manual":
+		model = ManualLatency()
+	default:
+		return Spec{}, fmt.Errorf("topology: unknown latency model %q", latency)
+	}
+	switch kind {
+	case "tsk-large":
+		return TSKLarge(model), nil
+	case "tsk-small":
+		return TSKSmall(model), nil
+	default:
+		return Spec{}, fmt.Errorf("topology: unknown topology kind %q", kind)
+	}
+}
+
 // Scaled returns a copy of the spec with NodesPerStub scaled by f (minimum
 // one host per stub). It is used by the -quick experiment mode to shrink
 // topologies while preserving their transit/stub character.
