@@ -1,6 +1,6 @@
 # Developer conveniences; everything is plain `go` underneath.
 
-.PHONY: all build vet test race check fmt-check bench-module soak e2e bench bench-build mon-smoke results quick-results examples lines clean
+.PHONY: all build vet test race check fmt-check bench-module soak e2e bench bench-build mon-smoke results quick-results examples lines unreachable clean
 
 # Worker-pool width for the experiment engine; override with `make J=8 results`.
 J ?= $(shell nproc 2>/dev/null || echo 1)
@@ -134,6 +134,35 @@ lines:
 	@go list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
 	  awk 'NF > 1 { n = 0; for (i = 2; i <= NF; i++) { while ((getline l < $$i) > 0) n++; close($$i) } \
 	    printf "%6d %s\n", n, $$1; t += n } END { printf "%6d total\n", t }'
+
+# Root-module functions that some test binary links but no binary does:
+# code only its own tests reach. Every main (cmd/, examples/ and the
+# nested bench/ module) and every root test binary is built with
+# inlining off, so each called function keeps its symbol; go tool nm
+# lists the linked gsso/ functions, go tool addr2line drops those
+# defined in _test.go files, and closures and generic instantiations
+# fold into their enclosing function. Report-only, not part of check.
+# A function nothing references at all is dropped by the linker from
+# every binary, tests included, so it does not show up here.
+unreachable:
+	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	norm='{ s = ""; k = 0; for (i = 1; i <= length($$0); i++) { c = substr($$0, i, 1); \
+	  if (c == "[") k++; else if (c == "]") k--; else if (k == 0) s = s c } \
+	  sub(/(\.(func|gowrap|deferwrap)[0-9]+)+(\.[0-9]+)*$$/, "", s); print s }'; \
+	for m in $$(go list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) gsso/bench; do \
+	  b="$$d/bin_$$(echo $$m | tr / _)"; \
+	  if [ $$m = gsso/bench ]; then go -C bench build -gcflags=all=-l -o "$$b" . || exit 1; \
+	  else go build -gcflags=all=-l -o "$$b" $$m || exit 1; fi; \
+	  go tool nm "$$b" | awk -v p=$$m '$$2 == "T" { sub(/^ *[0-9a-f]+ T /, ""); sub(/^main\./, p "."); if (/^gsso\//) print }'; \
+	done | awk "$$norm" | sort -u > "$$d/linked"; \
+	for p in $$(go list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do \
+	  t="$$d/test_$$(echo $$p | tr / _)"; \
+	  go test -c -gcflags=all=-l -o "$$t" $$p || exit 1; \
+	  go tool nm "$$t" | awk '$$2 == "T" && $$3 ~ /^gsso\// { print $$1 }' | go tool addr2line "$$t" | paste - - | \
+	    awk -F '\t' '$$2 !~ /(_test\.go|^<autogenerated>):[0-9]+$$/ { print $$1 }'; \
+	done | awk "$$norm" | sort -u > "$$d/tested"; \
+	comm -13 "$$d/linked" "$$d/tested" > "$$d/report"; \
+	cat "$$d/report"; echo "$$(wc -l < "$$d/report") functions linked only by tests"
 
 clean:
 	rm -rf results

@@ -18,8 +18,7 @@
 // answers 200 only once the node has joined the overlay — for a
 // publisher, once the initial publish landed and the refresh loop is
 // publishing — so supervisors (cmd/overlayctl) gate bootstrap and
-// restarts on it instead of sleeping. Peers can also scrape each other
-// in-band through the STATS wire op. With -join-retry a failed initial
+// restarts on it instead of sleeping. With -join-retry a failed initial
 // publish is retried at that interval (reported not-ready meanwhile)
 // instead of exiting, so a node restarted into a half-up cluster joins
 // by itself once its landmarks return.
@@ -499,17 +498,6 @@ func runDemo(n int, ttl, timeout time.Duration, metricsAddr string, hold time.Du
 			continue
 		}
 		logger.Info("nearest", "addr", node.Addr(), "peer", addr, "rtt", rtt)
-	}
-	// In-band scrape: any node can ask any other for its counters.
-	resp, err := nodes[1].Transport().RoundTrip(nodes[0].Addr(), wire.Message{Type: wire.MsgStats}, timeout)
-	if err == nil && resp.Stats != nil {
-		total := 0.0
-		if f, ok := resp.Stats.Family("wire_requests_total"); ok {
-			for _, s := range f.Series {
-				total += s.Value
-			}
-		}
-		logger.Info("stats", "peer", nodes[0].Addr(), "requests_served", int(total))
 	}
 	if hold > 0 {
 		logger.Info("holding", "for", hold)

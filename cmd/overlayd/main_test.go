@@ -217,10 +217,6 @@ func TestDemoMode(t *testing.T) {
 	if strings.Count(out, "msg=published") != 4 {
 		t.Fatalf("expected 4 publishes:\n%s", out)
 	}
-	// The in-band STATS scrape of node 0 must report served requests.
-	if !strings.Contains(out, "msg=stats") || !strings.Contains(out, "requests_served=") {
-		t.Fatalf("demo stats line missing:\n%s", out)
-	}
 }
 
 func TestDemoTooSmall(t *testing.T) {
@@ -295,7 +291,7 @@ func TestDemoMetricsEndpoint(t *testing.T) {
 	if ct := fetchContentType(t, "http://"+addr+"/metrics"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Fatalf("content type = %q", ct)
 	}
-	for _, typ := range []string{"ping", "store", "query", "stats"} {
+	for _, typ := range []string{"ping", "store", "query"} {
 		prefix := fmt.Sprintf("wire_requests_total{type=%q}", typ)
 		if v, ok := metricValue(body, prefix); !ok || v <= 0 {
 			t.Fatalf("%s = %v (ok=%v), want > 0\n%s", prefix, v, ok, body)

@@ -62,9 +62,7 @@ func run(args []string, out io.Writer) error {
 
 	// Latency profile by relationship class.
 	sampleRNG := rng.Split("samples")
-	same := stats.NewAccumulator(true)
-	cross := stats.NewAccumulator(true)
-	all := stats.NewAccumulator(true)
+	var same, cross, all []float64
 	hosts := net.StubHosts()
 	for i := 0; i < *samples; i++ {
 		a := hosts[sampleRNG.Intn(len(hosts))]
@@ -73,19 +71,19 @@ func run(args []string, out io.Writer) error {
 			continue
 		}
 		l := net.Latency(a, b)
-		all.Add(l)
+		all = append(all, l)
 		if net.SameStub(a, b) {
-			same.Add(l)
+			same = append(same, l)
 		} else if net.Node(a).Domain != net.Node(b).Domain {
-			cross.Add(l)
+			cross = append(cross, l)
 		}
 	}
-	fmt.Fprintf(out, "  latency all pairs:      %s\n", all.Summary())
-	if same.N() > 0 {
-		fmt.Fprintf(out, "  latency same stub:      %s\n", same.Summary())
+	fmt.Fprintf(out, "  latency all pairs:      %s\n", stats.Summarize(all))
+	if len(same) > 0 {
+		fmt.Fprintf(out, "  latency same stub:      %s\n", stats.Summarize(same))
 	}
-	if cross.N() > 0 {
-		fmt.Fprintf(out, "  latency cross domain:   %s\n", cross.Summary())
+	if len(cross) > 0 {
+		fmt.Fprintf(out, "  latency cross domain:   %s\n", stats.Summarize(cross))
 	}
 	if *dot != "" {
 		f, err := os.Create(*dot)

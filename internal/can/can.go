@@ -956,22 +956,6 @@ func (o *Overlay) RegionIndex() map[Path][]*Member {
 	return idx
 }
 
-// LeafPaths returns the paths of all leaf zones (diagnostics and tests).
-func (o *Overlay) LeafPaths() []Path {
-	var out []Path
-	var walk func(*zone)
-	walk = func(z *zone) {
-		if z.isLeaf() {
-			out = append(out, z.path)
-			return
-		}
-		walk(&z.kids[0])
-		walk(&z.kids[1])
-	}
-	walk(o.root)
-	return out
-}
-
 // CheckInvariants exhaustively validates the overlay structure: leaf zones
 // tile the space, member/leaf/owner links are consistent, Size matches the
 // tree, every leaf's neighbor list — as Neighbors and Route see it — holds

@@ -594,7 +594,10 @@ func TestLeafPathsPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	paths := o.LeafPaths()
+	var paths []Path
+	for _, m := range o.Members() {
+		paths = append(paths, m.Path())
+	}
 	if len(paths) != 50 {
 		t.Fatalf("%d leaves for 50 members", len(paths))
 	}

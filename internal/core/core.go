@@ -503,15 +503,6 @@ func (s *System) OnOverload(watcher, watched *can.Member, threshold float64,
 // PublishLoad publishes m's current load to all its soft-state entries.
 func (s *System) PublishLoad(m *can.Member, load float64) { s.store.UpdateLoad(m, load) }
 
-// RefreshSoftState runs one batched refresh tick over the whole overlay:
-// every published member re-stamps its soft-state entries, with each
-// member's per-region refreshes coalesced into a single refresh-batch
-// message (mirroring the wire layer's publish batching). Returns how
-// many entries were refreshed. Call it each virtual refresh interval to
-// keep entries ahead of the TTL sweep without paying one message per
-// region map.
-func (s *System) RefreshSoftState() int { return s.store.RefreshAll() }
-
 // Reselect drops m's cached routing entries so the next route re-runs
 // proximity-neighbor selection against fresh soft-state.
 func (s *System) Reselect(m *can.Member) { s.overlay.InvalidateEntries(m) }

@@ -39,7 +39,7 @@ func TestRefreshSoftState(t *testing.T) {
 		t.Fatal("no soft-state to refresh")
 	}
 	sys.Env().Clock().Advance(90)
-	if n := sys.RefreshSoftState(); n != total {
+	if n := sys.Store().RefreshAll(); n != total {
 		t.Fatalf("refreshed %d of %d entries", n, total)
 	}
 	if got, want := sys.Env().Messages("refresh-batch"), int64(len(sys.Members())); got != want {

@@ -297,21 +297,6 @@ func (o *Overlay) Entry(m *can.Member, row, digit int) *can.Member {
 	return pick
 }
 
-// InvalidateEntry drops a single cached routing entry of m, so only that
-// slot re-selects on next use (the surgical, notification-driven repair;
-// InvalidateEntries is the blunt whole-table variant).
-func (o *Overlay) InvalidateEntry(m *can.Member, row, digit int) {
-	n, ok := o.nodes[m]
-	if !ok {
-		return
-	}
-	slot := row*o.fanout + digit
-	if slot < len(n.digits) {
-		n.digits[slot] = nil
-		n.chosen[slot] = false
-	}
-}
-
 // CachedEntry returns m's routing entry toward (row, digit) only if it
 // has already been selected; it never triggers selection. Nil means
 // "not selected yet" or "region empty".
@@ -429,40 +414,6 @@ func (o *Overlay) bitFallback(cur *can.Member, tpath can.Path, l int) *can.Membe
 		pick = candidates[0]
 	}
 	return pick
-}
-
-// BuildAllTables eagerly materializes every node's full routing table.
-// Experiments that measure construction cost use it; routing alone does
-// not need it (entries are selected on demand).
-func (o *Overlay) BuildAllTables() {
-	for _, m := range o.can.Members() {
-		depth := m.Depth()
-		rows := (depth + o.digitLen - 1) / o.digitLen
-		for row := 0; row < rows; row++ {
-			for digit := 0; digit < o.fanout; digit++ {
-				if digit == o.digitOf(m.Path(), row) {
-					continue // own digit: resolved by deeper rows
-				}
-				o.Entry(m, row, digit)
-			}
-		}
-	}
-}
-
-// TableSize returns the number of selected (non-empty) routing entries
-// currently cached for m.
-func (o *Overlay) TableSize(m *can.Member) int {
-	n, ok := o.nodes[m]
-	if !ok {
-		return 0
-	}
-	count := 0
-	for i, c := range n.chosen {
-		if c && n.digits[i] != nil {
-			count++
-		}
-	}
-	return count
 }
 
 // BuildUniform constructs a CAN+eCAN with n members on distinct random

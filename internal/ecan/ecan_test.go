@@ -271,26 +271,6 @@ func TestSetSelectorResets(t *testing.T) {
 	}
 }
 
-func TestBuildAllTablesAndTableSize(t *testing.T) {
-	net := testNet(t)
-	o := buildECAN(t, net, 64, RandomSelector{RNG: simrand.New(1)})
-	m := o.CAN().Members()[0]
-	if o.TableSize(m) != 0 {
-		t.Fatal("fresh node has entries")
-	}
-	o.BuildAllTables()
-	size := o.TableSize(m)
-	if size == 0 {
-		t.Fatal("BuildAllTables left node empty")
-	}
-	// Each member appears in at most log(N) maps (paper §5.1): table rows
-	// are bounded by depth/digitLen + 1, entries by rows*(fanout-1).
-	rows := (m.Depth() + o.DigitLen() - 1) / o.DigitLen()
-	if max := rows * (1<<o.DigitLen() - 1); size > max {
-		t.Fatalf("table size %d exceeds bound %d", size, max)
-	}
-}
-
 func TestRegionMembersBelowLeaf(t *testing.T) {
 	net := testNet(t)
 	o := buildECAN(t, net, 16, RandomSelector{RNG: simrand.New(1)})

@@ -24,15 +24,9 @@ func TestCachedEntryAndInvalidateEntry(t *testing.T) {
 	if got := o.CachedEntry(m, 0, digit); got != e {
 		t.Fatalf("CachedEntry = %v, want %v", got, e)
 	}
-	o.InvalidateEntry(m, 0, digit)
+	o.InvalidateEntries(m)
 	if o.CachedEntry(m, 0, digit) != nil {
-		t.Fatal("entry survived per-slot invalidation")
-	}
-	// Other slots untouched.
-	other := o.Entry(m, 0, digit^2%4)
-	o.InvalidateEntry(m, 0, digit)
-	if digit^2%4 != digit && other != nil && o.CachedEntry(m, 0, digit^2%4) != other {
-		t.Fatal("unrelated slot invalidated")
+		t.Fatal("entry survived invalidation")
 	}
 }
 
@@ -43,7 +37,7 @@ func TestSlotAPIsOnUnknownMember(t *testing.T) {
 	if o.CachedEntry(stranger, 0, 0) != nil {
 		t.Fatal("cached entry for unknown member")
 	}
-	o.InvalidateEntry(stranger, 0, 0) // must not panic
+	o.InvalidateEntries(stranger) // must not panic
 }
 
 func TestSlotOutOfRange(t *testing.T) {
@@ -54,7 +48,6 @@ func TestSlotOutOfRange(t *testing.T) {
 	if o.CachedEntry(m, 1000, 0) != nil {
 		t.Fatal("out-of-range slot returned entry")
 	}
-	o.InvalidateEntry(m, 1000, 0) // must not panic
 	if o.Entry(m, 1000, 0) != nil {
 		t.Fatal("out-of-range Entry returned something")
 	}

@@ -605,14 +605,3 @@ func TestExtFailureShape(t *testing.T) {
 		t.Fatal("proactive left stale entries")
 	}
 }
-
-func TestRunAndRender(t *testing.T) {
-	e, _ := ByID("tab2")
-	var buf bytes.Buffer
-	if err := RunAndRender(e, quickScale(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "tab2 completed") {
-		t.Fatal("completion line missing")
-	}
-}

@@ -129,7 +129,9 @@ func clampUnit(v float64) float64 {
 // false clustering. Measured as nearest-neighbor stretch at a fixed probe
 // budget on the hard (tsk-small) topology.
 func RunExtGroups(sc Scale) ([]*Table, error) {
-	net, err := buildNet(TSKSmall, sc2lat(sc), sc)
+	// Manual latencies make landmark geometry most informative, matching
+	// the paper's observation that regular latencies benefit most.
+	net, err := buildNet(TSKSmall, LatManual, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -194,11 +196,6 @@ func RunExtGroups(sc Scale) ([]*Table, error) {
 	t.Note("paper §5.4: joining positions from several landmark groups reduces false clustering")
 	return []*Table{t}, nil
 }
-
-// sc2lat picks the latency model for the groups experiment: manual
-// latencies make landmark geometry most informative, matching the
-// paper's observation that regular latencies benefit most.
-func sc2lat(Scale) LatKind { return LatManual }
 
 // RunExtHier evaluates the second §5.4 optimization: hierarchical
 // landmark spaces. A handful of widely scattered global landmarks

@@ -11,6 +11,7 @@ import (
 	"gsso/internal/netsim"
 	"gsso/internal/proximity"
 	"gsso/internal/simrand"
+	"gsso/internal/stats"
 	"gsso/internal/topology"
 )
 
@@ -133,18 +134,7 @@ func RunExtOrdering(sc Scale) ([]*Table, error) {
 	t.AddRowf("vector ranking, top candidate", 1, vectorStretch)
 	t.AddRowf(fmt.Sprintf("hybrid (top %d probed)", sc.RTTs), sc.RTTs, hybridStretch)
 	t.Note(fmt.Sprintf("ordering clusters: %d distinct orders over %d hosts, largest %v, mean %.1f",
-		len(clusters), len(hosts), int(slices.Max(sizes)), meanFloat(sizes)))
+		len(clusters), len(hosts), int(slices.Max(sizes)), stats.Mean(sizes)))
 	t.Note("paper §2: landmark ordering 'cannot differentiate nodes with same landmark orders'")
 	return []*Table{t}, nil
-}
-
-func meanFloat(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	t := 0.0
-	for _, x := range xs {
-		t += x
-	}
-	return t / float64(len(xs))
 }

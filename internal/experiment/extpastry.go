@@ -37,7 +37,7 @@ func RunExtPastry(sc Scale) ([]*Table, error) {
 		return nil, err
 	}
 
-	build := func(sel pastry.Selector, label string) (*pastry.Overlay, error) {
+	build := func(sel pastry.Selector) (*pastry.Overlay, error) {
 		o, err := pastry.New(4, 8)
 		if err != nil {
 			return nil, err
@@ -48,7 +48,6 @@ func RunExtPastry(sc Scale) ([]*Table, error) {
 				return nil, err
 			}
 		}
-		_ = label
 		return o, o.Build(sel)
 	}
 	stretchOf := func(o *pastry.Overlay) (float64, error) {
@@ -132,7 +131,7 @@ func RunExtPastry(sc Scale) ([]*Table, error) {
 		{"optimal (oracle)", oracleSel},
 	}
 	stretches, err := engine.Map(len(configs), func(i int) (float64, error) {
-		o, err := build(configs[i].sel, configs[i].name)
+		o, err := build(configs[i].sel)
 		if err != nil {
 			return 0, err
 		}

@@ -1,11 +1,5 @@
 package experiment
 
-import (
-	"fmt"
-	"io"
-	"time"
-)
-
 // Experiment is one reproducible artifact of the paper.
 type Experiment struct {
 	// ID is the short handle used by cmd/topobench (-run fig14).
@@ -60,20 +54,4 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// RunAndRender executes one experiment and renders its tables to w.
-func RunAndRender(e Experiment, sc Scale, w io.Writer) error {
-	start := time.Now()
-	tables, err := e.Run(sc)
-	if err != nil {
-		return fmt.Errorf("experiment %s: %w", e.ID, err)
-	}
-	for _, t := range tables {
-		if err := t.Render(w); err != nil {
-			return err
-		}
-	}
-	_, err = fmt.Fprintf(w, "[%s completed in %v at %s scale]\n\n", e.ID, time.Since(start).Round(time.Millisecond), sc.Name)
-	return err
 }

@@ -211,30 +211,3 @@ func (c Curve) QuantizeInto(out []uint32, values []float64, max float64) error {
 	}
 	return nil
 }
-
-// CellCenter returns the center of a grid cell as a point in [0,1)^dims.
-func (c Curve) CellCenter(coords []uint32) ([]float64, error) {
-	if len(coords) != c.dims {
-		return nil, fmt.Errorf("hilbert: got %d coords, want %d", len(coords), c.dims)
-	}
-	cells := float64(c.CellsPerAxis())
-	out := make([]float64, c.dims)
-	for i, v := range coords {
-		if v >= c.CellsPerAxis() {
-			return nil, fmt.Errorf("hilbert: coord[%d] = %d exceeds grid", i, v)
-		}
-		out[i] = (float64(v) + 0.5) / cells
-	}
-	return out, nil
-}
-
-// IndexToUnitPoint maps a curve index to the center of its cell expressed
-// in the unit cube [0,1)^dims. It is used to place a landmark number at a
-// concrete point inside an overlay region.
-func (c Curve) IndexToUnitPoint(index uint64) ([]float64, error) {
-	coords, err := c.Decode(index)
-	if err != nil {
-		return nil, err
-	}
-	return c.CellCenter(coords)
-}

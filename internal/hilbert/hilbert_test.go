@@ -290,41 +290,6 @@ func TestQuantizeValidation(t *testing.T) {
 	}
 }
 
-func TestCellCenter(t *testing.T) {
-	c := MustNew(2, 2) // 4 cells per axis
-	pt, err := c.CellCenter([]uint32{0, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pt[0]-0.125) > 1e-12 || math.Abs(pt[1]-0.875) > 1e-12 {
-		t.Fatalf("CellCenter = %v", pt)
-	}
-	if _, err := c.CellCenter([]uint32{4, 0}); err == nil {
-		t.Fatal("out-of-grid accepted")
-	}
-	if _, err := c.CellCenter([]uint32{1}); err == nil {
-		t.Fatal("arity violation accepted")
-	}
-}
-
-func TestIndexToUnitPoint(t *testing.T) {
-	c := MustNew(2, 3)
-	for idx := uint64(0); idx <= c.MaxIndex(); idx += 5 {
-		pt, err := c.IndexToUnitPoint(idx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range pt {
-			if v < 0 || v >= 1 {
-				t.Fatalf("point %v outside unit cube", pt)
-			}
-		}
-	}
-	if _, err := c.IndexToUnitPoint(c.MaxIndex() + 1); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
-}
-
 func BenchmarkEncode2D(b *testing.B) {
 	c := MustNew(2, 16)
 	coords := []uint32{12345, 54321}

@@ -138,21 +138,6 @@ func (v Vector) Ordering() []int {
 	return idx
 }
 
-// SameOrdering reports whether two vectors induce identical landmark
-// orderings (the baseline's notion of "same cluster").
-func SameOrdering(a, b Vector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	oa, ob := a.Ordering(), b.Ordering()
-	for i := range oa {
-		if oa[i] != ob[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Space reduces landmark vectors to scalar landmark numbers. Following the
 // appendix, only IndexDims components of the vector (the "landmark vector
 // index") feed the space-filling curve; the full vector is still used for
@@ -214,13 +199,6 @@ func (sp *Space) Number(v Vector) (uint64, error) {
 		return 0, fmt.Errorf("landmark: vector dims %d, want %d", len(v), sp.set.Len())
 	}
 	return CurveNumber(sp.curve, v, sp.maxRTT)
-}
-
-// NumberToUnitPoint maps a landmark number to the center of its curve cell
-// in the unit cube of the index dimensions. Soft-state placement composes
-// this with a projection into the hosting region.
-func (sp *Space) NumberToUnitPoint(num uint64) ([]float64, error) {
-	return sp.curve.IndexToUnitPoint(num)
 }
 
 // Calibrate picks k landmarks with the pick stream, estimates the

@@ -152,21 +152,6 @@ func TestOrderingTiesDeterministic(t *testing.T) {
 	}
 }
 
-func TestSameOrdering(t *testing.T) {
-	a := Vector{1, 5, 3}
-	b := Vector{2, 9, 4} // same relative order
-	c := Vector{9, 1, 3}
-	if !SameOrdering(a, b) {
-		t.Fatal("equal orderings not detected")
-	}
-	if SameOrdering(a, c) {
-		t.Fatal("different orderings reported equal")
-	}
-	if SameOrdering(a, Vector{1, 2}) {
-		t.Fatal("dimension mismatch reported equal")
-	}
-}
-
 func TestNewSpaceValidation(t *testing.T) {
 	set := NewSet([]topology.NodeID{1, 2, 3})
 	if _, err := NewSpace(Set{}, 2, 4, 100); err == nil {
@@ -300,23 +285,6 @@ func TestNumberLocalityAsPreselection(t *testing.T) {
 		t.Fatalf("landmark-number preselection no better than random: %v vs %v", bySFC, byRandom)
 	}
 	t.Logf("mean latency: sfc-preselected %.2f ms, random %.2f ms", bySFC/200, byRandom/200)
-}
-
-func TestNumberToUnitPoint(t *testing.T) {
-	set := NewSet([]topology.NodeID{1, 2})
-	sp, _ := NewSpace(set, 2, 4, 100)
-	pt, err := sp.NumberToUnitPoint(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pt) != 2 {
-		t.Fatalf("point dims = %d", len(pt))
-	}
-	for _, v := range pt {
-		if v < 0 || v >= 1 {
-			t.Fatalf("point %v outside unit cube", pt)
-		}
-	}
 }
 
 func TestEstimateMaxRTT(t *testing.T) {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -306,24 +305,6 @@ func (e *Env) ResetMessages() {
 	e.mu.Unlock()
 }
 
-// MessageSummary renders the counters as "k=v" pairs in key order.
-func (e *Env) MessageSummary() string {
-	totals := e.MessageTotals()
-	keys := make([]string, 0, len(totals))
-	for k := range totals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for i, k := range keys {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%d", k, totals[k])
-	}
-	return out
-}
-
 // pairHash produces a symmetric, deterministic 64-bit hash of an unordered
 // host pair plus an epoch, seeded by seed (SplitMix64-style mixing; the
 // stdlib maphash is process-seeded and would break reproducibility).
@@ -362,30 +343,10 @@ func (j StaticJitter) Apply(a, b topology.NodeID, base float64, _ Time) float64 
 	return base * (1 + j.Amplitude*(2*u-1))
 }
 
-// EpochJitter re-draws each pair's multiplicative factor every Period of
-// virtual time. It models drifting network conditions: within one epoch
-// latencies are stable, across epochs they change, which is what forces
-// overlays to re-select neighbors.
-type EpochJitter struct {
-	Seed      uint64
-	Amplitude float64 // in [0, 1)
-	Period    Time    // > 0
-}
-
-// Apply implements Perturbation.
-func (j EpochJitter) Apply(a, b topology.NodeID, base float64, now Time) float64 {
-	epoch := int64(0)
-	if j.Period > 0 {
-		epoch = int64(now / j.Period)
-	}
-	u := unitFrom(pairHash(j.Seed, a, b, epoch))
-	return base * (1 + j.Amplitude*(2*u-1))
-}
-
 // NodeJitter models per-node access-link congestion: every Period, each
 // node independently becomes congested with probability Fraction, and a
 // congested node's latencies inflate by a factor drawn from
-// [1, 1+Amplitude]. Unlike the pairwise jitters, this churn has structure
+// [1, 1+Amplitude]. Unlike StaticJitter, this churn has structure
 // an overlay can exploit — re-selecting away from a degraded neighbor
 // helps every route through that entry — so it is the model the
 // maintenance experiments use. Latency scales by the product of both

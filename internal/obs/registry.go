@@ -150,16 +150,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 // latencies in a LAN-to-WAN range.
 var DefBuckets = []float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000}
 
-// ExpBuckets returns n exponentially spaced bounds starting at start and
-// growing by factor.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, 0, n)
-	for v := start; len(out) < n; v *= factor {
-		out = append(out, v)
-	}
-	return out
-}
-
 // seriesKey joins label values into a map key. The separator cannot
 // appear in practice; label values here are message types and categories.
 func seriesKey(values []string) string { return strings.Join(values, "\x1f") }

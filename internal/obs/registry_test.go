@@ -153,19 +153,6 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestExpBuckets(t *testing.T) {
-	got := ExpBuckets(1, 2, 4)
-	want := []float64{1, 2, 4, 8}
-	if len(got) != len(want) {
-		t.Fatalf("ExpBuckets = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ExpBuckets = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestDefaultRegistryIsSingleton(t *testing.T) {
 	if Default() != Default() {
 		t.Fatal("Default() changed identity")

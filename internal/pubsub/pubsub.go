@@ -357,41 +357,3 @@ func (b *Bus) matches(sub *Subscription, ev softstate.Event) bool {
 		return false
 	}
 }
-
-// TreeStats describes disseminating one notification batch to n
-// subscribers through a distribution tree embedded in the overlay with the
-// given fanout: total messages equal the subscriber count (each tree edge
-// carries one), but the owner sends only fanout messages itself and the
-// last subscriber hears after Depth overlay hops — the efficiency claim of
-// §5.2 versus the owner unicasting n messages serially.
-type TreeStats struct {
-	Subscribers int
-	Fanout      int
-	Messages    int
-	Depth       int
-	RootFanout  int
-}
-
-// Tree computes TreeStats for n subscribers and the given fanout (>= 2).
-func Tree(n, fanout int) TreeStats {
-	if fanout < 2 {
-		fanout = 2
-	}
-	st := TreeStats{Subscribers: n, Fanout: fanout, Messages: n}
-	if n <= 0 {
-		return st
-	}
-	st.RootFanout = fanout
-	if n < fanout {
-		st.RootFanout = n
-	}
-	// Depth of a complete fanout-ary tree with n nodes.
-	level, width, covered := 0, 1, 0
-	for covered < n {
-		level++
-		width *= fanout
-		covered += width
-	}
-	st.Depth = level
-	return st
-}

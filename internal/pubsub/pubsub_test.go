@@ -370,33 +370,6 @@ func TestMessageAccounting(t *testing.T) {
 	}
 }
 
-func TestTreeStats(t *testing.T) {
-	cases := []struct {
-		n, fanout, depth, rootFanout int
-	}{
-		{0, 2, 0, 0},
-		{1, 2, 1, 1},
-		{2, 2, 1, 2},
-		{6, 2, 2, 2},
-		{7, 2, 3, 2},
-		{84, 4, 3, 4},
-		{100, 4, 4, 4},
-		{3, 1, 2, 2}, // fanout clamped to 2
-	}
-	for _, tc := range cases {
-		st := Tree(tc.n, tc.fanout)
-		if st.Messages != tc.n {
-			t.Fatalf("Tree(%d,%d).Messages = %d", tc.n, tc.fanout, st.Messages)
-		}
-		if st.Depth != tc.depth {
-			t.Fatalf("Tree(%d,%d).Depth = %d, want %d", tc.n, tc.fanout, st.Depth, tc.depth)
-		}
-		if st.RootFanout != tc.rootFanout {
-			t.Fatalf("Tree(%d,%d).RootFanout = %d, want %d", tc.n, tc.fanout, st.RootFanout, tc.rootFanout)
-		}
-	}
-}
-
 func TestCondKindString(t *testing.T) {
 	kinds := []CondKind{NodeJoined, NodeLeft, LoadAbove, CloserCandidate, CondKind(99)}
 	for _, k := range kinds {

@@ -11,7 +11,6 @@ package simrand
 import (
 	"hash/fnv"
 	"math/rand/v2"
-	"sort"
 )
 
 // Source is a deterministic random stream. It wraps a PCG generator from
@@ -48,18 +47,12 @@ func (s *Source) Split(label string) *Source {
 	}
 }
 
-// Path reports the split-label path of this stream, for debugging.
-func (s *Source) Path() string { return s.path }
-
 // Uint64 returns a uniformly distributed 64-bit value.
 func (s *Source) Uint64() uint64 { return s.rng.Uint64() }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0, matching
 // math/rand semantics; callers validate n at their own boundary.
 func (s *Source) Intn(n int) int { return s.rng.IntN(n) }
-
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 { return int64(s.rng.Uint64() >> 1) }
 
 // Float64 returns a uniform float64 in [0, 1).
 func (s *Source) Float64() float64 { return s.rng.Float64() }
@@ -72,17 +65,8 @@ func (s *Source) Range(lo, hi float64) float64 {
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.rng.Float64() < p }
 
-// ExpFloat64 returns an exponentially distributed value with mean 1.
-func (s *Source) ExpFloat64() float64 { return s.rng.ExpFloat64() }
-
-// NormFloat64 returns a standard-normal value.
-func (s *Source) NormFloat64() float64 { return s.rng.NormFloat64() }
-
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
-// Shuffle randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
 
 // Sample returns k distinct values drawn uniformly from [0, n) in random
 // order. It panics if k > n. For k close to n it shuffles; for small k it
@@ -110,43 +94,4 @@ func (s *Source) Sample(n, k int) []int {
 	}
 	perm := s.rng.Perm(n)
 	return perm[:k]
-}
-
-// SortedSample is Sample with the result in increasing order.
-func (s *Source) SortedSample(n, k int) []int {
-	out := s.Sample(n, k)
-	sort.Ints(out)
-	return out
-}
-
-// Pick returns a uniformly random element index weightable by weights.
-// If weights is nil, it returns Intn(n). Zero total weight falls back to
-// uniform. It panics if n <= 0 or len(weights) != n when weights != nil.
-func (s *Source) Pick(n int, weights []float64) int {
-	if weights == nil {
-		return s.Intn(n)
-	}
-	if len(weights) != n {
-		panic("simrand: Pick weights length mismatch")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return s.Intn(n)
-	}
-	x := s.rng.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return n - 1
 }

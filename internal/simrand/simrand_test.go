@@ -61,9 +61,17 @@ func TestSplitIndependence(t *testing.T) {
 }
 
 func TestNestedSplitPath(t *testing.T) {
-	s := New(1).Split("x").Split("y")
-	if got, want := s.Path(), "/x/y"; got != want {
-		t.Fatalf("Path() = %q, want %q", got, want)
+	// A nested split is keyed by its whole label path: it reproduces, and
+	// it differs from a root split by its last label alone.
+	a, b := New(1).Split("x").Split("y"), New(1).Split("x").Split("y")
+	c := New(1).Split("y")
+	for i := 0; i < 100; i++ {
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("nested split not reproducible at step %d", i)
+		}
+	}
+	if New(1).Split("x").Split("y").Uint64() == c.Uint64() {
+		t.Fatal("nested split ignores its parent label")
 	}
 }
 
@@ -143,16 +151,6 @@ func TestSamplePanicsWhenKExceedsN(t *testing.T) {
 	New(1).Sample(3, 4)
 }
 
-func TestSortedSample(t *testing.T) {
-	s := New(9)
-	out := s.SortedSample(100, 20)
-	for i := 1; i < len(out); i++ {
-		if out[i-1] >= out[i] {
-			t.Fatalf("not sorted/distinct at %d: %v", i, out)
-		}
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(13)
 	p := s.Perm(64)
@@ -162,47 +160,6 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("duplicate %d", v)
 		}
 		seen[v] = true
-	}
-}
-
-func TestPickUniformWhenNilWeights(t *testing.T) {
-	s := New(17)
-	counts := make([]int, 4)
-	for i := 0; i < 40000; i++ {
-		counts[s.Pick(4, nil)]++
-	}
-	for i, c := range counts {
-		if c < 9000 || c > 11000 {
-			t.Fatalf("bucket %d count %d not ~10000", i, c)
-		}
-	}
-}
-
-func TestPickRespectsWeights(t *testing.T) {
-	s := New(19)
-	counts := make([]int, 3)
-	for i := 0; i < 30000; i++ {
-		counts[s.Pick(3, []float64{1, 2, 0})]++
-	}
-	if counts[2] != 0 {
-		t.Fatalf("zero-weight bucket picked %d times", counts[2])
-	}
-	ratio := float64(counts[1]) / float64(counts[0])
-	if ratio < 1.8 || ratio > 2.2 {
-		t.Fatalf("weight ratio = %v, want ~2", ratio)
-	}
-}
-
-func TestPickZeroTotalFallsBackToUniform(t *testing.T) {
-	s := New(23)
-	counts := make([]int, 3)
-	for i := 0; i < 30000; i++ {
-		counts[s.Pick(3, []float64{0, 0, 0})]++
-	}
-	for i, c := range counts {
-		if c < 8500 || c > 11500 {
-			t.Fatalf("bucket %d count %d not ~10000", i, c)
-		}
 	}
 }
 
@@ -231,5 +188,23 @@ func BenchmarkSample16Of10k(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		s.Sample(10000, 16)
+	}
+}
+
+func TestSampleZeroAndFull(t *testing.T) {
+	s := New(39)
+	if got := s.Sample(10, 0); got != nil {
+		t.Fatalf("Sample(_, 0) = %v", got)
+	}
+	full := s.Sample(10, 10)
+	if len(full) != 10 {
+		t.Fatalf("full sample len %d", len(full))
+	}
+}
+
+func TestRangeDegenerate(t *testing.T) {
+	s := New(41)
+	if v := s.Range(5, 5); v != 5 {
+		t.Fatalf("Range(5,5) = %v", v)
 	}
 }

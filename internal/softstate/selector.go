@@ -35,9 +35,6 @@ func NewSelector(store *Store, budget int, fallback ecan.Selector) (*Selector, e
 	return &Selector{store: store, budget: budget, fallback: fallback}, nil
 }
 
-// Budget returns the per-selection probe budget.
-func (s *Selector) Budget() int { return s.budget }
-
 // Select implements ecan.Selector.
 func (s *Selector) Select(self *can.Member, region can.Path, candidates []*can.Member) *can.Member {
 	vec := s.store.Vector(self)

@@ -1,5 +1,5 @@
-// Package stats provides small numeric helpers used by the experiment
-// harness: summary statistics, percentiles, CDFs, and accumulators.
+// Package stats provides small numeric helpers: the mean, the standard
+// deviation and a percentile summary of a sample.
 //
 // All functions treat their input slices as read-only and never retain
 // references to them, per the library's boundary rules.
@@ -40,40 +40,9 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Percentile returns the p-th percentile (p in [0,100]) of xs using linear
-// interpolation between order statistics. It returns 0 for an empty slice
-// and clamps p into [0,100].
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
+// percentileSorted returns the p-th percentile (p in [0,100], clamped) of
+// a non-empty ascending slice, interpolating linearly between order
+// statistics.
 func percentileSorted(sorted []float64, p float64) float64 {
 	if p < 0 {
 		p = 0
@@ -93,9 +62,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // Summary holds the standard descriptive statistics for a sample.
 type Summary struct {
@@ -137,112 +103,4 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g p50=%.4g p95=%.4g max=%.4g",
 		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
-}
-
-// CDFPoint is one (x, F(x)) point of an empirical CDF.
-type CDFPoint struct {
-	X float64
-	F float64
-}
-
-// CDF returns the empirical CDF of xs evaluated at every distinct sample
-// value, in increasing x order. F is the fraction of samples <= X.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, 0, len(sorted))
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); i++ {
-		// Collapse runs of equal values into a single point at the run end.
-		if i+1 < len(sorted) && sorted[i+1] == sorted[i] {
-			continue
-		}
-		out = append(out, CDFPoint{X: sorted[i], F: float64(i+1) / n})
-	}
-	return out
-}
-
-// Accumulator ingests values one at a time with O(1) memory for the
-// mean/min/max/count and optional retention of raw samples for percentiles.
-type Accumulator struct {
-	keep    bool
-	samples []float64
-	n       int
-	sum     float64
-	sumSq   float64
-	min     float64
-	max     float64
-}
-
-// NewAccumulator returns an Accumulator. If keepSamples is true the raw
-// values are retained so Percentile and Summary are available.
-func NewAccumulator(keepSamples bool) *Accumulator {
-	return &Accumulator{keep: keepSamples, min: math.Inf(1), max: math.Inf(-1)}
-}
-
-// Add ingests one value.
-func (a *Accumulator) Add(x float64) {
-	a.n++
-	a.sum += x
-	a.sumSq += x * x
-	if x < a.min {
-		a.min = x
-	}
-	if x > a.max {
-		a.max = x
-	}
-	if a.keep {
-		a.samples = append(a.samples, x)
-	}
-}
-
-// N returns the number of ingested values.
-func (a *Accumulator) N() int { return a.n }
-
-// Mean returns the running mean, or 0 when empty.
-func (a *Accumulator) Mean() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.sum / float64(a.n)
-}
-
-// StdDev returns the running population standard deviation.
-func (a *Accumulator) StdDev() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	m := a.Mean()
-	v := a.sumSq/float64(a.n) - m*m
-	if v < 0 {
-		v = 0 // guard against floating point cancellation
-	}
-	return math.Sqrt(v)
-}
-
-// Min returns the smallest ingested value, or +Inf when empty.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest ingested value, or -Inf when empty.
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Percentile returns the p-th percentile of retained samples. It panics if
-// the accumulator was created without sample retention.
-func (a *Accumulator) Percentile(p float64) float64 {
-	if !a.keep {
-		panic("stats: Percentile on non-retaining Accumulator")
-	}
-	return Percentile(a.samples, p)
-}
-
-// Summary returns the descriptive statistics of retained samples. It panics
-// if the accumulator was created without sample retention.
-func (a *Accumulator) Summary() Summary {
-	if !a.keep {
-		panic("stats: Summary on non-retaining Accumulator")
-	}
-	return Summarize(a.samples)
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -41,19 +42,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -2, 9, 0}
-	if got := Min(xs); got != -2 {
-		t.Fatalf("Min = %v", got)
-	}
-	if got := Max(xs); got != 9 {
-		t.Fatalf("Max = %v", got)
-	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
-		t.Fatal("empty Min/Max should be infinities")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	cases := []struct {
@@ -63,31 +51,28 @@ func TestPercentile(t *testing.T) {
 		{-5, 10}, {120, 50}, // clamped
 	}
 	for _, tc := range cases {
-		if got := Percentile(xs, tc.p); !almostEqual(got, tc.want, 1e-9) {
-			t.Fatalf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
+		if got := percentileSorted(xs, tc.p); !almostEqual(got, tc.want, 1e-9) {
+			t.Fatalf("percentileSorted(%v) = %v, want %v", tc.p, got, tc.want)
 		}
 	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Fatalf("empty percentile = %v", got)
-	}
-	if got := Percentile([]float64{7}, 93); got != 7 {
+	if got := percentileSorted([]float64{7}, 93); got != 7 {
 		t.Fatalf("single percentile = %v", got)
 	}
 }
 
 func TestPercentileDoesNotMutateInput(t *testing.T) {
 	xs := []float64{5, 1, 3}
-	Percentile(xs, 50)
+	Summarize(xs)
 	if xs[0] != 5 || xs[1] != 1 || xs[2] != 3 {
 		t.Fatalf("input mutated: %v", xs)
 	}
 }
 
 func TestMedian(t *testing.T) {
-	if got := Median([]float64{1, 3, 2}); got != 2 {
+	if got := Summarize([]float64{1, 3, 2}).Median; got != 2 {
 		t.Fatalf("Median = %v", got)
 	}
-	if got := Median([]float64{1, 2, 3, 4}); !almostEqual(got, 2.5, 1e-12) {
+	if got := Summarize([]float64{1, 2, 3, 4}).Median; !almostEqual(got, 2.5, 1e-12) {
 		t.Fatalf("Median even = %v", got)
 	}
 }
@@ -109,100 +94,8 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{1, 1, 2, 3})
-	want := []CDFPoint{{1, 0.5}, {2, 0.75}, {3, 1}}
-	if len(pts) != len(want) {
-		t.Fatalf("CDF = %v", pts)
-	}
-	for i := range want {
-		if pts[i].X != want[i].X || !almostEqual(pts[i].F, want[i].F, 1e-12) {
-			t.Fatalf("point %d = %v, want %v", i, pts[i], want[i])
-		}
-	}
-	if CDF(nil) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-}
-
-func TestCDFMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		for i, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				raw[i] = 0
-			}
-		}
-		pts := CDF(raw)
-		for i := 1; i < len(pts); i++ {
-			if pts[i].X <= pts[i-1].X || pts[i].F < pts[i-1].F {
-				return false
-			}
-		}
-		return len(raw) == 0 || pts[len(pts)-1].F == 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAccumulatorMatchesBatch(t *testing.T) {
-	xs := []float64{4, 8, 15, 16, 23, 42}
-	a := NewAccumulator(true)
-	for _, x := range xs {
-		a.Add(x)
-	}
-	if a.N() != len(xs) {
-		t.Fatalf("N = %d", a.N())
-	}
-	if !almostEqual(a.Mean(), Mean(xs), 1e-9) {
-		t.Fatalf("mean %v vs %v", a.Mean(), Mean(xs))
-	}
-	if !almostEqual(a.StdDev(), StdDev(xs), 1e-9) {
-		t.Fatalf("sd %v vs %v", a.StdDev(), StdDev(xs))
-	}
-	if a.Min() != 4 || a.Max() != 42 {
-		t.Fatalf("min/max %v/%v", a.Min(), a.Max())
-	}
-	if !almostEqual(a.Percentile(50), Median(xs), 1e-9) {
-		t.Fatalf("p50 %v", a.Percentile(50))
-	}
-	if got := a.Summary(); got.N != len(xs) {
-		t.Fatalf("summary N = %d", got.N)
-	}
-}
-
-func TestAccumulatorEmpty(t *testing.T) {
-	a := NewAccumulator(false)
-	if a.Mean() != 0 || a.StdDev() != 0 || a.N() != 0 {
-		t.Fatal("empty accumulator should be zeroed")
-	}
-}
-
-func TestAccumulatorPanicsWithoutRetention(t *testing.T) {
-	a := NewAccumulator(false)
-	a.Add(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	a.Percentile(50)
-}
-
-func TestAccumulatorStdDevNonNegative(t *testing.T) {
-	// Identical large values can make the naive variance formula go
-	// slightly negative; the accumulator must clamp it.
-	a := NewAccumulator(false)
-	for i := 0; i < 100; i++ {
-		a.Add(1e9 + 0.1)
-	}
-	if sd := a.StdDev(); sd < 0 || math.IsNaN(sd) {
-		t.Fatalf("StdDev = %v", sd)
-	}
-}
-
 func TestPercentileAgainstQuickProperty(t *testing.T) {
-	// Percentile(0) == min, Percentile(100) == max, monotone in p.
+	// Every percentile lies between the sample's min and max.
 	f := func(raw []float64, p8 uint8) bool {
 		if len(raw) == 0 {
 			return true
@@ -212,9 +105,9 @@ func TestPercentileAgainstQuickProperty(t *testing.T) {
 				raw[i] = float64(i)
 			}
 		}
-		p := float64(p8) / 255 * 100
-		v := Percentile(raw, p)
-		return v >= Min(raw)-1e-9 && v <= Max(raw)+1e-9
+		sort.Float64s(raw)
+		v := percentileSorted(raw, float64(p8)/255*100)
+		return v >= raw[0]-1e-9 && v <= raw[len(raw)-1]+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -87,14 +87,14 @@ func Generate(spec Spec, rng *simrand.Source) (*Network, error) {
 		}
 	}
 
-	// Stub domains. Oversized stubs (see Spec.HubStubThreshold) are wired
+	// Stub domains. Oversized stubs (see hubStubThreshold) are wired
 	// hub-and-spoke, which makes the egress array the whole distance
 	// structure; preset-sized stubs are random local graphs whose egress
 	// column a stubSolver computes (see stubDomain). A stub's edges,
 	// uplink last, are drawn into wiring and laid into the graph as one
 	// arc block (Graph.addBlock): one allocation per stub, not a growing
 	// list per host.
-	hub := spec.NodesPerStub > spec.hubThreshold()
+	hub := spec.NodesPerStub > hubStubThreshold
 	net.hubStubs = hub
 	net.stubs = make([]stubDomain, spec.TotalStubs())
 	egress := make([]float64, len(net.stubs)*spec.NodesPerStub) // one backing array

@@ -11,7 +11,6 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -169,10 +168,9 @@ func (g *Graph) dijkstraRange(src, first NodeID, dist []float64, scratch *Dijkst
 		dist[i] = math.Inf(1)
 	}
 	dist[src-first] = 0
-	// The queue is driven through the non-boxing pushArc/popArc rather than
-	// container/heap: heap.Push takes interface{}, which heap-allocates a
-	// box per relaxation — the dominant allocation in the generator's
-	// sweeps.
+	// The queue is a hand-rolled binary heap (pushArc/popArc): container/heap's
+	// Push takes interface{}, which heap-allocates a box per relaxation —
+	// the dominant allocation in the generator's sweeps.
 	pq := &scratch.pq
 	*pq = append((*pq)[:0], Arc{To: src, W: 0})
 	for len(*pq) > 0 {
@@ -243,31 +241,6 @@ func (g *Graph) dijkstraToward(src, target, first NodeID, from, dist []float64, 
 	return dist[target-first]
 }
 
-// DijkstraSubset computes shortest-path distances from src restricted to
-// the induced subgraph containing exactly the nodes for which allowed
-// returns true. src itself must be allowed.
-func (g *Graph) DijkstraSubset(src NodeID, allowed func(NodeID) bool) map[NodeID]float64 {
-	dist := map[NodeID]float64{src: 0}
-	pq := &arcHeap{{To: src, W: 0}}
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(Arc)
-		if d, ok := dist[cur.To]; ok && cur.W > d {
-			continue
-		}
-		for _, e := range g.adj[cur.To] {
-			if !allowed(e.To) {
-				continue
-			}
-			nd := cur.W + e.W
-			if d, ok := dist[e.To]; !ok || nd < d {
-				dist[e.To] = nd
-				heap.Push(pq, Arc{To: e.To, W: nd})
-			}
-		}
-	}
-	return dist
-}
-
 // Connected reports whether the graph is a single connected component.
 // The empty graph is considered connected.
 func (g *Graph) Connected() bool {
@@ -296,20 +269,8 @@ func (g *Graph) Connected() bool {
 // (To doubles as the node, W as the tentative distance).
 type arcHeap []Arc
 
-func (h arcHeap) Len() int            { return len(h) }
-func (h arcHeap) Less(i, j int) bool  { return h[i].W < h[j].W }
-func (h arcHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *arcHeap) Push(x interface{}) { *h = append(*h, x.(Arc)) }
-func (h *arcHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
-}
-
-// pushArc and popArc are the same binary-heap sift operations that
-// container/heap performs, minus the interface{} boxing of each Arc.
+// pushArc and popArc are the binary-heap sift operations container/heap
+// performs, minus the interface{} boxing of each Arc.
 
 func (h *arcHeap) pushArc(a Arc) {
 	s := append(*h, a)

@@ -86,18 +86,6 @@ func TestDijkstraUnreachable(t *testing.T) {
 	}
 }
 
-func TestDijkstraSubset(t *testing.T) {
-	// Path 0-1-2 exists but 1 is disallowed; direct 0-2 edge costs 10.
-	g := NewGraph(3)
-	mustEdge(t, g, 0, 1, 1)
-	mustEdge(t, g, 1, 2, 1)
-	mustEdge(t, g, 0, 2, 10)
-	d := g.DijkstraSubset(0, func(id NodeID) bool { return id != 1 })
-	if d[2] != 10 {
-		t.Fatalf("restricted d[2] = %v, want 10", d[2])
-	}
-}
-
 func TestConnected(t *testing.T) {
 	g := NewGraph(3)
 	mustEdge(t, g, 0, 1, 1)

@@ -39,8 +39,8 @@ type Node struct {
 //
 // egress[i] = d(i → host 0) is the one structure Generate computes for every
 // stub: each cross-stub latency needs nothing else of the stub. Intra-stub
-// distances depend on how Spec.HubStubThreshold had the network's stubs wired
-// (Network.hubStubs):
+// distances depend on how generation wired the network's stubs, by stub size
+// against hubStubThreshold (Network.hubStubs):
 //
 //   - exact: the stub is a random local graph (the paper's presets). Its
 //     dense size×size all-pairs matrix is filled by the first intra-stub

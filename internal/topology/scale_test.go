@@ -15,7 +15,7 @@ func hubSpec() Spec {
 		TransitDomains:        2,
 		TransitNodesPerDomain: 2,
 		StubsPerTransitNode:   1,
-		NodesPerStub:          DefaultHubStubThreshold + 44,
+		NodesPerStub:          hubStubThreshold + 44,
 		ExtraTransitEdgeProb:  0.3,
 		ExtraStubEdgeProb:     0.1, // ignored on the hub path, deliberately nonzero
 		ExtraInterDomainLinks: 1,
@@ -82,43 +82,21 @@ func TestHubStubUsesFactoredStorage(t *testing.T) {
 
 func TestHubThresholdBoundary(t *testing.T) {
 	at := hubSpec()
-	at.NodesPerStub = DefaultHubStubThreshold
+	at.NodesPerStub = hubStubThreshold
 	net := MustGenerate(at, simrand.New(1))
 	if net.hubStubs {
 		t.Fatal("stub exactly at threshold should keep the exact path")
 	}
 	over := hubSpec()
-	over.NodesPerStub = DefaultHubStubThreshold + 1
+	over.NodesPerStub = hubStubThreshold + 1
 	net = MustGenerate(over, simrand.New(1))
 	if !net.hubStubs {
 		t.Fatal("stub over threshold should take the factored path")
 	}
-	// Explicit threshold overrides the default.
-	low := hubSpec()
-	low.NodesPerStub = 10
-	low.HubStubThreshold = 5
-	net = MustGenerate(low, simrand.New(1))
-	if !net.hubStubs {
-		t.Fatal("explicit HubStubThreshold ignored")
-	}
-	if err := (Spec{TransitDomains: 1, TransitNodesPerDomain: 1, HubStubThreshold: -1}).Validate(); err == nil {
-		t.Fatal("negative HubStubThreshold accepted")
-	}
 }
 
-func TestScaledWideAndSizedWide(t *testing.T) {
+func TestSizedWide(t *testing.T) {
 	base := TSKLarge(GTITMLatency())
-	wide := base.ScaledWide(3)
-	if wide.StubsPerTransitNode != 12 {
-		t.Fatalf("ScaledWide StubsPerTransitNode = %d, want 12", wide.StubsPerTransitNode)
-	}
-	if wide.NodesPerStub != base.NodesPerStub {
-		t.Fatal("ScaledWide must not touch stub depth")
-	}
-	if base.ScaledWide(0.001).StubsPerTransitNode != 1 {
-		t.Fatal("ScaledWide floor of 1 violated")
-	}
-
 	sized := base.SizedWide(100_000)
 	if got := sized.TotalNodes(); got < 100_000 || got > 110_000 {
 		t.Fatalf("SizedWide(1e5) yields %d nodes, want [100000,110000]", got)

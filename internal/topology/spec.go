@@ -60,20 +60,6 @@ type LatencyModel struct {
 	IntraStub    Dist
 }
 
-// For returns the distribution for a link class.
-func (m LatencyModel) For(c LinkClass) Dist {
-	switch c {
-	case LinkCrossTransit:
-		return m.CrossTransit
-	case LinkIntraTransit:
-		return m.IntraTransit
-	case LinkTransitStub:
-		return m.TransitStub
-	default:
-		return m.IntraStub
-	}
-}
-
 // GTITMLatency mimics GT-ITM's randomly weighted links: each class draws
 // uniformly from a range whose scale reflects geographic extent (backbone
 // links span continents, stub links span campuses). The exact ranges are
@@ -124,31 +110,17 @@ type Spec struct {
 	ExtraInterDomainLinks int
 	// Latency assigns link latencies.
 	Latency LatencyModel
-	// HubStubThreshold bounds the per-stub all-pairs distance matrix:
-	// stubs with more than this many hosts are generated hub-and-spoke
-	// (every host wired straight to the stub's gateway host), so their
-	// intra-stub distances factor into one egress latency per host —
-	// O(size) memory instead of the O(size²) matrix that dominates RSS at
-	// million-node scale. Stubs at or under the threshold keep the exact
-	// random-graph wiring and dense matrix of the paper's presets. Zero
-	// selects DefaultHubStubThreshold; both preset sizes (40 and 160) stay
-	// under any sane threshold, so preset topologies are bit-identical to
-	// the pre-threshold implementation.
-	HubStubThreshold int
 }
 
-// DefaultHubStubThreshold is the stub size above which generation switches
-// to the factored hub-and-spoke layout. 256 keeps both paper presets
-// (tsk-large: 40 hosts/stub, tsk-small: 160) on the exact dense path.
-const DefaultHubStubThreshold = 256
-
-// hubThreshold resolves the effective threshold.
-func (s Spec) hubThreshold() int {
-	if s.HubStubThreshold == 0 {
-		return DefaultHubStubThreshold
-	}
-	return s.HubStubThreshold
-}
+// hubStubThreshold bounds the per-stub all-pairs distance matrix: stubs
+// with more than this many hosts are generated hub-and-spoke (every host
+// wired straight to the stub's gateway host), so their intra-stub
+// distances factor into one egress latency per host — O(size) memory
+// instead of the O(size²) matrix, and a Generate 20–55x cheaper than the
+// exact wiring at 400-host stubs (DESIGN.md §5c). Stubs at or under it
+// keep the exact random-graph wiring of the paper's presets (tsk-large:
+// 40 hosts/stub, tsk-small: 160).
+const hubStubThreshold = 256
 
 // Validate reports whether the spec is generateable.
 func (s Spec) Validate() error {
@@ -167,8 +139,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("topology: ExtraStubEdgeProb = %v, need in [0,1]", s.ExtraStubEdgeProb)
 	case s.ExtraInterDomainLinks < 0:
 		return fmt.Errorf("topology: ExtraInterDomainLinks = %d, need >= 0", s.ExtraInterDomainLinks)
-	case s.HubStubThreshold < 0:
-		return fmt.Errorf("topology: HubStubThreshold = %d, need >= 0", s.HubStubThreshold)
 	}
 	return nil
 }
@@ -254,25 +224,12 @@ func (s Spec) Scaled(f float64) Spec {
 	return out
 }
 
-// ScaledWide returns a copy of the spec with StubsPerTransitNode scaled by
-// f (minimum one stub per transit node). Where Scaled deepens each stub,
-// ScaledWide multiplies the number of edge networks — the realistic way an
-// internet grows — so stub density, and with it the preset's landmark
-// behavior, is preserved at any total size. The ext-scale experiment uses
-// it to push preset-shaped topologies to 10^5–10^6 hosts.
-func (s Spec) ScaledWide(f float64) Spec {
-	out := s
-	n := int(float64(s.StubsPerTransitNode)*f + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	out.StubsPerTransitNode = n
-	return out
-}
-
-// SizedWide returns the spec wide-scaled so TotalNodes is as close as
-// possible to (and at least) targetNodes, holding the backbone and stub
-// density fixed.
+// SizedWide returns the spec with StubsPerTransitNode set so TotalNodes is
+// as close as possible to (and at least) targetNodes, holding the backbone
+// and stub density fixed. Where Scaled deepens each stub, SizedWide adds
+// edge networks — the way an internet grows — so the preset's landmark
+// behavior is preserved at any total size; ext-scale uses it to push
+// preset-shaped topologies to 10^5–10^6 hosts.
 func (s Spec) SizedWide(targetNodes int) Spec {
 	transit := s.TransitDomains * s.TransitNodesPerDomain
 	perStubNode := transit * s.NodesPerStub

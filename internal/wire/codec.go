@@ -3,12 +3,10 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 
-	"gsso/internal/obs"
 	"gsso/internal/obs/span"
 )
 
@@ -36,33 +34,36 @@ const binMagic = 0xBF
 //	0      1    magic (0xBF)
 //	1      1    codec version (CodecBinary)
 //	2      1    message type code
-//	3      1    flags (bit0 record, bit1 trace, bit2 stats)
+//	3      1    flags (bit0 record, bit1 trace, bit3 membership)
 //	4      4    payload length, uint32 LE (bytes after the header)
 //	8      8    seq, uint64 LE
 //
 // The payload encodes the remaining fields in fixed order: number
 // (uvarint), max (zigzag varint), addr (string), err (string), record
 // (if flagged), records (uvarint count + records), errs (uvarint count
-// + strings), trace (8+8+1 bytes, if flagged), stats (uvarint length +
-// JSON bytes, if flagged), membership (epoch uvarint + uvarint peer
-// count + strings, if flagged). Strings are uvarint length + raw bytes;
-// records are addr, number (uvarint), expires (int64 LE), vector
-// (uvarint count + float64 LE each).
+// + strings), trace (8+8+1 bytes, if flagged), membership (epoch
+// uvarint + uvarint peer count + strings, if flagged). Strings are
+// uvarint length + raw bytes; records are addr, number (uvarint),
+// expires (int64 LE), vector (uvarint count + float64 LE each).
 const binHeaderLen = 16
 
 // Binary header flags: presence bits for the pointer-typed fields,
 // where nil versus zero-valued matters. binFlagMembership covers the
-// Peers/Epoch pair carried by peers-reply frames.
+// Peers/Epoch pair carried by peers-reply frames. Bit 2 stays unassigned
+// for the reason codes 7 and 8 do (see msgTypeCode): it marked the
+// snapshot those frames carried.
 const (
 	binFlagRecord     = 1 << 0
 	binFlagTrace      = 1 << 1
-	binFlagStats      = 1 << 2
 	binFlagMembership = 1 << 3
 )
 
 // msgTypeCode maps message types to their binary type codes. A type
 // missing here (only possible for hand-built messages) cannot be
-// written: the encoder returns an error.
+// written: the encoder returns an error. Codes 7 and 8 belonged to a
+// removed stats/stats-reply pair that a peer speaking the same codec
+// version may still send; they stay unassigned, so such a frame fails
+// as an unknown type instead of being misread.
 var msgTypeCode = map[MsgType]byte{
 	MsgPing:         1,
 	MsgPong:         2,
@@ -70,8 +71,6 @@ var msgTypeCode = map[MsgType]byte{
 	MsgStored:       4,
 	MsgQuery:        5,
 	MsgRecords:      6,
-	MsgStats:        7,
-	MsgStatsReply:   8,
 	MsgRemove:       9,
 	MsgRemoved:      10,
 	MsgPublishBatch: 11,
@@ -89,18 +88,17 @@ var replyType = map[MsgType]MsgType{
 	MsgPing:         MsgPong,
 	MsgStore:        MsgStored,
 	MsgQuery:        MsgRecords,
-	MsgStats:        MsgStatsReply,
 	MsgRemove:       MsgRemoved,
 	MsgPublishBatch: MsgBatchAck,
 	MsgPeers:        MsgPeersReply,
 }
 
-// msgTypeByCode is the reverse mapping; index 0 stays empty.
+// msgTypeByCode is the reverse mapping; index 0 and codes 7 and 8 stay
+// empty.
 var msgTypeByCode = [...]MsgType{
 	1: MsgPing, 2: MsgPong, 3: MsgStore, 4: MsgStored, 5: MsgQuery,
-	6: MsgRecords, 7: MsgStats, 8: MsgStatsReply, 9: MsgRemove,
-	10: MsgRemoved, 11: MsgPublishBatch, 12: MsgBatchAck, 13: MsgError,
-	14: MsgPeers, 15: MsgPeersReply,
+	6: MsgRecords, 9: MsgRemove, 10: MsgRemoved, 11: MsgPublishBatch,
+	12: MsgBatchAck, 13: MsgError, 14: MsgPeers, 15: MsgPeersReply,
 }
 
 // appendUvarint/appendString/appendF64 are the payload field writers.
@@ -120,21 +118,12 @@ func appendRecord(buf []byte, r *Record) []byte {
 	return buf
 }
 
-// appendMessageBinary appends m as one binary frame. Messages the
-// layout cannot carry (unknown message types, unmarshalable stats
-// snapshots) are an error and leave buf untouched.
+// appendMessageBinary appends m as one binary frame. A message of a
+// type the layout has no code for is an error and leaves buf untouched.
 func appendMessageBinary(buf []byte, m *Message) ([]byte, error) {
 	code, ok := msgTypeCode[m.Type]
 	if !ok {
 		return buf, fmt.Errorf("wire: unencodable message type %q", m.Type)
-	}
-	var statsJSON []byte
-	if m.Stats != nil {
-		b, err := json.Marshal(m.Stats)
-		if err != nil {
-			return buf, fmt.Errorf("wire: marshal stats: %w", err)
-		}
-		statsJSON = b
 	}
 	var flags byte
 	if m.Record != nil {
@@ -142,9 +131,6 @@ func appendMessageBinary(buf []byte, m *Message) ([]byte, error) {
 	}
 	if m.Trace != nil {
 		flags |= binFlagTrace
-	}
-	if statsJSON != nil {
-		flags |= binFlagStats
 	}
 	if m.Epoch != 0 || len(m.Peers) > 0 {
 		flags |= binFlagMembership
@@ -177,10 +163,6 @@ func appendMessageBinary(buf []byte, m *Message) ([]byte, error) {
 			s = 1
 		}
 		buf = append(buf, s)
-	}
-	if statsJSON != nil {
-		buf = binary.AppendUvarint(buf, uint64(len(statsJSON)))
-		buf = append(buf, statsJSON...)
 	}
 	if flags&binFlagMembership != 0 {
 		buf = binary.AppendUvarint(buf, m.Epoch)
@@ -411,20 +393,6 @@ func decodeMessageBinary(frame []byte, st *decodeState) (Message, error) {
 		if r.err == nil {
 			tc.Sampled = sb[0] != 0
 			m.Trace = &tc
-		}
-	}
-	if r.err == nil && flags&binFlagStats != 0 {
-		n := r.uvarint("stats len")
-		if r.err == nil {
-			if n > uint64(r.remaining()) {
-				r.fail("stats")
-			} else {
-				var snap obs.Snapshot
-				if err := json.Unmarshal(r.bytes(int(n), "stats"), &snap); err != nil {
-					return Message{}, fmt.Errorf("wire: binary stats payload: %w", err)
-				}
-				m.Stats = &snap
-			}
 		}
 	}
 	if r.err == nil && flags&binFlagMembership != 0 {

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"gsso/internal/obs/span"
 )
@@ -54,31 +53,6 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(in, out) {
 			t.Fatalf("round trip mangled %v:\n in: %+v\nout: %+v", in.Type, in, out)
 		}
-	}
-}
-
-// TestBinaryCodecStats covers the stats frame separately: the snapshot
-// rides as embedded JSON, so equality is checked on the re-marshaled
-// form rather than DeepEqual of the whole Message.
-func TestBinaryCodecStats(t *testing.T) {
-	node, err := NewNode("127.0.0.1:0", testConfig([]string{"x"}), nil, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	snap := node.Registry().Snapshot()
-	in := Message{Type: MsgStatsReply, Seq: 77, Stats: &snap}
-	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeMessage(w, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadMessage(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Stats == nil || len(out.Stats.Families) != len(snap.Families) {
-		t.Fatalf("stats snapshot mangled: %+v", out.Stats)
 	}
 }
 
@@ -159,18 +133,31 @@ func TestReadMessageRejectsNonBinaryStream(t *testing.T) {
 
 // TestReadMessageRejectsStaleVersion: a frame carrying an older version
 // byte (2, the binary layout with the codec advertisement) fails on its
-// header instead of mis-decoding its payload.
+// header instead of mis-decoding its payload, and so does a frame
+// carrying a retired type code (7 and 8, the removed stats/stats-reply
+// pair) or one that never existed.
 func TestReadMessageRejectsStaleVersion(t *testing.T) {
-	for _, version := range []byte{2, CodecBinary + 1} {
+	pong := func() []byte {
 		var buf bytes.Buffer
 		if err := writeMessage(bufio.NewWriter(&buf), Message{Type: MsgPong, Seq: 2}); err != nil {
 			t.Fatal(err)
 		}
-		frame := buf.Bytes()
+		return buf.Bytes()
+	}
+	for _, version := range []byte{2, CodecBinary + 1} {
+		frame := pong()
 		frame[1] = version
 		_, err := ReadMessage(bufio.NewReader(bytes.NewReader(frame)))
 		if err == nil || !strings.Contains(err.Error(), "bad binary header") {
 			t.Fatalf("version %d frame: err = %v, want bad binary header", version, err)
+		}
+	}
+	for _, code := range []byte{0, 7, 8, 0xee} {
+		frame := pong()
+		frame[2] = code
+		_, err := ReadMessage(bufio.NewReader(bytes.NewReader(frame)))
+		if err == nil || !strings.Contains(err.Error(), "unknown binary message type") {
+			t.Fatalf("type code %d frame: err = %v, want unknown binary message type", code, err)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"gsso/internal/obs"
 	"gsso/internal/obs/span"
 )
 
@@ -21,8 +20,7 @@ func binFrame(m Message) []byte {
 }
 
 // sameMessage compares the semantic payload of two messages: everything
-// the dispatcher and multiplexer act on. Stats snapshots are compared by
-// family count only (they ride as embedded JSON).
+// the dispatcher and multiplexer act on.
 func sameMessage(t *testing.T, what string, a, b Message) {
 	t.Helper()
 	if a.Type != b.Type || a.Seq != b.Seq || a.Number != b.Number ||
@@ -55,10 +53,6 @@ func sameMessage(t *testing.T, what string, a, b Message) {
 			len(brecs[i].Vector) != len(recs[i].Vector) {
 			t.Fatalf("%s mangled record %d:\n in: %+v\nout: %+v", what, i, recs[i], brecs[i])
 		}
-	}
-	if (a.Stats == nil) != (b.Stats == nil) ||
-		(a.Stats != nil && len(a.Stats.Families) != len(b.Stats.Families)) {
-		t.Fatalf("%s mangled stats snapshot", what)
 	}
 	if a.Epoch != b.Epoch || len(a.Peers) != len(b.Peers) {
 		t.Fatalf("%s mangled membership:\n in: %+v\nout: %+v", what, a, b)
@@ -126,7 +120,9 @@ func FuzzReadMessage(f *testing.F) {
 	corrupt := binFrame(Message{Type: MsgPing, Seq: 8})
 	corrupt[2] = 0xee // unknown type code
 	f.Add(corrupt)
-	f.Add(binFrame(Message{Type: MsgStatsReply, Seq: 9, Stats: &obs.Snapshot{}}))
+	retired := binFrame(Message{Type: MsgPing, Seq: 9})
+	retired[2] = 8 // the removed stats-reply type code: rejected
+	f.Add(retired)
 	f.Add(binFrame(Message{Type: MsgPeers, Seq: 11}))
 	f.Add(binFrame(Message{Type: MsgPeersReply, Seq: 12, Epoch: 3,
 		Peers: []string{"a:1", "b:2", "c:3"}}))

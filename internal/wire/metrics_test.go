@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -64,28 +65,22 @@ func TestServeMetricsCountRequests(t *testing.T) {
 	}
 }
 
-func TestStatsWireOp(t *testing.T) {
+func TestRegistryCountsEachServedRequest(t *testing.T) {
 	n := startNode(t, stubCfg(), nil)
 	timeout := 2 * time.Second
 	if _, err := call(n.Addr(), Message{Type: MsgPing}, timeout); err != nil {
 		t.Fatal(err)
 	}
-
-	resp, err := call(n.Addr(), Message{Type: MsgStats}, timeout)
-	if err != nil || resp.Stats == nil {
-		t.Fatalf("stats scrape = %+v, %v", resp, err)
+	if v, ok := n.Registry().Snapshot().Value("wire_requests_total", "ping"); !ok || v != 1 {
+		t.Fatalf("ping count = %v/%v, want 1", v, ok)
 	}
-	if v, ok := resp.Stats.Value("wire_requests_total", "ping"); !ok || v != 1 {
-		t.Fatalf("scraped ping count = %v/%v, want 1", v, ok)
+	// Each served request is counted by the time its reply arrives, so
+	// the next snapshot sees it.
+	if _, err := call(n.Addr(), Message{Type: MsgPing}, timeout); err != nil {
+		t.Fatal(err)
 	}
-	// The scrape itself is counted on the serving side, visible to the
-	// next scrape (the snapshot is taken before the counter bump).
-	resp, err = call(n.Addr(), Message{Type: MsgStats}, timeout)
-	if err != nil || resp.Stats == nil {
-		t.Fatalf("stats scrape = %+v, %v", resp, err)
-	}
-	if v, _ := resp.Stats.Value("wire_requests_total", "stats"); v < 1 {
-		t.Fatalf("stats requests = %v, want >= 1", v)
+	if v, _ := n.Registry().Snapshot().Value("wire_requests_total", "ping"); v != 2 {
+		t.Fatalf("ping count = %v, want 2", v)
 	}
 }
 
@@ -130,17 +125,24 @@ func TestSharedRegistryAggregates(t *testing.T) {
 }
 
 func TestStatsSnapshotSerializes(t *testing.T) {
-	// The snapshot must survive the wire framing with label values
-	// intact (the \x1f series separator never leaks).
+	// The snapshot must survive the JSON export (/metrics.json) with
+	// label values intact (the \x1f series separator never leaks).
 	n := startNode(t, stubCfg(), nil)
 	if _, err := call(n.Addr(), Message{Type: MsgPing}, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := call(n.Addr(), Message{Type: MsgStats}, 2*time.Second)
-	if err != nil || resp.Stats == nil {
-		t.Fatalf("stats scrape = %+v, %v", resp, err)
+	b, err := json.Marshal(n.Registry().Snapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range resp.Stats.Families {
+	var snap obs.Snapshot
+	if err := json.Unmarshal(b, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := snap.Value("wire_requests_total", "ping"); !ok || v != 1 {
+		t.Fatalf("decoded ping count = %v/%v, want 1", v, ok)
+	}
+	for _, f := range snap.Families {
 		for _, s := range f.Series {
 			for _, lv := range s.LabelValues {
 				if strings.ContainsRune(lv, '\x1f') {

@@ -285,7 +285,7 @@ func (n *Node) Transport() *Transport { return n.tr }
 func (n *Node) Addr() string { return n.addr }
 
 // Registry returns the node's telemetry registry (serve it with
-// obs.Handler, or scrape it remotely through the STATS op).
+// obs.Handler).
 func (n *Node) Registry() *obs.Registry { return n.metrics.reg }
 
 // Spans returns the node's span collector (nil when tracing is off).
@@ -506,9 +506,6 @@ func (n *Node) dispatch(req Message, rs *replyScratch) Message {
 			resp.Errs = errs
 		}
 		return resp
-	case MsgStats:
-		snap := n.metrics.reg.Snapshot()
-		return Message{Type: MsgStatsReply, Seq: req.Seq, Stats: &snap}
 	case MsgPeers:
 		r := n.ring.Load()
 		return Message{Type: MsgPeersReply, Seq: req.Seq, Peers: r.peers, Epoch: r.epoch}

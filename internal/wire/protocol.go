@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"gsso/internal/obs"
 	"gsso/internal/obs/span"
 )
 
@@ -32,16 +31,14 @@ type MsgType string
 
 // Protocol messages.
 const (
-	MsgPing       MsgType = "ping"
-	MsgPong       MsgType = "pong"
-	MsgStore      MsgType = "store"
-	MsgStored     MsgType = "stored"
-	MsgQuery      MsgType = "query"
-	MsgRecords    MsgType = "records"
-	MsgStats      MsgType = "stats"
-	MsgStatsReply MsgType = "stats-reply"
-	MsgRemove     MsgType = "remove"
-	MsgRemoved    MsgType = "removed"
+	MsgPing    MsgType = "ping"
+	MsgPong    MsgType = "pong"
+	MsgStore   MsgType = "store"
+	MsgStored  MsgType = "stored"
+	MsgQuery   MsgType = "query"
+	MsgRecords MsgType = "records"
+	MsgRemove  MsgType = "remove"
+	MsgRemoved MsgType = "removed"
 	// MsgPublishBatch is a bulk store: many soft-state records in one
 	// frame, for a tool that preloads an owner. A node publishes only its
 	// own record and never sends one.
@@ -98,9 +95,6 @@ type Message struct {
 	// Addr keys remove requests (the record to withdraw) and echoes on
 	// removed responses.
 	Addr string `json:"addr,omitempty"`
-	// Stats rides on stats-reply responses: the serving node's full
-	// telemetry snapshot, so peers can scrape each other.
-	Stats *obs.Snapshot `json:"stats,omitempty"`
 	// Trace carries the distributed-tracing context on sampled requests:
 	// the trace ID, the caller's span (which the server's span parents
 	// to), and the head sampling bit. Absent on unsampled traffic, so
