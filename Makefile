@@ -37,7 +37,10 @@ bench-module:
 # the default width so nested fan-out runs genuinely parallel even on
 # single-core CI boxes), and a short coverage-guided fuzz of the CAN
 # membership machine (join/depart/crash interleavings must keep the split
-# tree invariant-clean), and of the wire codec (arbitrary frames must
+# tree invariant-clean), of CAN zone geometry (adversarial join points must
+# be placed and measured as the float midpoint rule places them wherever it
+# is exact; minimisation is capped at 1 s, or the default 60 s spent on the
+# first new input takes the whole budget), and of the wire codec (arbitrary frames must
 # never panic, hang, or round-trip lossily; every JSON-describable message
 # must survive the binary layout). The wire node's cached landmark vector
 # and its refresh loop are re-run five times under the race detector, the
@@ -50,6 +53,7 @@ check: build vet fmt-check bench-module examples race
 	go test -race -count=5 -run 'OwnVector|Refresh|Fallback' ./internal/wire
 	go run ./cmd/topobench -run ext-scale -scale quick -seed $(SEED) > /dev/null
 	go test -fuzz FuzzMembership -fuzztime 10s -run '^$$' ./internal/can
+	go test -fuzz FuzzZoneGeometry -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/can
 	go test -fuzz FuzzArena -fuzztime 10s -run '^$$' ./internal/arena
 	go test -fuzz FuzzReadMessage -fuzztime 10s -run '^$$' ./internal/wire
 	go test -fuzz FuzzCodecDifferential -fuzztime 10s -run '^$$' ./internal/wire

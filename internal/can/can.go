@@ -13,11 +13,13 @@
 // tree, derived when first asked for and memoized per leaf until the next
 // join or departure.
 //
-// Splits are dyadic midpoints, so the first decisions on a point's path
-// are the bit-interleaved (Z-order) prefix of its coordinates: a prefix
-// directory indexed by them starts every point and path descent a few
-// levels above the leaves. Zones and members live in blocks that make no
-// heap object per member (DESIGN §5c).
+// Splits are dyadic midpoints, so a zone's extent is a function of its
+// path, and the decisions on a point's path are the bit-interleaved
+// (Z-order) key of its coordinates in 64-bit fixed point: a zone stores
+// neither bounds nor split planes, and a prefix directory indexed by the
+// key starts every point and path descent at about the leaves' depth.
+// Zones and members live in blocks that make no heap object per member
+// (DESIGN §5c).
 //
 // Overlays are not safe for concurrent mutation; concurrent readers are
 // fine once construction settles.
@@ -144,24 +146,19 @@ type Member struct {
 // Path returns the member's current zone path.
 func (m *Member) Path() Path { return m.leaf.path }
 
-// ZoneLo returns a copy of the member zone's lower corner.
-func (m *Member) ZoneLo() Point { return append(Point(nil), m.leaf.lo...) }
+// ZoneLo returns the member zone's lower corner (fresh slice).
+func (m *Member) ZoneLo() Point { return m.owner.corner(m.leaf.path, 0) }
 
-// ZoneHi returns a copy of the member zone's upper corner.
-func (m *Member) ZoneHi() Point { return append(Point(nil), m.leaf.hi...) }
+// ZoneHi returns the member zone's upper corner (fresh slice).
+func (m *Member) ZoneHi() Point { return m.owner.corner(m.leaf.path, 1) }
 
 // Volume returns the member zone's volume (fraction of the whole space).
-func (m *Member) Volume() float64 { return m.leaf.volume() }
+func (m *Member) Volume() float64 { return math.Ldexp(1, -m.leaf.path.Len) }
 
-// ZoneCenter returns the center point of the member's zone; it always lies
-// strictly inside the zone, making it a valid routing target for the zone.
-func (m *Member) ZoneCenter() Point {
-	c := make(Point, len(m.leaf.lo))
-	for k := range c {
-		c[k] = (m.leaf.lo[k] + m.leaf.hi[k]) / 2
-	}
-	return c
-}
+// ZoneCenter returns the center point of the member's zone, a valid routing
+// target for it: it lies strictly inside while no dimension is split more
+// than 52 times (only dimension 1 can be, with zones too thin for a float).
+func (m *Member) ZoneCenter() Point { return m.owner.corner(m.leaf.path, 0.5) }
 
 // Depth returns the member zone's split depth.
 func (m *Member) Depth() int { return m.leaf.path.Len }
@@ -185,8 +182,11 @@ func (m *Member) Neighbors() []*Member {
 // NeighborCount returns the size of the member's neighbor set.
 func (m *Member) NeighborCount() int { return len(m.owner.neighbors(m.leaf)) }
 
-// Contains reports whether the member's zone contains p.
-func (m *Member) Contains(p Point) bool { return m.leaf.contains(p) }
+// Contains reports whether the member's zone contains p (false if p is
+// invalid).
+func (m *Member) Contains(p Point) bool {
+	return p.Valid(m.owner.dim) && m.leaf.holds(m.owner.decisions(p, m.leaf.path.Len))
+}
 
 // String implements fmt.Stringer.
 func (m *Member) String() string {
@@ -195,17 +195,12 @@ func (m *Member) String() string {
 
 // zone is a node of the binary split tree. Internal zones have exactly two
 // children, one pair from the overlay's blocks; leaf zones have a member
-// (nil only for an empty overlay root).
+// (nil only for an empty overlay root). A zone's extent and split plane are
+// functions of its path (see span), so neither is stored.
 type zone struct {
-	// What leafAt reads per level comes first and shares a cache line; the
-	// midpoint is kept rather than recomputed from lo and hi, whose
-	// coordinates live in two more.
-	kids     *[2]zone // nil for a leaf
-	splitDim int      // dimension split at this node (internal zones)
-	splitAt  float64  // midpoint of the split (internal zones)
-	path     Path
-	lo, hi   Point
-	member   *Member
+	kids   *[2]zone // nil for a leaf
+	path   Path
+	member *Member
 	// nbs memoizes a leaf's derived neighbors (Overlay.neighbors). Atomic
 	// because concurrent readers of a settled overlay fill it.
 	nbs atomic.Pointer[nbMemo]
@@ -228,21 +223,78 @@ func pathLess(a, b Path) bool {
 	return a.Len < b.Len
 }
 
-func (z *zone) contains(p Point) bool {
-	for k := range p {
-		if p[k] < z.lo[k] || p[k] >= z.hi[k] {
-			return false
-		}
-	}
-	return true
+// holds reports whether z's path is a prefix of key, the decisions of a
+// root descent (at least z.path.Len of them): whether z contains the point
+// key was taken from.
+func (z *zone) holds(key uint64) bool {
+	s := 64 - z.path.Len
+	return key>>s == z.path.Bits>>s
 }
 
-func (z *zone) volume() float64 {
-	v := 1.0
-	for k := range z.lo {
-		v *= z.hi[k] - z.lo[k]
+// Zone geometry. Decision i halves dimension k = i mod dim for the
+// j = ⌊i/dim⌋-th time, so after j splits of k a zone's extent is the dyadic
+// interval [c·2^−j, (c+1)·2^−j), c its k-decisions read as a number (span):
+// in fixed point, the values whose top j bits are c. A point goes right at
+// split j of k iff bit 63−j of fixed(p[k]) is set, exactly, at every depth.
+
+// fixed returns x ∈ [0, 1) in 64-bit fixed point, ⌊x·2^64⌋: exact, as x·2^64
+// only shifts the exponent.
+func fixed(x float64) uint64 { return uint64(x * (1 << 64)) }
+
+// decisions returns a key whose first n ≤ MaxDepth bits are the first n
+// decisions of a root descent to the valid point p, the first in the most
+// significant bit (later bits may be set too). Byte m of fixed(p[k]) holds
+// decisions k + dim·(8m..8m+7), which spread places.
+func (o *Overlay) decisions(p Point, n int) uint64 {
+	row, step := &spread[o.dim-1], 8*o.dim
+	key := uint64(0)
+	for k, x := range p {
+		u := fixed(x)
+		for at := k; at < n; at += step {
+			key |= row[u>>56] >> at
+			u <<= 8
+		}
 	}
-	return v
+	return key
+}
+
+// spread[d-1][b] holds byte b's bits, most significant first, at bits 63,
+// 63−d, 63−2d, ... of a dimension-d key (bits past bit 0 are dropped).
+var spread = func() (t [16][256]uint64) {
+	for d := 1; d <= len(t); d++ {
+		for b := range 256 {
+			for i := 0; i < 8 && d*i < 64; i++ {
+				t[d-1][b] |= uint64(b>>(7-i)&1) << (63 - d*i)
+			}
+		}
+	}
+	return t
+}()
+
+// span returns a path's extent in dimension k as the dyadic interval
+// [c·2^−j, (c+1)·2^−j): j is the number of k-decisions on the path and c
+// those decisions read as a binary number.
+func (o *Overlay) span(path Path, k int) (c uint64, j int) {
+	for i := k; i < path.Len; i += o.dim {
+		c = c<<1 | path.Bits>>(63-i)&1
+		j++
+	}
+	return c, j
+}
+
+// pow2 returns 2^−j, for 0 ≤ j ≤ MaxDepth.
+func pow2(j int) float64 { return math.Float64frombits(uint64(1023-j) << 52) }
+
+// corner returns the point (c_k+f)·2^−j_k of a path's zone (span): its lower
+// corner for f = 0, its center for f = ½, its upper corner for f = 1; exact
+// up to 52 splits of a dimension (53 for the corners), rounded beyond.
+func (o *Overlay) corner(path Path, f float64) Point {
+	pt := make(Point, o.dim)
+	for k := range pt {
+		c, j := o.span(path, k)
+		pt[k] = (float64(c) + f) * pow2(j)
+	}
+	return pt
 }
 
 // Overlay is a CAN over [0,1)^dim.
@@ -258,12 +310,12 @@ type Overlay struct {
 	dir      []*zone
 	dirDepth int
 
-	// Zone pairs, members and their coordinates come from blocks whose
+	// Zone pairs, members and their join points come from blocks whose
 	// pointers never move; pairs merged away wait in free for the next
 	// splits. Members are never reused: callers may hold a departed one.
 	pairs   blocks[[2]zone]
 	members blocks[Member]
-	floats  blocks[float64] // join points, and each fresh pair's two corners
+	floats  blocks[float64] // join points
 	free    []*[2]zone
 }
 
@@ -295,16 +347,10 @@ func (b *blocks[T]) take(n int) []T {
 	return b.cur[i : i+n : i+n]
 }
 
-// maxDirDepth caps the directory depth so no dimension is split more than
-// 52 times within it: dirIndex reads 52 fractional bits per coordinate.
-const maxDirDepth = 52
-
-// dirDepthFor is the directory depth an overlay of n members wants: about
-// log2(n) - 3, so the directory holds one entry per eight members or fewer
-// and descents start a few levels above the leaves.
-func dirDepthFor(n int) int {
-	return min(max(bits.Len(uint(n))-4, 0), maxDirDepth)
-}
+// dirDepthFor is the directory depth an overlay of n members wants:
+// ⌈log2 n⌉, so the directory holds at least one slot per member and most
+// descents start at or a level or two above the leaves.
+func dirDepthFor(n int) int { return bits.Len(uint(max(n-1, 0))) }
 
 // resizeDir rebuilds the directory when the overlay has outgrown its depth,
 // or shrunk to well below it (the slack keeps a size that wobbles around a
@@ -344,38 +390,12 @@ func (o *Overlay) refill(z *zone) {
 	}
 }
 
-// dirIndex returns the directory slot of the leaf containing p: the first
-// dirDepth decisions of a root descent. Decision i splits dimension
-// k = i mod dim for the j = i/dim-th time, at the dyadic midpoint of an
-// interval of width 2^-j, so it goes right exactly when bit 51-j of
-// floor(p[k]*2^52) is set (DESIGN §5c).
-func (o *Overlay) dirIndex(p Point) uint64 {
-	var u [16]uint64
-	for k := range p {
-		u[k] = uint64(p[k] * (1 << 52))
-	}
-	x := uint64(0)
-	k, shift := 0, 51
-	for i := 0; i < o.dirDepth; i++ {
-		x = x<<1 | u[k]>>shift&1
-		if k++; k == o.dim {
-			k, shift = 0, shift-1
-		}
-	}
-	return x
-}
-
 // New returns an empty CAN of the given dimensionality.
 func New(dim int) (*Overlay, error) {
 	if dim < 1 || dim > 16 {
 		return nil, fmt.Errorf("can: dim = %d, need in [1,16]", dim)
 	}
-	lo := make(Point, dim)
-	hi := make(Point, dim)
-	for i := range hi {
-		hi[i] = 1
-	}
-	root := &zone{lo: lo, hi: hi}
+	root := &zone{}
 	return &Overlay{dim: dim, root: root, dir: []*zone{root}}, nil
 }
 
@@ -409,17 +429,15 @@ func appendMembers(out []*Member, z *zone) []*Member {
 	return out
 }
 
-// leafAt descends to the leaf zone containing p, from its directory slot.
-func (o *Overlay) leafAt(p Point) *zone { return descend(o.dir[o.dirIndex(p)], p) }
+// leafOf descends to the leaf on the path whose decisions are key's bits,
+// from its directory slot.
+func (o *Overlay) leafOf(key uint64) *zone { return descend(o.dir[key>>(64-o.dirDepth)], key) }
 
-// descend walks from z to the leaf below it that contains p.
-func descend(z *zone, p Point) *zone {
+// descend walks from z to the leaf below it on the path whose decisions are
+// key's bits.
+func descend(z *zone, key uint64) *zone {
 	for !z.isLeaf() {
-		if p[z.splitDim] < z.splitAt {
-			z = &z.kids[0]
-		} else {
-			z = &z.kids[1]
-		}
+		z = &z.kids[key>>(63-z.path.Len)&1]
 	}
 	return z
 }
@@ -430,7 +448,7 @@ func (o *Overlay) Lookup(p Point) *Member {
 	if !p.Valid(o.dim) {
 		return nil
 	}
-	return o.leafAt(p).member
+	return o.leafOf(o.decisions(p, MaxDepth)).member
 }
 
 // PathOf returns the path of the leaf zone containing p.
@@ -438,7 +456,7 @@ func (o *Overlay) PathOf(p Point) (Path, error) {
 	if !p.Valid(o.dim) {
 		return Path{}, fmt.Errorf("can: invalid point %v for dim %d", p, o.dim)
 	}
-	return o.leafAt(p).path, nil
+	return o.leafOf(o.decisions(p, MaxDepth)).path, nil
 }
 
 // Join adds a member for host at point p: the leaf zone containing p is
@@ -470,7 +488,8 @@ func (o *Overlay) newPoint() Point { return o.floats.take(o.dim) }
 func (o *Overlay) join(host topology.NodeID, p Point) (*Member, error) {
 	m := &o.members.take(1)[0]
 	m.Host, m.JoinPoint, m.owner = host, p, o
-	leaf := o.leafAt(p)
+	key := o.decisions(p, MaxDepth)
+	leaf := o.leafOf(key)
 	if leaf.member == nil {
 		// First member adopts the whole space.
 		leaf.member = m
@@ -483,61 +502,25 @@ func (o *Overlay) join(host topology.NodeID, p Point) (*Member, error) {
 		return nil, fmt.Errorf("can: split depth limit %d reached", MaxDepth)
 	}
 	o.gen++
-	left, right := o.split(leaf)
-	old := leaf.member
-	leaf.member = nil
-	newSide := left
-	oldSide := right
-	if !left.contains(p) {
-		newSide, oldSide = right, left
+	// Split leaf: a merged-away pair if there is one, else a fresh one.
+	var pair *[2]zone
+	if n := len(o.free); n > 0 {
+		pair, o.free = o.free[n-1], o.free[:n-1]
+	} else {
+		pair = &o.pairs.take(1)[0]
 	}
-	newSide.member = m
-	m.leaf = newSide
-	oldSide.member = old
-	old.leaf = oldSide
+	for i := range pair {
+		pair[i].path = leaf.path.child(i)
+		o.refill(&pair[i])
+	}
+	// The new member takes the half containing p, the old one the other.
+	side, old := key>>(63-leaf.path.Len)&1, leaf.member
+	leaf.kids, leaf.member = pair, nil
+	pair[side].member, m.leaf = m, &pair[side]
+	pair[1-side].member, old.leaf = old, &pair[1-side]
 	o.size++
 	o.resizeDir()
 	return m, nil
-}
-
-// split turns leaf into an internal zone with two children along dimension
-// depth mod d, and refills the directory slots the children now own.
-func (o *Overlay) split(leaf *zone) (left, right *zone) {
-	k := leaf.path.Len % o.dim
-	mid := (leaf.lo[k] + leaf.hi[k]) / 2
-
-	pair := o.newPair()
-	left, right = &pair[0], &pair[1]
-	// The corners the children do not share with leaf are the pair's own.
-	lhi, rlo := left.hi, right.lo
-	copy(lhi, leaf.hi)
-	lhi[k] = mid
-	copy(rlo, leaf.lo)
-	rlo[k] = mid
-	left.path, left.lo = leaf.path.child(0), leaf.lo
-	right.path, right.hi = leaf.path.child(1), leaf.hi
-
-	leaf.splitDim = k
-	leaf.splitAt = mid
-	leaf.kids = pair
-	o.refill(left)
-	o.refill(right)
-	return left, right
-}
-
-// newPair returns a pair of leaf zones with no member, each owning the one
-// corner it does not share with its parent: a merged-away pair if there is
-// one, else a fresh pair with corners from the float blocks.
-func (o *Overlay) newPair() *[2]zone {
-	if n := len(o.free); n > 0 {
-		pair := o.free[n-1]
-		o.free = o.free[:n-1]
-		return pair
-	}
-	pair := &o.pairs.take(1)[0]
-	c := o.floats.take(2 * o.dim)
-	pair[0].hi, pair[1].lo = c[:o.dim:o.dim], c[o.dim:]
-	return pair
 }
 
 // Depart removes member m, handing its zone over per the CAN departure
@@ -692,7 +675,7 @@ func deepestLeafPair(z *zone) *zone {
 // mergeChildren collapses parent's two leaf children into parent, which
 // becomes a leaf owned by survivor (the other child's member is the
 // caller's to relocate or discard). The children's pair goes on the free
-// list holding nothing but its corners.
+// list holding nothing but its paths.
 func (o *Overlay) mergeChildren(parent *zone, survivor *Member) {
 	pair := parent.kids
 	for i := range pair {
@@ -722,12 +705,12 @@ func (o *Overlay) neighbors(z *zone) []*zone {
 // deriveNeighbors computes the leaves adjacent to leaf z from the split
 // tree alone, in Member.Neighbors order. The leaves across z's lo face in
 // dimension k lie under the left child of the deepest ancestor that splits
-// k with z on its right (that split plane is z.lo[k]); with no such
-// ancestor the face is the torus seam, and they lie under the right child
-// of the topmost k-split. The hi face mirrors this, and with no k-split
-// above z at all, z spans dimension k and has no faces there. z itself
-// lies under the other child of each of those ancestors, so no face walk
-// reaches it. Splits are dyadic midpoints, so every comparison is exact.
+// k with z on its right (that split plane is z's lower bound in k); with no
+// such ancestor the face is the torus seam, and they lie under the right
+// child of the topmost k-split. The hi face mirrors this, and with no
+// k-split above z at all, z spans dimension k and has no faces there. z
+// itself lies under the other child of each of those ancestors, so no face
+// walk reaches it.
 func (o *Overlay) deriveNeighbors(z *zone) []*zone {
 	var ancestors [MaxDepth]*zone
 	anc := ancestors[:0]
@@ -740,7 +723,7 @@ func (o *Overlay) deriveNeighbors(z *zone) []*zone {
 		var loFace, hiFace, top *zone
 		for d := len(anc) - 1; d >= 0; d-- {
 			a := anc[d]
-			if a.splitDim != k {
+			if d%o.dim != k {
 				continue
 			}
 			top = a
@@ -762,8 +745,8 @@ func (o *Overlay) deriveNeighbors(z *zone) []*zone {
 			hiFace = &top.kids[0]
 		}
 		from := len(out)
-		out = appendFace(out, loFace, z, k, 1, from)
-		out = appendFace(out, hiFace, z, k, 0, from)
+		out = o.appendFace(out, loFace, z, k, 1, from)
+		out = o.appendFace(out, hiFace, z, k, 0, from)
 	}
 	return append([]*zone(nil), out...)
 }
@@ -772,18 +755,19 @@ func (o *Overlay) deriveNeighbors(z *zone) []*zone {
 // boundary in dimension k (child side at every k-split) and overlap z's
 // span in every other dimension, depth-first, lower half first. A leaf
 // already in out[from:] — reached through the torus across z's other face
-// in k — is not listed twice.
-func appendFace(out []*zone, r, z *zone, k, side, from int) []*zone {
+// in k — is not listed twice. Spans are dyadic, so r (a child of a k-split
+// above z), overlapping z in every other dimension, agrees with z on their
+// decisions both paths have: at a split z's path reaches, z lies in the
+// half z.path takes; below, in both.
+func (o *Overlay) appendFace(out []*zone, r, z *zone, k, side, from int) []*zone {
 	for !r.isLeaf() {
-		switch j := r.splitDim; {
-		case j == k:
+		switch d := r.path.Len; {
+		case d%o.dim == k:
 			r = &r.kids[side]
-		case z.hi[j] <= r.splitAt:
-			r = &r.kids[0]
-		case z.lo[j] >= r.splitAt:
-			r = &r.kids[1]
+		case d < z.path.Len:
+			r = &r.kids[z.path.Bit(d)]
 		default: // z's span straddles the split: both halves touch it
-			out = appendFace(out, &r.kids[0], z, k, side, from)
+			out = o.appendFace(out, &r.kids[0], z, k, side, from)
 			r = &r.kids[1]
 		}
 	}
@@ -793,18 +777,30 @@ func appendFace(out []*zone, r, z *zone, k, side, from int) []*zone {
 	return append(out, r)
 }
 
-// adjacent reports CAN adjacency on the torus: the zones abut in exactly
-// one dimension and their spans overlap (with nonzero measure) in every
-// other dimension.
-func adjacent(a, b *zone) bool {
+// box returns a path's zone in 64-bit fixed point: for each dimension k,
+// box[2k] and box[2k+1] are the first and last value of its span (the last
+// rather than the end, which is 2^64 for a span reaching 1).
+func (o *Overlay) box(path Path) []uint64 {
+	b := make([]uint64, 2*o.dim)
+	for k := 0; k < o.dim; k++ {
+		c, j := o.span(path, k)
+		b[2*k] = c << (64 - j)
+		b[2*k+1] = b[2*k] | ^uint64(0)>>j
+	}
+	return b
+}
+
+// adjacent reports CAN adjacency on the torus between two zones given as
+// boxes: they abut in exactly one dimension and overlap (with nonzero
+// measure) in every other.
+func adjacent(a, b []uint64) bool {
 	touch := false
-	for k := range a.lo {
-		overlap := a.lo[k] < b.hi[k] && b.lo[k] < a.hi[k]
-		if overlap {
-			continue
+	for k := 0; k < len(a); k += 2 {
+		if a[k] <= b[k+1] && b[k] <= a[k+1] {
+			continue // overlap
 		}
-		abut := a.hi[k] == b.lo[k] || b.hi[k] == a.lo[k] ||
-			(a.lo[k] == 0 && b.hi[k] == 1) || (b.lo[k] == 0 && a.hi[k] == 1)
+		// One ends where the other starts; mod 2^64, across the seam too.
+		abut := a[k+1]+1 == b[k] || b[k+1]+1 == a[k]
 		if !abut || touch {
 			return false
 		}
@@ -834,10 +830,12 @@ func torusDist(x, lo, hi float64) float64 {
 }
 
 // boxDist returns the squared torus distance from point p to zone z.
-func boxDist(z *zone, p Point) float64 {
+func (o *Overlay) boxDist(z *zone, p Point) float64 {
 	sum := 0.0
-	for k := range p {
-		d := torusDist(p[k], z.lo[k], z.hi[k])
+	for k, x := range p {
+		c, j := o.span(z.path, k)
+		w := pow2(j)
+		d := torusDist(x, float64(c)*w, (float64(c)+1)*w)
 		sum += d * d
 	}
 	return sum
@@ -861,14 +859,15 @@ func (o *Overlay) Route(from *Member, p Point) ([]*Member, error) {
 	cur := from.leaf
 	path := []*Member{from}
 	visited := map[*zone]struct{}{cur: {}}
-	for !cur.contains(p) {
+	key := o.decisions(p, MaxDepth)
+	for !cur.holds(key) {
 		var best *zone
 		bestD := math.Inf(1)
 		for _, nb := range o.neighbors(cur) {
 			if _, seen := visited[nb]; seen {
 				continue
 			}
-			d := boxDist(nb, p)
+			d := o.boxDist(nb, p)
 			if d < bestD || (d == bestD && pathLess(nb.path, best.path)) {
 				best, bestD = nb, d
 			}
@@ -909,23 +908,9 @@ func (o *Overlay) MembersUnder(prefix Path) []*Member {
 // returned member owns the leaf zone that contains (or is contained by)
 // the region the path names. Returns nil only for an empty overlay.
 func (o *Overlay) LeafAlong(path Path) *Member {
-	// The directory slot reads path's bits beyond Len as the 0-children
-	// the descent takes there.
-	b := path.Bits & (^uint64(0) << (64 - min(max(path.Len, 0), 64)))
-	return descendAlong(o.dir[b>>(64-o.dirDepth)], path).member
-}
-
-// descendAlong walks from z to a leaf following the bits of path, then
-// 0-children once the path runs out.
-func descendAlong(z *zone, path Path) *zone {
-	for !z.isLeaf() {
-		bit := 0
-		if z.path.Len < path.Len {
-			bit = path.Bit(z.path.Len)
-		}
-		z = &z.kids[bit]
-	}
-	return z
+	// With path's bits beyond Len cleared, a descent by them takes the
+	// 0-children there.
+	return o.leafOf(path.Bits & (^uint64(0) << (64 - min(max(path.Len, 0), 64)))).member
 }
 
 // RegionIndex returns a map from every zone path in the split tree (leaves
@@ -991,13 +976,17 @@ func (o *Overlay) CheckInvariants() error {
 		return err
 	}
 	vol := 0.0
-	for _, z := range leaves {
-		vol += z.volume()
+	boxes := make([][]uint64, len(leaves))
+	boxOf := make(map[*zone][]uint64, len(leaves))
+	for i, z := range leaves {
+		vol += math.Ldexp(1, -z.path.Len)
+		boxes[i] = o.box(z.path)
+		boxOf[z] = boxes[i]
 	}
 	if math.Abs(vol-1) > 1e-9 {
 		return fmt.Errorf("leaf volumes sum to %v, want 1", vol)
 	}
-	for _, a := range leaves {
+	for ai, a := range leaves {
 		nbs := o.neighbors(a)
 		for i, nb := range nbs {
 			switch {
@@ -1005,13 +994,13 @@ func (o *Overlay) CheckInvariants() error {
 				return fmt.Errorf("leaf %s lists neighbor %s twice or itself", a.path, nb.path)
 			case !nb.isLeaf() || nb.member == nil || nb.member.leaf != nb:
 				return fmt.Errorf("leaf %s lists %s, which is not a member's leaf", a.path, nb.path)
-			case !adjacent(a, nb):
+			case !adjacent(boxes[ai], boxOf[nb]):
 				return fmt.Errorf("leaf %s lists %s, which is not adjacent", a.path, nb.path)
 			}
 		}
 		want := 0
-		for _, b := range leaves {
-			if b != a && adjacent(a, b) {
+		for bi := range leaves {
+			if bi != ai && adjacent(boxes[ai], boxes[bi]) {
 				want++
 			}
 		}
@@ -1034,9 +1023,10 @@ func (o *Overlay) CheckInvariants() error {
 // checkDirectory validates the prefix directory against root descents, and
 // the free list against zones, every zone of the tree: the depth is what
 // the size allows, every slot holds the deepest zone of depth at most
-// dirDepth on its prefix, leafAt and LeafAlong (also for paths with bits
-// set beyond Len) land where a descent from the root does, and no pair on
-// the free list holds a zone of the tree or a member.
+// dirDepth on its prefix, a descent from the directory by a leaf's path (the
+// key of its lower corner) lands at the leaf, LeafAlong (also for paths
+// with bits set beyond Len) lands where a descent from the root does, and
+// no pair on the free list holds a zone of the tree or a member.
 func (o *Overlay) checkDirectory(zones []*zone) error {
 	if d := dirDepthFor(o.size); o.dirDepth < d || o.dirDepth > d+1 || len(o.dir) != 1<<o.dirDepth {
 		return fmt.Errorf("directory depth %d with %d slots for %d members", o.dirDepth, len(o.dir), o.size)
@@ -1054,12 +1044,13 @@ func (o *Overlay) checkDirectory(zones []*zone) error {
 	for _, z := range zones {
 		live[z] = true
 		if z.isLeaf() {
-			if got := o.leafAt(z.lo); got != z || got != descend(o.root, z.lo) {
-				return fmt.Errorf("leafAt(lo of %s) = %s", z.path, got.path)
+			if got := o.leafOf(z.path.Bits); got != z || got != descend(o.root, z.path.Bits) {
+				return fmt.Errorf("leafOf(path of %s) = %s", z.path, got.path)
 			}
 		}
 		for _, path := range []Path{z.path, {Bits: z.path.Bits | ^uint64(0)>>z.path.Len, Len: z.path.Len}} {
-			if got, want := o.LeafAlong(path), descendAlong(o.root, path).member; got != want {
+			want := descend(o.root, path.Bits&^(^uint64(0)>>path.Len)).member // path, then 0-children
+			if got := o.LeafAlong(path); got != want {
 				return fmt.Errorf("LeafAlong(%064b/%d) = %v, a root descent finds %v", path.Bits, path.Len, got, want)
 			}
 		}

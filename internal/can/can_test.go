@@ -391,7 +391,7 @@ func TestRouteDeterministicOnUniformGrid(t *testing.T) {
 			}
 			next := a[i][h+1]
 			for _, nb := range m.Neighbors() {
-				if nb == next || visited[nb.Host] || boxDist(nb.leaf, target) != boxDist(next.leaf, target) {
+				if nb == next || visited[nb.Host] || m.owner.boxDist(nb.leaf, target) != m.owner.boxDist(next.leaf, target) {
 					continue
 				}
 				ties++

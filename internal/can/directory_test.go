@@ -44,9 +44,10 @@ func TestZonePairsReusedUnderChurn(t *testing.T) {
 }
 
 // TestJoinRandomAllocs pins the block allocation of a join: the member, its
-// point, the split's zone pair and its corners all come from blocks made a
-// few times per doubling of the overlay, so a steady-state join averages
-// well under one allocation (the bound allows the member and its point).
+// point and the split's zone pair all come from blocks made a few times per
+// doubling of the overlay, and a zone keeps no corners, so a steady-state
+// join averages well under one allocation (the bound allows the member and
+// its point).
 func TestJoinRandomAllocs(t *testing.T) {
 	o := takeoverOverlay(t, 10_000, 7)
 	rng := simrand.New(8)

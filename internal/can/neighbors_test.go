@@ -18,15 +18,15 @@ func leafZones(o *Overlay) []*zone {
 	return out
 }
 
-// abutDim returns the one dimension in which adjacent zones a and b do not
-// overlap, and whether b lies against a's lo face there (possibly across
-// the torus seam).
-func abutDim(a, b *zone) (k int, lo bool) {
-	for k := range a.lo {
-		if a.lo[k] < b.hi[k] && b.lo[k] < a.hi[k] {
+// abutDim returns the one dimension in which adjacent zones a and b, given
+// as boxes, do not overlap, and whether b lies against a's lo face there
+// (possibly across the torus seam).
+func abutDim(a, b []uint64) (k int, lo bool) {
+	for k := 0; k < len(a); k += 2 {
+		if a[k] <= b[k+1] && b[k] <= a[k+1] {
 			continue
 		}
-		return k, b.hi[k] == a.lo[k] || (a.lo[k] == 0 && b.hi[k] == 1)
+		return k / 2, b[k+1]+1 == a[k]
 	}
 	return -1, false
 }
@@ -38,10 +38,15 @@ func abutDim(a, b *zone) (k int, lo bool) {
 func checkDerivedNeighbors(t *testing.T, o *Overlay, when string) {
 	t.Helper()
 	leaves := leafZones(o)
-	for _, a := range leaves {
+	boxes := make([][]uint64, len(leaves))
+	index := make(map[*zone]int, len(leaves))
+	for i, z := range leaves {
+		boxes[i], index[z] = o.box(z.path), i
+	}
+	for ai, a := range leaves {
 		want := map[*zone]bool{}
-		for _, b := range leaves {
-			if b != a && adjacent(a, b) {
+		for bi, b := range leaves {
+			if bi != ai && adjacent(boxes[ai], boxes[bi]) {
 				want[b] = true
 			}
 		}
@@ -61,7 +66,7 @@ func checkDerivedNeighbors(t *testing.T, o *Overlay, when string) {
 			if memo[i] != nb || members[i] != nb.member {
 				t.Fatalf("%s: leaf %s: memo or Neighbors() disagrees with the derivation at %d", when, a.path, i)
 			}
-			k, lo := abutDim(a, nb)
+			k, lo := abutDim(boxes[ai], boxes[index[nb]])
 			if k < lastDim || (k == lastDim && lo && !lastLo) {
 				t.Fatalf("%s: leaf %s: neighbor %d (%s) out of face order", when, a.path, i, nb.path)
 			}

@@ -177,7 +177,9 @@ func (e *Env) ProbeRTT(a, b topology.NodeID) float64 {
 // vector is metered with one add per counter, so callers measuring many
 // vectors at once (proximity.BuildIndex) do not serialise on the probe
 // counter; with a plan installed each probe's sequence number feeds the loss
-// stream, and the vector falls back to the per-probe path.
+// stream, and the vector falls back to the per-probe path. With no
+// perturbation and no host down either, the row is the topology's own
+// (topology.Network.RTTs).
 func (e *Env) ProbeRTTs(a topology.NodeID, targets []topology.NodeID, dst []float64) {
 	if len(dst) != len(targets) {
 		panic(fmt.Sprintf("netsim: ProbeRTTs dst has %d slots for %d targets", len(dst), len(targets)))
@@ -190,6 +192,10 @@ func (e *Env) ProbeRTTs(a topology.NodeID, targets []topology.NodeID, dst []floa
 	}
 	atomic.AddInt64(&e.probes, int64(len(targets)))
 	e.probeMirror.Add(float64(len(targets)))
+	if e.perturb == nil && e.downCount.Load() == 0 {
+		e.net.RTTs(a, targets, dst)
+		return
+	}
 	aDown := e.IsDown(a)
 	for i, b := range targets {
 		if aDown || e.IsDown(b) {

@@ -342,62 +342,101 @@ func TestSetDownConcurrentWithProbes(t *testing.T) {
 
 // TestProbeRTTsMatchesSingleProbes pins the batched probe to the per-probe
 // loop it replaces: same results bit for bit, same Probes(), same mirrored
-// telemetry — with nothing installed, with crashed hosts (which time out and
-// are still counted), and with a seeded fault plan, whose loss stream keys on
-// each probe's sequence number.
+// telemetry. With nothing installed the row comes from the topology in one
+// pass (Network.RTTs); with a perturbation, crashed hosts (which time out
+// and are still counted), or a seeded fault plan, whose loss stream keys on
+// each probe's sequence number, it must fall back to the per-probe path.
+// Both stub wirings are covered: exact stubs (a random graph and its lazy
+// distance matrix) and hub stubs (past the 256-host threshold, a star).
+// Every prober, transit or stub, probes every host, so its own stub-mates
+// and itself are among the targets.
 func TestProbeRTTsMatchesSingleProbes(t *testing.T) {
-	net := testEnv(t).Net()
-	hosts := net.StubHosts()
-	targets := hosts[3:12]
-	cases := map[string]func(*Env){
-		"plain":   func(*Env) {},
-		"crashed": func(e *Env) { e.SetDown(targets[2], true); e.SetDown(hosts[1], true) },
-		"plan": func(e *Env) {
-			e.SetFaultPlan(&FaultPlan{Seed: 9, LossRate: 0.4,
-				Slow: []SlowWindow{{From: 0, Until: 100, Factor: 3}}})
-		},
-		"plan+crashed": func(e *Env) {
-			e.SetFaultPlan(&FaultPlan{Seed: 9, LossRate: 0.4})
-			e.SetDown(targets[0], true)
-		},
+	hub := topology.Spec{
+		TransitDomains:        1,
+		TransitNodesPerDomain: 3,
+		StubsPerTransitNode:   1,
+		NodesPerStub:          300,
+		ExtraTransitEdgeProb:  0.5,
+		Latency:               topology.GTITMLatency(),
 	}
-	for name, install := range cases {
-		t.Run(name, func(t *testing.T) {
-			single, batched := NewRun(net, "rtts-single-"+name), NewRun(net, "rtts-batched-"+name)
-			install(single)
-			install(batched)
-			// The mirrors are process-global series: compare their growth.
-			single0, batched0 := single.probeMirror.Value(), batched.probeMirror.Value()
-			infs := 0
-			got := make([]float64, len(targets))
-			for _, a := range hosts[:3] { // hosts[1] is a crashed source in two cases
-				batched.ProbeRTTs(a, targets, got)
-				for i, b := range targets {
-					want := single.ProbeRTT(a, b)
-					if math.Float64bits(got[i]) != math.Float64bits(want) {
-						t.Fatalf("ProbeRTTs(%d)[%d] = %v, ProbeRTT(%d,%d) = %v", a, i, got[i], a, b, want)
-					}
-					if math.IsInf(want, 1) {
-						infs++
+	exact, hubNet := testEnv(t).Net(), topology.MustGenerate(hub, simrand.New(2))
+	if hubNet.EdgeCount(topology.LinkIntraStub) != hubNet.StubCount()*(hub.NodesPerStub-1) {
+		t.Fatal("the hub world's stubs are not stars")
+	}
+	// The exact world's cases keep their plain names; the hub world's are
+	// prefixed.
+	for _, world := range []struct {
+		prefix string
+		net    *topology.Network
+	}{{"", exact}, {"hub/", hubNet}} {
+		net := world.net
+		hosts := net.StubHosts()
+		targets := net.AllHosts()
+		// Two transit probers, a gateway host (stub position 0), and stub
+		// hosts inside stubs.
+		probers := []topology.NodeID{0, topology.NodeID(net.TransitCount() - 1), hosts[0], hosts[1], hosts[len(hosts)/2]}
+		cases := map[string]func(*Env){
+			"plain":     func(*Env) {},
+			"perturbed": func(e *Env) { e.SetPerturbation(StaticJitter{Seed: 4, Amplitude: 0.3}) },
+			"crashed":   func(e *Env) { e.SetDown(targets[5], true); e.SetDown(hosts[1], true) },
+			"plan": func(e *Env) {
+				e.SetFaultPlan(&FaultPlan{Seed: 9, LossRate: 0.4,
+					Slow: []SlowWindow{{From: 0, Until: 100, Factor: 3}}})
+			},
+			"plan+crashed": func(e *Env) {
+				e.SetFaultPlan(&FaultPlan{Seed: 9, LossRate: 0.4})
+				e.SetDown(targets[0], true)
+			},
+		}
+		for name, install := range cases {
+			t.Run(world.prefix+name, func(t *testing.T) {
+				run := "rtts-" + world.prefix + name
+				single, batched := NewRun(net, run+"-single"), NewRun(net, run+"-batched")
+				install(single)
+				install(batched)
+				// The mirrors are process-global series: compare their growth.
+				single0, batched0 := single.probeMirror.Value(), batched.probeMirror.Value()
+				infs, moved := 0, 0
+				got := make([]float64, len(targets))
+				for _, a := range probers {
+					batched.ProbeRTTs(a, targets, got)
+					for i, b := range targets {
+						want := single.ProbeRTT(a, b)
+						if math.Float64bits(got[i]) != math.Float64bits(want) {
+							t.Fatalf("ProbeRTTs(%d)[%d] = %v, ProbeRTT(%d,%d) = %v", a, i, got[i], a, b, want)
+						}
+						if name == "plain" && math.Float64bits(want) != math.Float64bits(2*net.Latency(a, b)) {
+							t.Fatalf("ProbeRTT(%d,%d) = %v, 2·Latency = %v", a, b, want, 2*net.Latency(a, b))
+						}
+						if math.IsInf(want, 1) {
+							infs++
+						}
+						if !math.IsInf(want, 1) && want != 2*net.Latency(a, b) {
+							moved++
+						}
 					}
 				}
-			}
-			if name != "plain" && infs == 0 {
-				t.Fatal("case never timed a probe out: it tests nothing beyond plain")
-			}
-			if want := int64(3 * len(targets)); batched.Probes() != want || single.Probes() != want {
-				t.Fatalf("Probes: batched %d, single %d, want %d", batched.Probes(), single.Probes(), want)
-			}
-			b, s := batched.probeMirror.Value()-batched0, single.probeMirror.Value()-single0
-			if b != s || b != float64(3*len(targets)) {
-				t.Fatalf("mirrored probe counters grew by: batched %v, single %v", b, s)
-			}
-		})
+				switch {
+				case name == "perturbed" && moved == 0:
+					t.Fatal("the perturbation moved no RTT: it tests nothing beyond plain")
+				case name != "plain" && name != "perturbed" && infs == 0:
+					t.Fatal("case never timed a probe out: it tests nothing beyond plain")
+				}
+				want := int64(len(probers) * len(targets))
+				if batched.Probes() != want || single.Probes() != want {
+					t.Fatalf("Probes: batched %d, single %d, want %d", batched.Probes(), single.Probes(), want)
+				}
+				b, s := batched.probeMirror.Value()-batched0, single.probeMirror.Value()-single0
+				if b != s || b != float64(want) {
+					t.Fatalf("mirrored probe counters grew by: batched %v, single %v", b, s)
+				}
+			})
+		}
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for mismatched dst length")
 		}
 	}()
-	New(net).ProbeRTTs(hosts[0], targets, make([]float64, 1))
+	New(exact).ProbeRTTs(exact.StubHosts()[0], exact.StubHosts()[:3], make([]float64, 1))
 }

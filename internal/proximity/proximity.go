@@ -10,10 +10,10 @@
 package proximity
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -41,7 +41,7 @@ type Index struct {
 
 // BuildIndex measures every host's landmark vector through env (metered:
 // this is the k-probes-per-node join cost every scheme pays) and builds
-// the index.
+// the index. A host listed twice is an error.
 //
 // Hosts are measured on GOMAXPROCS workers, each a contiguous share: a
 // vector depends on its host alone and the probe total on the host count
@@ -63,8 +63,16 @@ func BuildIndex(env *netsim.Env, space *landmark.Space, hosts []topology.NodeID)
 		hosts:   append([]topology.NodeID(nil), hosts...),
 		vectors: make([]landmark.Vector, len(hosts)),
 		numbers: make([]uint64, len(hosts)),
-		byNum:   make([]int, len(hosts)),
 		pos:     make([]int32, slices.Max(hosts)+1),
+	}
+	for h := range ix.pos {
+		ix.pos[h] = -1
+	}
+	for i, h := range ix.hosts {
+		if ix.pos[h] >= 0 {
+			return nil, fmt.Errorf("proximity: host %d listed twice", h)
+		}
+		ix.pos[h] = int32(i)
 	}
 	// One backing array for every vector; the full slice expressions keep
 	// an append to one vector out of its neighbor's storage.
@@ -106,32 +114,41 @@ func BuildIndex(env *netsim.Env, space *landmark.Space, hosts []topology.NodeID)
 			return nil, err
 		}
 	}
-	for h := range ix.pos {
-		ix.pos[h] = -1
-	}
-	type keyed struct {
-		num  uint64
-		host topology.NodeID
-		idx  int32
-	}
-	order := make([]keyed, len(ix.hosts))
-	for i, h := range ix.hosts {
-		order[i] = keyed{ix.numbers[i], h, int32(i)}
-		ix.pos[h] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b keyed) int {
-		if a.num != b.num {
-			return cmp.Compare(a.num, b.num)
-		}
-		if a.host != b.host {
-			return cmp.Compare(a.host, b.host)
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
-	for i, k := range order {
-		ix.byNum[i] = int(k.idx)
-	}
+	ix.byNum = orderByNumber(ix.pos, ix.numbers)
 	return ix, nil
+}
+
+// orderByNumber returns the host indices ordered by (number, host): pos
+// (host → index, -1 for none) lists them by host, and a stable LSD radix
+// sort, one pass per byte up to the highest set bit of any number, orders
+// them by number while keeping host order among equal numbers.
+func orderByNumber(pos []int32, nums []uint64) []int {
+	order, tmp := make([]int, 0, len(nums)), make([]int, len(nums))
+	for _, i := range pos {
+		if i >= 0 {
+			order = append(order, int(i))
+		}
+	}
+	top := uint64(0)
+	for _, n := range nums {
+		top |= n
+	}
+	for shift := 0; shift < bits.Len64(top); shift += 8 {
+		var at [257]int // at[b+1] counts byte b, then at[b] is where b starts
+		for _, i := range order {
+			at[nums[i]>>shift&0xff+1]++
+		}
+		for b := 1; b < len(at); b++ {
+			at[b] += at[b-1]
+		}
+		for _, i := range order {
+			b := nums[i] >> shift & 0xff
+			tmp[at[b]] = i
+			at[b]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
 }
 
 // indexOf returns host h's index, or false if h is not indexed.

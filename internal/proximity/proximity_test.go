@@ -1,9 +1,11 @@
 package proximity
 
 import (
+	"cmp"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"gsso/internal/can"
@@ -58,6 +60,60 @@ func TestBuildIndexValidation(t *testing.T) {
 	}
 	if _, err := BuildIndex(h.env, h.space, nil); err == nil {
 		t.Fatal("empty hosts accepted")
+	}
+}
+
+// TestBuildIndexRejectsDuplicateHost: a host listed twice would be indexed
+// twice, and the curve window, which skips only the query's own index,
+// would offer the other copy as the query's nearest neighbour at RTT 0.
+func TestBuildIndexRejectsDuplicateHost(t *testing.T) {
+	h := newHarness(t, 60)
+	hosts := append(h.hosts[:len(h.hosts):len(h.hosts)], h.hosts[7])
+	if _, err := BuildIndex(h.env, h.space, hosts); err == nil {
+		t.Fatalf("host %d listed twice accepted", h.hosts[7])
+	}
+	ix, err := BuildIndex(h.env, h.space, h.hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := ix.SearchHybrid(h.env, h.hosts[7], 5); res.Found == h.hosts[7] || res.Found == topology.None {
+		t.Fatalf("SearchHybrid(%d) found %d", h.hosts[7], res.Found)
+	}
+}
+
+// TestOrderByNumber pins the radix pass to a comparison sort by (number,
+// host): hosts out of order, numbers tied in runs, small numbers that need
+// one byte pass and numbers with the top bit set that need all eight.
+func TestOrderByNumber(t *testing.T) {
+	rng := simrand.New(4)
+	for _, spread := range []uint64{1, 3, 1 << 18, math.MaxUint64} {
+		const n = 500
+		hosts := rng.Perm(2 * n)[:n] // distinct, unordered
+		nums := make([]uint64, n)
+		pos := make([]int32, 2*n)
+		for i := range pos {
+			pos[i] = -1
+		}
+		for i, h := range hosts {
+			nums[i] = rng.Uint64() % spread
+			if spread == math.MaxUint64 && i%2 == 0 {
+				nums[i] |= 1 << 63
+			}
+			pos[h] = int32(i)
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortFunc(want, func(a, b int) int {
+			if c := cmp.Compare(nums[a], nums[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(hosts[a], hosts[b])
+		})
+		if got := orderByNumber(pos, nums); !slices.Equal(got, want) {
+			t.Fatalf("spread %d: radix order differs from the (number, host) sort", spread)
+		}
 	}
 }
 

@@ -216,6 +216,32 @@ func (n *Network) Latency(a, b NodeID) float64 {
 // latency; links are symmetric).
 func (n *Network) RTT(a, b NodeID) float64 { return 2 * n.Latency(a, b) }
 
+// RTTs sets dst[i] = RTT(a, targets[i]), bit for bit, for len(dst) ==
+// len(targets). a's stub, uplink cost and backbone row are looked up once
+// for the whole row rather than once per target.
+func (n *Network) RTTs(a NodeID, targets []NodeID, dst []float64) {
+	ta, ca := n.toTransit(a)
+	row := n.transitDist[ta*n.transitCount : (ta+1)*n.transitCount]
+	sa, pa := -1, 0
+	if n.nodes[a].Class == ClassStub {
+		sa, pa = n.stubOf(a)
+	}
+	for i, b := range targets {
+		if b == a {
+			dst[i] = 0
+			continue
+		}
+		if sa >= 0 && n.nodes[b].Class == ClassStub {
+			if sb, pb := n.stubOf(b); sb == sa {
+				dst[i] = 2 * n.intraStub(&n.stubs[sa], pa, pb)
+				continue
+			}
+		}
+		tb, cb := n.toTransit(b)
+		dst[i] = 2 * ((ca + cb) + row[tb])
+	}
+}
+
 // Nearest returns the member of candidates closest to a (excluding a
 // itself) and the latency to it. It returns (None, +Inf) if candidates
 // contains no node other than a.
