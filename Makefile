@@ -39,10 +39,12 @@ bench-module:
 # membership machine (join/depart/crash interleavings must keep the split
 # tree invariant-clean), of CAN zone geometry (adversarial join points must
 # be placed and measured as the float midpoint rule places them wherever it
-# is exact; minimisation is capped at 1 s, or the default 60 s spent on the
-# first new input takes the whole budget), and of the wire codec (arbitrary frames must
-# never panic, hang, or round-trip lossily; every JSON-describable message
-# must survive the binary layout). The wire node's cached landmark vector
+# is exact), of the wire codec (arbitrary frames must never panic, hang,
+# or round-trip lossily; every JSON-describable message must survive the
+# binary layout) and of the wire owner's record store (a script of stores,
+# removes, clock steps, queries and re-homes must agree with a sorted-slice
+# model). Every fuzz line caps minimisation at 1 s: with the default 60 s
+# the worker spends most of the 10 s minimising its first new input. The wire node's cached landmark vector
 # and its refresh loop are re-run five times under the race detector, the
 # condition that shakes out timing-dependent tests. The examples run
 # the documented public API from a main, the simulator ones diffed
@@ -52,12 +54,13 @@ check: build vet fmt-check bench-module examples race
 	GSSO_WORKERS=4 go test -race -count=1 ./internal/experiment/... ./internal/netsim/...
 	go test -race -count=5 -run 'OwnVector|Refresh|Fallback' ./internal/wire
 	go run ./cmd/topobench -run ext-scale -scale quick -seed $(SEED) > /dev/null
-	go test -fuzz FuzzMembership -fuzztime 10s -run '^$$' ./internal/can
+	go test -fuzz FuzzMembership -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/can
 	go test -fuzz FuzzZoneGeometry -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/can
-	go test -fuzz FuzzArena -fuzztime 10s -run '^$$' ./internal/arena
-	go test -fuzz FuzzReadMessage -fuzztime 10s -run '^$$' ./internal/wire
-	go test -fuzz FuzzCodecDifferential -fuzztime 10s -run '^$$' ./internal/wire
-	go test -fuzz FuzzClusterSpec -fuzztime 10s -run '^$$' ./internal/cluster
+	go test -fuzz FuzzArena -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/arena
+	go test -fuzz FuzzReadMessage -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/wire
+	go test -fuzz FuzzCodecDifferential -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/wire
+	go test -fuzz FuzzRecordStore -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/wire
+	go test -fuzz FuzzClusterSpec -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/cluster
 
 # Soak gates, full scale: the ext-churn reconvergence bar (record recall
 # back above 99% within three virtual refresh intervals of the last fault

@@ -1,80 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-	"io"
-	"path/filepath"
-	"testing"
-
-	"gsso/internal/metstream"
-)
-
-// TestExtScaleStreamsDecodableMetrics drives an ext-scale run against a
-// temp spill dir and then audits the streams it left behind: every record
-// must decode, timestamps must be monotone, and the aggregates recomputed
-// from disk must match the values the experiment put in its table. The
-// in-RAM-vs-streamed equivalence itself is asserted inside the run (the
-// cell's shadow totals), so a passing run already proves the two paths
-// agree; this test proves an outside reader sees the same numbers.
-func TestExtScaleStreamsDecodableMetrics(t *testing.T) {
-	dir := t.TempDir()
-	t.Setenv("GSSO_SCALE_DIR", dir)
-	t.Setenv("GSSO_SCALE_N", "512")
-
-	tables, err := RunExtScale(Quick(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || len(tables[0].Rows) != 2 {
-		t.Fatalf("expected 1 table with 2 rows, got %+v", tables)
-	}
-
-	for ri, kind := range []TopoKind{TSKLarge, TSKSmall} {
-		path := filepath.Join(dir, fmt.Sprintf("ext-scale_%s_%d.metrics", kind, 512))
-		r, err := metstream.Open(path)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		records, lastT := 0, uint64(0)
-		for {
-			rec, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("%s: record %d: %v", kind, records, err)
-			}
-			if rec.T < lastT {
-				t.Fatalf("%s: timestamp regression %d after %d", kind, rec.T, lastT)
-			}
-			lastT = rec.T
-			if rec.Key != "hybrid" && rec.Key != "ers" && rec.Key != "ers10x" {
-				t.Fatalf("%s: unexpected series %q", kind, rec.Key)
-			}
-			records++
-		}
-		r.Close()
-		if records == 0 {
-			t.Fatalf("%s: stream is empty", kind)
-		}
-
-		aggs, err := metstream.Aggregate(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		row := tables[0].Rows[ri]
-		// Columns: nodes, preset, stubs, lmk+rtt, ERS, ERS@10x.
-		if row[1] != string(kind) {
-			t.Fatalf("row %d preset = %q, want %q", ri, row[1], kind)
-		}
-		for col, key := range map[int]string{3: "hybrid", 4: "ers", 5: "ers10x"} {
-			want := fmt.Sprintf("%.3f", aggs[key].Mean())
-			if row[col] != want {
-				t.Fatalf("%s: table %s = %s, stream aggregate says %s", kind, key, row[col], want)
-			}
-		}
-	}
-}
+import "testing"
 
 // TestExtScaleRejectsBadSweepOverride pins the env-override parsing.
 func TestExtScaleRejectsBadSweepOverride(t *testing.T) {

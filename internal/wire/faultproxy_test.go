@@ -179,13 +179,8 @@ func TestFaultProxyPartitionFromBackend(t *testing.T) {
 	}
 	// The request crossed: the backend holds the record even though the
 	// client saw a timeout.
-	deadline := time.Now().Add(testTimeout)
-	for n.RecordCount() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("backend never received the store; from-backend must sever only responses")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitFor(t, testTimeout, "the store to reach the backend (from-backend must sever only responses)",
+		func() bool { return n.RecordCount() == 1 })
 }
 
 // TestFaultProxyPartitionKillsEstablished: engaging a partition with

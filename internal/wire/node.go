@@ -171,18 +171,10 @@ func WithLogger(l *slog.Logger) NodeOption {
 	}
 }
 
-// peerRing is one immutable generation of the deployment's peer list:
-// the sorted addresses laying out the one-hop number ring, plus the
-// epoch that generation belongs to (1 at boot, +1 per applied SetPeers).
-// Readers load the whole generation in one atomic pointer read, so an
-// owner computation never mixes addresses from two memberships.
-type peerRing struct {
-	peers []string // sorted, deduplicated; never mutated after publish
-	epoch uint64
-}
-
-// Node is one wire participant: a TCP server holding a shard of the
-// soft-state plus a client side for measuring, publishing and querying.
+// Node is one wire participant: the I/O shell around an owner's record
+// store and peer ring (owner.go) — a TCP server answering requests with
+// serveMessage — plus a client side for measuring, publishing and
+// querying.
 type Node struct {
 	cfg   SpaceConfig
 	curve hilbert.Curve            // cfg's curve, built once
@@ -198,10 +190,10 @@ type Node struct {
 	addr    string
 	stop    chan struct{}
 	metrics *nodeMetrics
-	tr      *Transport // pooled, multiplexed client side
+	tr      *Transport   // pooled, multiplexed client side
+	store   *recordStore // the records this node owns; its own lock
 
-	mu      sync.Mutex
-	records map[string]Record     // by Addr
+	mu      sync.Mutex            // guards lastRec, conns and closed
 	lastRec *Record               // last record this node published; nil before first Publish
 	conns   map[net.Conn]struct{} // live server-side connections, closed on shutdown
 	closed  bool
@@ -214,7 +206,7 @@ type Node struct {
 	// own is the node's landmark vector as soft state: its last complete
 	// measurement, which Publish and FindNearest reuse while it is younger
 	// than vectorMaxAge. An atomic word of its own, so a measurement never
-	// waits on the record-store lock that query scans hold.
+	// waits on a lock.
 	own          atomic.Pointer[ownVector]
 	refreshEvery atomic.Int64 // StartRefresh's interval in ns; 0 until it runs
 }
@@ -264,13 +256,14 @@ func NewNodeWithRegistry(listenAddr string, cfg SpaceConfig, peers []string, ttl
 		addr:     ln.Addr().String(),
 		stop:     make(chan struct{}),
 		metrics:  newNodeMetrics(reg),
-		records:  make(map[string]Record),
 		conns:    make(map[net.Conn]struct{}),
 		breakers: make(map[string]*breaker),
 	}
+	n.store = newRecordStore(n.metrics.records)
 	n.tr = newTransport(opt.poolSize, n.metrics.transport)
 	opt.spans.SetNode(n.addr)
-	n.ring.Store(&peerRing{peers: normalizePeers(peers), epoch: 1})
+	n.ring.Store(&peerRing{peers: normalizePeers(peers), epoch: 1, self: n.addr,
+		width: uint(curve.Dims() * curve.Bits())})
 	n.metrics.ringEpoch.Set(1)
 	n.wg.Add(1)
 	go n.serve()
@@ -367,7 +360,8 @@ func (n *Node) serve() {
 // in-flight requests tagged with distinct Seqs). The handle timeout is
 // an idle deadline, re-armed per frame, so a pooled connection lives as
 // long as it keeps carrying traffic. The connection is tracked so Close
-// can tear it down instead of waiting out the idle deadline.
+// can tear it down instead of waiting out the idle deadline. The reply is
+// serveMessage's; the shell adds deadlines, metrics and spans.
 func (n *Node) handle(conn net.Conn) {
 	n.mu.Lock()
 	if n.closed {
@@ -405,7 +399,7 @@ func (n *Node) handle(conn net.Conn) {
 			sp = n.opt.spans.StartChild("serve."+string(req.Type), *req.Trace)
 			sp.SetPeer(conn.RemoteAddr().String())
 		}
-		resp := n.dispatch(req, &rs)
+		resp := serveMessage(n.store, n.ring.Load(), req, start, &rs)
 		n.metrics.serve.Observe(float64(time.Since(start).Microseconds()) / 1000)
 		tm := n.metrics.of(req.Type)
 		tm.requests.Inc()
@@ -422,149 +416,8 @@ func (n *Node) handle(conn net.Conn) {
 	}
 }
 
-// replyScratch holds per-connection reply buffers. The serve loop is
-// strictly read → dispatch → write, so a reply's slices are dead the
-// moment the frame is flushed and the next dispatch may reuse them —
-// the write path always copies into the frame encoder's buffer.
-type replyScratch struct {
-	recs []Record
-	errs []string
-}
-
-// errsFor returns a zeroed n-element string slice, reusing the scratch
-// backing when it is large enough.
-func (rs *replyScratch) errsFor(n int) []string {
-	if rs == nil || cap(rs.errs) < n {
-		errs := make([]string, n)
-		if rs != nil {
-			rs.errs = errs
-		}
-		return errs
-	}
-	errs := rs.errs[:n]
-	for i := range errs {
-		errs[i] = ""
-	}
-	return errs
-}
-
-// dispatch serves one request. rs may be nil (one-shot callers); the
-// serve loop passes its per-connection scratch so query and batch-ack
-// replies allocate no fresh slices in steady state.
-func (n *Node) dispatch(req Message, rs *replyScratch) Message {
-	switch req.Type {
-	case MsgPing:
-		return Message{Type: MsgPong, Seq: req.Seq}
-	case MsgStore:
-		if req.Record == nil || req.Record.Addr == "" {
-			return Message{Type: MsgError, Seq: req.Seq, Err: "store without record"}
-		}
-		n.mu.Lock()
-		n.records[req.Record.Addr] = *req.Record
-		count := len(n.records)
-		n.mu.Unlock()
-		n.metrics.records.Set(float64(count))
-		return Message{Type: MsgStored, Seq: req.Seq}
-	case MsgQuery:
-		max := req.Max
-		if max < 1 {
-			max = 8
-		}
-		return Message{Type: MsgRecords, Seq: req.Seq, Records: n.nearest(req.Number, max, rs)}
-	case MsgRemove:
-		if req.Addr == "" {
-			return Message{Type: MsgError, Seq: req.Seq, Err: "remove without addr"}
-		}
-		n.mu.Lock()
-		delete(n.records, req.Addr)
-		count := len(n.records)
-		n.mu.Unlock()
-		n.metrics.records.Set(float64(count))
-		return Message{Type: MsgRemoved, Seq: req.Seq, Addr: req.Addr}
-	case MsgPublishBatch:
-		if len(req.Records) == 0 {
-			return Message{Type: MsgError, Seq: req.Seq, Err: "empty publish-batch"}
-		}
-		// Store what is storable and report the rest per record: one bad
-		// record must not void the batch's healthy neighbors.
-		errs := rs.errsFor(len(req.Records))
-		failed := 0
-		n.mu.Lock()
-		for i, rec := range req.Records {
-			if rec.Addr == "" {
-				errs[i] = "store without addr"
-				failed++
-				continue
-			}
-			n.records[rec.Addr] = rec
-		}
-		count := len(n.records)
-		n.mu.Unlock()
-		n.metrics.records.Set(float64(count))
-		resp := Message{Type: MsgBatchAck, Seq: req.Seq}
-		if failed > 0 {
-			resp.Errs = errs
-		}
-		return resp
-	case MsgPeers:
-		r := n.ring.Load()
-		return Message{Type: MsgPeersReply, Seq: req.Seq, Peers: r.peers, Epoch: r.epoch}
-	default:
-		return Message{Type: MsgError, Seq: req.Seq, Err: fmt.Sprintf("unknown type %q", req.Type)}
-	}
-}
-
-// nearest returns up to max live records ordered by landmark-number
-// distance, sweeping expired ones as it goes. With a reply scratch, the
-// result reuses its backing array — valid until the caller's next
-// dispatch.
-func (n *Node) nearest(number uint64, max int, rs *replyScratch) []Record {
-	now := time.Now()
-	n.mu.Lock()
-	var live []Record
-	if rs != nil {
-		live = rs.recs[:0]
-	} else {
-		live = make([]Record, 0, len(n.records))
-	}
-	for addr, rec := range n.records {
-		if rec.Expired(now) {
-			delete(n.records, addr)
-			continue
-		}
-		live = append(live, rec)
-	}
-	count := len(n.records)
-	n.mu.Unlock()
-	n.metrics.records.Set(float64(count))
-	absDiff := func(a, b uint64) uint64 {
-		if a > b {
-			return a - b
-		}
-		return b - a
-	}
-	sort.Slice(live, func(i, j int) bool {
-		di, dj := absDiff(live[i].Number, number), absDiff(live[j].Number, number)
-		if di != dj {
-			return di < dj
-		}
-		return live[i].Addr < live[j].Addr
-	})
-	if rs != nil {
-		rs.recs = live // keep the grown backing for the next reply
-	}
-	if len(live) > max {
-		live = live[:max]
-	}
-	return live
-}
-
 // RecordCount returns the number of records currently stored.
-func (n *Node) RecordCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.records)
-}
+func (n *Node) RecordCount() int { return n.store.len() }
 
 // breakerFor returns (creating on first use) the failure detector for a
 // peer address.
@@ -731,58 +584,17 @@ func normalizePeers(peers []string) []string {
 	return out[:w]
 }
 
-// ownerSlot maps a landmark number to its primary slot on a peer ring.
-func (n *Node) ownerSlot(peers []string, number uint64) int {
-	span := n.curve.MaxIndex() + 1
-	var slot uint64
-	if span == 0 { // full 64-bit curve
-		slot = number / (^uint64(0)/uint64(len(peers)) + 1)
-	} else {
-		slot = number * uint64(len(peers)) / span
-	}
-	if slot >= uint64(len(peers)) {
-		slot = uint64(len(peers)) - 1
-	}
-	return int(slot)
-}
-
 // OwnerOf returns the peer responsible for a landmark number: the peers
 // are laid out on the number ring in sorted-address order, and the owner
 // is the one whose slot covers the number (a one-hop ring).
-func (n *Node) OwnerOf(number uint64) string {
-	r := n.ring.Load()
-	if len(r.peers) == 0 {
-		return n.addr
-	}
-	return r.peers[n.ownerSlot(r.peers, number)]
-}
+func (n *Node) OwnerOf(number uint64) string { return n.ring.Load().owner(number) }
 
 // OwnersOf returns the k peers responsible for a landmark number: the
 // primary owner followed by its ring successors. Replicated publishes
 // write to all of them; queries fail over down the same list, so records
 // survive any k-1 owner crashes until the next refresh.
 func (n *Node) OwnersOf(number uint64, k int) []string {
-	return n.ownersOn(n.ring.Load(), number, k)
-}
-
-// ownersOn is OwnersOf against an explicit ring generation, so a swap
-// can compute old- and new-ring owners side by side.
-func (n *Node) ownersOn(r *peerRing, number uint64, k int) []string {
-	if len(r.peers) == 0 {
-		return []string{n.addr}
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > len(r.peers) {
-		k = len(r.peers)
-	}
-	slot := n.ownerSlot(r.peers, number)
-	out := make([]string, 0, k)
-	for i := 0; i < k; i++ {
-		out = append(out, r.peers[(slot+i)%len(r.peers)])
-	}
-	return out
+	return n.ring.Load().owners(number, k)
 }
 
 // Peers returns the node's current peer ring (sorted). The slice is the
@@ -825,7 +637,7 @@ func (n *Node) SetPeers(peers []string, timeout time.Duration) (uint64, error) {
 	if slices.Equal(old.peers, next) {
 		return old.epoch, nil
 	}
-	nr := &peerRing{peers: next, epoch: old.epoch + 1}
+	nr := &peerRing{peers: next, epoch: old.epoch + 1, self: old.self, width: old.width}
 	n.ring.Store(nr)
 	n.metrics.ringEpoch.Set(float64(nr.epoch))
 
@@ -846,37 +658,25 @@ func (n *Node) SetPeers(peers []string, timeout time.Duration) (uint64, error) {
 		n.bmu.Unlock()
 	}
 
-	// Re-home: collect locally stored records whose new owner set no
-	// longer includes this node, dropping them under the lock; the wire
-	// traffic happens outside it.
-	var moved []Record
-	now := time.Now()
-	n.mu.Lock()
-	for addr, rec := range n.records {
-		if rec.Expired(now) {
-			delete(n.records, addr)
-			continue
-		}
-		if !slices.Contains(n.ownersOn(nr, rec.Number, n.opt.replication), n.addr) {
-			moved = append(moved, rec)
-			delete(n.records, addr)
-		}
-	}
-	count := len(n.records)
-	last := n.lastRec
-	n.mu.Unlock()
-	n.metrics.records.Set(float64(count))
-
-	// A moved record's new owners exclude this node by construction.
+	// Re-home: take the locally stored records whose new owner set no
+	// longer includes this node out of the store; the wire traffic
+	// happens outside its lock. Their new owners exclude this node by
+	// construction.
+	moved := n.store.rehome(func(rec Record) bool {
+		return slices.Contains(nr.owners(rec.Number, n.opt.replication), n.addr)
+	}, time.Now())
 	for _, rec := range moved {
-		n.toOwners(span.Context{}, n.ownersOn(nr, rec.Number, n.opt.replication),
+		n.toOwners(span.Context{}, nr.owners(rec.Number, n.opt.replication),
 			Message{Type: MsgStore, Record: &rec}, timeout)
 		n.metrics.rehomed.Inc()
 	}
 
+	n.mu.Lock()
+	last := n.lastRec
+	n.mu.Unlock()
 	if last != nil {
-		oldOwners := n.ownersOn(old, last.Number, n.opt.replication)
-		newOwners := n.ownersOn(nr, last.Number, n.opt.replication)
+		oldOwners := old.owners(last.Number, n.opt.replication)
+		newOwners := nr.owners(last.Number, n.opt.replication)
 		if !slices.Equal(oldOwners, newOwners) {
 			rec := *last
 			rec.ExpiresUnixMilli = time.Now().Add(n.ttl).UnixMilli()

@@ -9,6 +9,8 @@
 // simulator; wire demonstrates that the proximity-generation and
 // soft-state code paths are not simulator-only. Placement uses a one-hop
 // ring over a static peer list — the degenerate Chord of the appendix.
+// The owner's rules (placement, the record store, the reply to each
+// request) are socket-free, in owner.go; Node is their I/O shell.
 //
 // Framing is a compact length-prefixed binary layout over TCP (see
 // codec.go). Connections are persistent and multiplexed: many requests

@@ -1,24 +1,39 @@
 package wire
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
+// TestStartRefreshKeepsRecordAlive: with a short TTL and a refresh loop,
+// the owner's copy of the record is renewed past several TTLs and stays
+// queryable.
 func TestStartRefreshKeepsRecordAlive(t *testing.T) {
-	// Short TTL + refresh loop: the record must survive past several TTLs.
 	nodes := cluster(t, 3, 2)
 	target := nodes[2]
 	target.ttl = 120 * time.Millisecond
-	if _, err := target.Publish(1, testTimeout); err != nil {
+	rec, err := target.Publish(1, testTimeout)
+	if err != nil {
 		t.Fatal(err)
 	}
 	target.StartRefresh(40*time.Millisecond, 1, testTimeout)
 
-	deadline := time.Now().Add(600 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		time.Sleep(50 * time.Millisecond)
+	// Every refresh re-measures, so the number may move between owners:
+	// wait for any owner to hold a copy renewed three TTLs on.
+	renewed := func() bool {
+		now := time.Now()
+		for _, nd := range nodes {
+			var rs replyScratch
+			for _, r := range nd.store.nearest(0, 1<<20, now, &rs) {
+				if r.Addr == target.Addr() && r.ExpiresUnixMilli >= rec.ExpiresUnixMilli+3*target.ttl.Milliseconds() {
+					return true
+				}
+			}
+		}
+		return false
 	}
+	waitFor(t, testTimeout, "a record renewed three TTLs on", renewed)
 	// Query the owner: the record must still be live.
 	vec, err := target.MeasureVector(1, testTimeout)
 	if err != nil {
@@ -43,22 +58,33 @@ func TestStartRefreshKeepsRecordAlive(t *testing.T) {
 	}
 }
 
+// TestWithoutRefreshRecordExpires: a published record carries the node's
+// TTL, and its owners stop serving it once that has passed.
 func TestWithoutRefreshRecordExpires(t *testing.T) {
 	nodes := cluster(t, 3, 2)
 	target := nodes[2]
 	target.ttl = 60 * time.Millisecond
+	before := time.Now()
 	rec, err := target.Publish(1, testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(150 * time.Millisecond)
-	resp, err := call(target.OwnerOf(rec.Number), Message{Type: MsgQuery, Number: rec.Number, Max: 16}, testTimeout)
-	if err != nil {
-		t.Fatal(err)
+	if ttl := time.Duration(rec.ExpiresUnixMilli-before.UnixMilli()) * time.Millisecond; ttl < target.ttl || ttl > target.ttl+testTimeout {
+		t.Fatalf("published record lives %v, want the node's TTL %v", ttl, target.ttl)
 	}
-	for _, r := range resp.Records {
-		if r.Addr == target.Addr() {
-			t.Fatal("record survived its TTL with no refresh")
+	// Serve the owners' next query as of just past the deadline.
+	past := time.UnixMilli(rec.ExpiresUnixMilli + 1)
+	for _, owner := range target.OwnersOf(rec.Number, target.Replication()) {
+		nd := nodes[slices.IndexFunc(nodes, func(nd *Node) bool { return nd.Addr() == owner })]
+		if !nd.store.holds(target.Addr()) {
+			t.Fatalf("owner %s never stored the record", owner)
+		}
+		var rs replyScratch
+		resp := serveMessage(nd.store, nd.ring.Load(), Message{Type: MsgQuery, Number: rec.Number, Max: 16}, past, &rs)
+		for _, r := range resp.Records {
+			if r.Addr == target.Addr() {
+				t.Fatal("record survived its TTL with no refresh")
+			}
 		}
 	}
 }

@@ -90,32 +90,6 @@ func TestNodeRPCWrongReplyNotRetried(t *testing.T) {
 	}
 }
 
-// TestDispatchAnswersReplyTable sends every message type through
-// dispatch: a request type must get exactly its replyType reply, and a
-// type with no replyType entry must get MsgError — so a request type
-// added to dispatch without a table entry fails here.
-func TestDispatchAnswersReplyTable(t *testing.T) {
-	n := startNode(t, stubCfg(), nil)
-	rec := Record{Addr: "a:1", ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli()}
-	valid := map[MsgType]Message{ // the fields a well-formed request carries
-		MsgStore:        {Record: &rec},
-		MsgRemove:       {Addr: rec.Addr},
-		MsgPublishBatch: {Records: []Record{rec}},
-	}
-	for typ := range msgTypeCode {
-		req := valid[typ]
-		req.Type = typ
-		got := n.dispatch(req, nil).Type
-		want, isRequest := replyType[typ]
-		switch {
-		case isRequest && got != want:
-			t.Errorf("dispatch(%s) = %s, replyType says %s", typ, got, want)
-		case !isRequest && got != MsgError:
-			t.Errorf("dispatch(%s) = %s with no replyType entry", typ, got)
-		}
-	}
-}
-
 // TestWideCurveRejected: a curve wider than a 64-bit landmark number
 // (3 dims × 30 bits) fails NewNode, instead of starting a node whose
 // every Publish fails.

@@ -154,11 +154,11 @@ func TestNodeBreakerTripsAndRecovers(t *testing.T) {
 	if v, ok := n.Registry().Snapshot().Value("wire_breaker_state", dead); !ok || v != breakerOpen {
 		t.Fatalf("wire_breaker_state{%s} = %v/%v, want %v", dead, v, ok, breakerOpen)
 	}
-	// After the cooldown the half-open probe reaches a live peer and the
-	// breaker closes again (reuse the breaker against a live address).
-	time.Sleep(60 * time.Millisecond)
+	// After the cooldown (the breaker reads time as an argument) the
+	// half-open probe reaches a live peer and the breaker closes again
+	// (reuse the breaker against a live address).
 	br := n.breakerFor(dead)
-	if !br.allow(time.Now()) {
+	if !br.allow(time.Now().Add(n.opt.breakerCooldown)) {
 		t.Fatal("no half-open probe after cooldown")
 	}
 	br.success()

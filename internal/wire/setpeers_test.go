@@ -26,7 +26,8 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // TestSetPeersSwapsRingAndRehomes walks the full reconfiguration path:
 // a node leaves the membership, every survivor swaps its ring, and the
 // departed node's shard is handed off so recall survives without
-// waiting out the TTL.
+// waiting out the TTL. Which records a store keeps and which it hands
+// off is TestRecordStoreRehome's.
 func TestSetPeersSwapsRingAndRehomes(t *testing.T) {
 	nodes := cluster(t, 5, 2)
 	addrs := make([]string, len(nodes))
@@ -69,31 +70,13 @@ func TestSetPeersSwapsRingAndRehomes(t *testing.T) {
 	if got := nodes[4].RecordCount(); got != 0 {
 		t.Fatalf("removed node still holds %d records", got)
 	}
-	// Zero orphans: every record a survivor holds is one it owns under
-	// the new ring.
-	for i, nd := range nodes[:4] {
-		nd.mu.Lock()
-		held := make([]Record, 0, len(nd.records))
-		for _, rec := range nd.records {
-			held = append(held, rec)
-		}
-		nd.mu.Unlock()
-		for _, rec := range held {
-			if !slices.Contains(nd.OwnersOf(rec.Number, nd.Replication()), nd.Addr()) {
-				t.Fatalf("node %d holds record %s it does not own", i, rec.Addr)
-			}
-		}
-	}
 	// Full recall for the survivors' records: every new-ring owner holds
 	// a copy (the departed node's own record may legitimately linger
 	// until it withdraws; survivors re-published theirs on the swap).
 	for i, rec := range recs[:4] {
 		for _, owner := range nodes[0].OwnersOf(rec.Number, nodes[0].Replication()) {
 			j := slices.Index(addrs, owner)
-			nodes[j].mu.Lock()
-			_, ok := nodes[j].records[rec.Addr]
-			nodes[j].mu.Unlock()
-			if !ok {
+			if !nodes[j].store.holds(rec.Addr) {
 				t.Fatalf("record of node %d missing on new owner %s", i, owner)
 			}
 		}
@@ -235,10 +218,7 @@ func TestSetPeersConcurrentHammer(t *testing.T) {
 			t.Fatalf("owner %s outside the settled ring", owner)
 		}
 		j := slices.Index(addrs, owner)
-		nodes[j].mu.Lock()
-		_, ok := nodes[j].records[rec.Addr]
-		nodes[j].mu.Unlock()
-		if !ok {
+		if !nodes[j].store.holds(rec.Addr) {
 			t.Fatalf("settled publish missing on owner %s", owner)
 		}
 	}

@@ -180,47 +180,6 @@ func TestPingStoreQuery(t *testing.T) {
 	}
 }
 
-func TestQueryOrdersByNumberDistance(t *testing.T) {
-	nodes := cluster(t, 2, 1)
-	exp := time.Now().Add(time.Minute).UnixMilli()
-	for i, num := range []uint64{100, 200, 150, 1000} {
-		rec := Record{Addr: nodes[1].Addr() + "/" + string(rune('a'+i)), Number: num, ExpiresUnixMilli: exp}
-		if _, err := call(nodes[0].Addr(), Message{Type: MsgStore, Record: &rec}, testTimeout); err != nil {
-			t.Fatal(err)
-		}
-	}
-	resp, err := call(nodes[0].Addr(), Message{Type: MsgQuery, Number: 160, Max: 3}, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := resp.Records
-	if len(got) != 3 {
-		t.Fatalf("got %d records", len(got))
-	}
-	if got[0].Number != 150 || got[1].Number != 200 || got[2].Number != 100 {
-		t.Fatalf("wrong order: %v %v %v", got[0].Number, got[1].Number, got[2].Number)
-	}
-}
-
-func TestQuerySweepsExpired(t *testing.T) {
-	nodes := cluster(t, 2, 1)
-	rec := Record{Addr: "dead", Number: 5, ExpiresUnixMilli: time.Now().Add(-time.Second).UnixMilli()}
-	if _, err := call(nodes[0].Addr(), Message{Type: MsgStore, Record: &rec}, testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := call(nodes[0].Addr(), Message{Type: MsgQuery, Number: 5, Max: 5}, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := resp.Records
-	if len(got) != 0 {
-		t.Fatal("expired record returned")
-	}
-	if nodes[0].RecordCount() != 0 {
-		t.Fatal("expired record not swept")
-	}
-}
-
 func TestMeasureVector(t *testing.T) {
 	nodes := cluster(t, 4, 3)
 	vec, err := nodes[3].MeasureVector(2, testTimeout)
@@ -360,21 +319,5 @@ func TestNodeCloseIdempotent(t *testing.T) {
 	}
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDispatchUnknownType(t *testing.T) {
-	node, err := NewNode("127.0.0.1:0", testConfig([]string{"x"}), nil, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	resp := node.dispatch(Message{Type: "bogus", Seq: 9}, nil)
-	if resp.Type != MsgError || resp.Seq != 9 {
-		t.Fatalf("dispatch = %+v", resp)
-	}
-	resp = node.dispatch(Message{Type: MsgStore, Seq: 1}, nil)
-	if resp.Type != MsgError {
-		t.Fatal("store without record accepted")
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"testing"
-	"time"
-
-	"gsso/internal/obs/span"
 )
 
 func TestRemoveMessageRoundTrip(t *testing.T) {
@@ -22,33 +19,6 @@ func TestRemoveMessageRoundTrip(t *testing.T) {
 	}
 	if out.Type != MsgRemove || out.Seq != 5 || out.Addr != in.Addr {
 		t.Fatalf("round trip = %+v", out)
-	}
-}
-
-func TestRemoveDeletesStoredRecord(t *testing.T) {
-	nodes := cluster(t, 2, 1)
-	rec := Record{
-		Addr:             nodes[1].Addr(),
-		Vector:           []float64{1, 2, 3},
-		Number:           500,
-		ExpiresUnixMilli: time.Now().Add(time.Minute).UnixMilli(),
-	}
-	if _, err := call(nodes[0].Addr(), Message{Type: MsgStore, Record: &rec}, testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if nodes[0].RecordCount() != 1 {
-		t.Fatal("record not stored")
-	}
-	if _, err := call(nodes[0].Addr(), Message{Type: MsgRemove, Addr: rec.Addr}, testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if nodes[0].RecordCount() != 0 {
-		t.Fatal("record survived remove")
-	}
-	// Removing an absent record is an acknowledged no-op, not an error —
-	// withdrawals race with TTL expiry and must stay idempotent.
-	if _, err := call(nodes[0].Addr(), Message{Type: MsgRemove, Addr: rec.Addr}, testTimeout); err != nil {
-		t.Fatalf("second remove: %v", err)
 	}
 }
 
@@ -101,46 +71,5 @@ func TestWithdrawAfterPublish(t *testing.T) {
 		if r.Addr == n.Addr() {
 			t.Fatal("withdrawn record still served")
 		}
-	}
-}
-
-// TestBatchPartialFailureReportsPerRecordErrors: a publish-batch frame
-// where one record is storable and one is not must store the good record
-// and report the rejection in the aligned per-record error slot — not
-// fail the whole frame, not silently drop the bad record.
-func TestBatchPartialFailureReportsPerRecordErrors(t *testing.T) {
-	nodes := cluster(t, 2, 1)
-	exp := time.Now().Add(time.Minute).UnixMilli()
-	recs := []Record{
-		{Addr: "good:1", Number: 42, ExpiresUnixMilli: exp},
-		{Number: 43, ExpiresUnixMilli: exp}, // no addr: unstorable
-	}
-	resp, _, err := nodes[1].rpc(span.Context{}, nodes[0].Addr(), Message{Type: MsgPublishBatch, Records: recs}, testTimeout)
-	if err != nil {
-		t.Fatalf("publish-batch failed outright: %v", err)
-	}
-	errs := resp.Errs
-	if len(errs) != len(recs) {
-		t.Fatalf("got %d per-record errors for %d records", len(errs), len(recs))
-	}
-	if errs[0] != "" {
-		t.Fatalf("storable record rejected: %q", errs[0])
-	}
-	if errs[1] == "" {
-		t.Fatal("unstorable record not reported")
-	}
-	if got := nodes[0].RecordCount(); got != 1 {
-		t.Fatalf("owner stores %d records, want 1", got)
-	}
-
-	// A fully-storable batch acks with no per-record errors at all.
-	resp, _, err = nodes[1].rpc(span.Context{}, nodes[0].Addr(), Message{Type: MsgPublishBatch, Records: []Record{
-		{Addr: "also-good:1", Number: 44, ExpiresUnixMilli: exp},
-	}}, testTimeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Errs) != 0 {
-		t.Fatalf("clean batch returned errors: %v", resp.Errs)
 	}
 }
