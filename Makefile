@@ -41,10 +41,15 @@ bench-module:
 # be placed and measured as the float midpoint rule places them wherever it
 # is exact), of the wire codec (arbitrary frames must never panic, hang,
 # or round-trip lossily; every JSON-describable message must survive the
-# binary layout) and of the wire owner's record store (a script of stores,
+# binary layout), of the wire owner's record store (a script of stores,
 # removes, clock steps, queries and re-homes must agree with a sorted-slice
-# model). Every fuzz line caps minimisation at 1 s: with the default 60 s
-# the worker spends most of the 10 s minimising its first new input. The wire node's cached landmark vector
+# model) and of the simulator's soft-state store (a script of publishes,
+# removals, clock steps, sweeps, refreshes, publish filters and lookups
+# must agree with a flat-slice model of Table 1's lookup rule). Every fuzz
+# line caps minimisation: with the default 60 s the worker spends most of
+# the 10 s minimising its first new input. FuzzZoneGeometry builds a CAN
+# per exec, so even 1 s per new input eats its budget; it caps by count
+# (100 execs) instead. The wire node's cached landmark vector
 # and its refresh loop are re-run five times under the race detector, the
 # condition that shakes out timing-dependent tests. The examples run
 # the documented public API from a main, the simulator ones diffed
@@ -55,12 +60,13 @@ check: build vet fmt-check bench-module examples race
 	go test -race -count=5 -run 'OwnVector|Refresh|Fallback' ./internal/wire
 	go run ./cmd/topobench -run ext-scale -scale quick -seed $(SEED) > /dev/null
 	go test -fuzz FuzzMembership -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/can
-	go test -fuzz FuzzZoneGeometry -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/can
+	go test -fuzz FuzzZoneGeometry -fuzztime 10s -fuzzminimizetime 100x -run '^$$' ./internal/can
 	go test -fuzz FuzzArena -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/arena
 	go test -fuzz FuzzReadMessage -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/wire
 	go test -fuzz FuzzCodecDifferential -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/wire
 	go test -fuzz FuzzRecordStore -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/wire
 	go test -fuzz FuzzClusterSpec -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/cluster
+	go test -fuzz FuzzStoreLookup -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/softstate
 
 # Soak gates, full scale: the ext-churn reconvergence bar (record recall
 # back above 99% within three virtual refresh intervals of the last fault

@@ -146,7 +146,7 @@ func NewBus(store *softstate.Store, env *netsim.Env) (*Bus, error) {
 		env:      env,
 		byRegion: make(map[can.Path][]*Subscription),
 	}
-	store.SetEventSink(b.handle)
+	store.AddEventSink(b.handle)
 	return b, nil
 }
 

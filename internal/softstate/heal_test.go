@@ -10,23 +10,20 @@ import (
 func TestEventSinkFanout(t *testing.T) {
 	h := newHarness(t, 16, DefaultConfig())
 	m := h.overlay.CAN().Members()[0]
-	var a, b int
-	h.store.SetEventSink(func(Event) { a++ })
-	h.store.AddEventSink(func(Event) { b++ })
+	var order []string
+	h.store.AddEventSink(func(Event) { order = append(order, "a") })
+	h.store.AddEventSink(func(Event) { order = append(order, "b") })
 	if err := h.store.PublishMeasured(m); err != nil {
 		t.Fatal(err)
 	}
-	if a == 0 || a != b {
-		t.Fatalf("sink fanout uneven: a=%d b=%d", a, b)
+	if len(order) == 0 || len(order)%2 != 0 {
+		t.Fatalf("sink fanout uneven: %v", order)
 	}
-	// SetEventSink replaces the whole chain; nil clears it.
-	h.store.SetEventSink(nil)
-	a, b = 0, 0
-	if err := h.store.PublishMeasured(m); err != nil {
-		t.Fatal(err)
-	}
-	if a != 0 || b != 0 {
-		t.Fatalf("cleared sinks still fired: a=%d b=%d", a, b)
+	// Every event reaches the sinks in the order they were added.
+	for i := 0; i < len(order); i += 2 {
+		if order[i] != "a" || order[i+1] != "b" {
+			t.Fatalf("sinks ran out of order: %v", order)
+		}
 	}
 }
 
@@ -157,7 +154,7 @@ func TestLoseShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events int
-	h.store.SetEventSink(func(Event) { events++ })
+	h.store.AddEventSink(func(Event) { events++ })
 
 	// Nobody down: nothing lost.
 	if lost := h.store.LoseShards(func(*can.Member) bool { return false }, 1); lost != 0 {

@@ -12,33 +12,27 @@
 //
 // A node looking for a physically close member of region Z indexes Z's map
 // with its own landmark number (Table 1's procedure): route to the owner,
-// widen along the curve if the local shard is thin, sort what was found by
-// full-vector distance, return the top X. The caller then RTT-probes those
-// X candidates — the hybrid landmark+RTT scheme.
+// widen along the curve if the owner holds too few entries, sort what was
+// found by full-vector distance, return the top X. The caller then
+// RTT-probes those X candidates — the hybrid landmark+RTT scheme.
 //
 // # Concurrency
 //
-// The store is sharded by landmark-number range: entries whose numbers
-// fall in different shards never share a lock, so concurrent publishes,
-// refreshes, sweeps, and repairs touching different parts of the curve
-// proceed in parallel. All of one member's entries live in the shard of
-// its current number (republishing to a new number relocates them), so
-// member-keyed operations (Remove, Purge, UpdateLoad, RefreshAll) lock
-// exactly one shard. Entries are copy-on-write — immutable once
-// inserted; refresh and load updates replace the pointer — so snapshots
-// handed out by Lookup and events stay race-free without locks. Event
-// sinks run after shard locks are released and may safely re-enter the
-// store. Configuration (SetEventSink, AddEventSink, SetPublishFilter,
-// Instrument) must happen before concurrent use.
+// One mutex guards every region map, every member's published position
+// and the live-entry count. Entries are copy-on-write — immutable once
+// inserted; refresh and load updates replace the pointer — so the
+// snapshots Lookup and events hand out stay valid without the lock. The
+// publish filter runs before the lock is taken and event sinks run after
+// it is released, so both may re-enter the store. Configuration
+// (AddEventSink, SetPublishFilter, Instrument) must happen before
+// concurrent use.
 package softstate
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"gsso/internal/can"
 	"gsso/internal/ecan"
@@ -113,12 +107,6 @@ type Event struct {
 	Entry  *Entry
 }
 
-// defaultShards is the shard count used when Config.Shards is zero.
-const defaultShards = 8
-
-// maxShardCount bounds Config.Shards.
-const maxShardCount = 1 << 10
-
 // Config tunes the store.
 type Config struct {
 	// TTL is the soft-state lifetime of a published entry.
@@ -134,17 +122,11 @@ type Config struct {
 	// visit along the curve when the first shard is thin (the paper's
 	// "define a TTL to search outside y's map content range").
 	ExpandBudget int
-	// Shards is the number of landmark-number ranges the store is split
-	// into for concurrency — a power of two up to 1024, clamped to the
-	// curve's resolution. Zero selects the default (8). One shard
-	// degenerates to a single-lock store (the old behavior, kept as the
-	// benchmark baseline).
-	Shards int
 }
 
 // DefaultConfig returns the defaults used across experiments.
 func DefaultConfig() Config {
-	return Config{TTL: 60_000, CondenseDepth: 0, MaxReturn: 10, ExpandBudget: 8, Shards: defaultShards}
+	return Config{TTL: 60_000, CondenseDepth: 0, MaxReturn: 10, ExpandBudget: 8}
 }
 
 func (c Config) validate() error {
@@ -157,18 +139,14 @@ func (c Config) validate() error {
 		return fmt.Errorf("softstate: MaxReturn = %d, need >= 1", c.MaxReturn)
 	case c.ExpandBudget < 0:
 		return fmt.Errorf("softstate: ExpandBudget = %d, need >= 0", c.ExpandBudget)
-	case c.Shards < 0 || c.Shards > maxShardCount:
-		return fmt.Errorf("softstate: Shards = %d, need in [0,%d]", c.Shards, maxShardCount)
-	case c.Shards&(c.Shards-1) != 0:
-		return fmt.Errorf("softstate: Shards = %d, need a power of two", c.Shards)
 	}
 	return nil
 }
 
-// regionMap is one shard's slice of one region's proximity map: entries
-// keyed by member, plus a number-sorted view rebuilt lazily for
-// curve-order expansion. The rebuild allocates a fresh slice so a view
-// handed out under the shard lock stays valid after the lock drops.
+// regionMap is one region's proximity map: entries keyed by member, plus a
+// number-sorted view rebuilt lazily for curve-order expansion. The rebuild
+// allocates a fresh slice so a view handed out under the store's lock
+// stays valid after the lock drops.
 type regionMap struct {
 	entries map[*can.Member]*Entry
 	sorted  []*Entry // by Number, rebuilt (fresh) when dirty
@@ -193,37 +171,25 @@ func (rm *regionMap) sortedEntries() []*Entry {
 	return rm.sorted
 }
 
-// storeShard is one landmark-number range of the store: its own region
-// maps, its own lock, and a lock-free live-entry counter.
-type storeShard struct {
-	mu   sync.Mutex
-	maps map[can.Path]*regionMap
-	live atomic.Int64
-}
-
-// memberState is a member's published position, immutable once stored
-// (publishes replace the pointer), so readers need no lock.
+// memberState is a member's published position.
 type memberState struct {
 	vector landmark.Vector
 	number uint64
 }
 
 // Store holds every region map of one overlay plus the metadata needed
-// to place and retrieve entries, sharded by landmark-number range (see
-// the package comment for the locking discipline).
+// to place and retrieve entries (see the package comment for the locking
+// discipline).
 type Store struct {
 	overlay *ecan.Overlay
 	space   *landmark.Space
 	env     *netsim.Env
 	cfg     Config
 
-	// numShift maps a landmark number to its shard: index = number >>
-	// numShift. Shard ranges are contiguous, so the per-shard sorted
-	// slices of one region concatenate into global number order.
-	numShift uint
-	shards   []*storeShard
-
-	members sync.Map // *can.Member -> *memberState; lock-free reads
+	mu      sync.Mutex // guards maps, members and live
+	maps    map[can.Path]*regionMap
+	members map[*can.Member]memberState
+	live    int // entries across all maps
 
 	sinks   []func(Event)
 	filter  func(region can.Path, number uint64) bool
@@ -271,44 +237,17 @@ func NewStore(ov *ecan.Overlay, space *landmark.Space, env *netsim.Env, cfg Conf
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = defaultShards
-	}
-	curveWidth := space.Curve().Dims() * space.Curve().Bits()
-	shardBits := bits.TrailingZeros(uint(cfg.Shards))
-	if shardBits > curveWidth {
-		// More shards than the curve has distinct numbers buys nothing.
-		shardBits = curveWidth
-		cfg.Shards = 1 << shardBits
-	}
-	s := &Store{
-		overlay:  ov,
-		space:    space,
-		env:      env,
-		cfg:      cfg,
-		numShift: uint(curveWidth - shardBits),
-		shards:   make([]*storeShard, cfg.Shards),
-	}
-	for i := range s.shards {
-		s.shards[i] = &storeShard{maps: make(map[can.Path]*regionMap)}
-	}
-	return s, nil
+	return &Store{
+		overlay: ov,
+		space:   space,
+		env:     env,
+		cfg:     cfg,
+		maps:    make(map[can.Path]*regionMap),
+		members: make(map[*can.Member]memberState),
+	}, nil
 }
 
-// shardOf maps a landmark number to its shard index.
-func (s *Store) shardOf(number uint64) int {
-	i := int(number >> s.numShift)
-	if i >= len(s.shards) {
-		i = len(s.shards) - 1
-	}
-	return i
-}
-
-// Shards reports the store's effective shard count.
-func (s *Store) Shards() int { return len(s.shards) }
-
-// Config returns the store's configuration (Shards normalized to the
-// effective count).
+// Config returns the store's configuration.
 func (s *Store) Config() Config { return s.cfg }
 
 // Space returns the landmark space in use.
@@ -320,20 +259,9 @@ func (s *Store) Env() *netsim.Env { return s.env }
 // Overlay returns the eCAN the store serves.
 func (s *Store) Overlay() *ecan.Overlay { return s.overlay }
 
-// SetEventSink installs the map-change event hook (used by package
-// pubsub), replacing any sinks installed before. A nil sink disables
-// events.
-func (s *Store) SetEventSink(fn func(Event)) {
-	if fn == nil {
-		s.sinks = nil
-		return
-	}
-	s.sinks = []func(Event){fn}
-}
-
-// AddEventSink appends an additional map-change observer alongside any
-// already installed — the failure detector in package core listens this
-// way without displacing the pub/sub bus.
+// AddEventSink appends a map-change observer after any already
+// installed; sinks run in the order they were added. The pub/sub bus
+// installs itself this way, and package core's failure detector after it.
 func (s *Store) AddEventSink(fn func(Event)) {
 	if fn != nil {
 		s.sinks = append(s.sinks, fn)
@@ -345,13 +273,13 @@ func (s *Store) AddEventSink(fn func(Event)) {
 // which fn returns false. Experiments use it to model unreachable map
 // owners — a write to a spot whose owner crashed cannot land until the
 // zone is taken over. A nil fn removes the gate. The filter runs outside
-// the shard locks.
+// the store's lock.
 func (s *Store) SetPublishFilter(fn func(region can.Path, number uint64) bool) {
 	s.filter = fn
 }
 
 // emitAll delivers events collected during a locked mutation. It runs
-// with no shard lock held, so sinks may re-enter the store freely.
+// with the store's lock released, so sinks may re-enter the store freely.
 func (s *Store) emitAll(evs []Event) {
 	for i := range evs {
 		ev := evs[i]
@@ -371,12 +299,11 @@ func (s *Store) emitAll(evs []Event) {
 }
 
 // loadMember returns m's published state, if any.
-func (s *Store) loadMember(m *can.Member) (*memberState, bool) {
-	v, ok := s.members.Load(m)
-	if !ok {
-		return nil, false
-	}
-	return v.(*memberState), true
+func (s *Store) loadMember(m *can.Member) (memberState, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.members[m]
+	return st, ok
 }
 
 // Vector returns m's published landmark vector (nil if unpublished).
@@ -429,35 +356,11 @@ func (s *Store) Publish(m *can.Member, vec landmark.Vector, opts ...PublishOptio
 		return err
 	}
 	vcopy := append(landmark.Vector(nil), vec...)
-	oldState, hadOld := s.loadMember(m)
-	s.members.Store(m, &memberState{vector: vcopy, number: num})
-	newShard := s.shardOf(num)
 
-	// Relocation: a republish whose number crossed a shard boundary must
-	// drag the member's entries to the new shard, or member-keyed
-	// operations (which look only in the number's shard) would miss
-	// them. The old entries move silently — the refresh events emitted
-	// on re-insertion below are the externally visible state change.
-	var prevByRegion map[can.Path]*Entry
-	if hadOld && s.shardOf(oldState.number) != newShard {
-		old := s.shards[s.shardOf(oldState.number)]
-		old.mu.Lock()
-		for region, rm := range old.maps {
-			if e, ok := rm.entries[m]; ok {
-				if prevByRegion == nil {
-					prevByRegion = make(map[can.Path]*Entry)
-				}
-				prevByRegion[region] = e
-				delete(rm.entries, m)
-				rm.dirty = true
-			}
-		}
-		old.live.Add(int64(-len(prevByRegion)))
-		old.mu.Unlock()
-	}
-
-	// The publish filter runs before the shard lock: it is caller code
-	// and must not observe the store mid-mutation.
+	// The publish filter runs before the lock: it is caller code and must
+	// not observe the store mid-mutation. A blocked region keeps the entry
+	// it held, if any: the write could not land, so its old owner still
+	// answers with the old record.
 	regions := s.regionsOf(m)
 	kept := regions[:0]
 	dropped := 0
@@ -471,23 +374,14 @@ func (s *Store) Publish(m *can.Member, vec landmark.Vector, opts ...PublishOptio
 
 	now := s.env.Clock().Now()
 	events := make([]Event, 0, len(kept))
-	added := 0
-	sh := s.shards[newShard]
-	sh.mu.Lock()
+	s.mu.Lock()
+	s.members[m] = memberState{vector: vcopy, number: num}
 	for _, region := range kept {
-		rm := sh.maps[region]
+		rm := s.maps[region]
 		if rm == nil {
 			rm = &regionMap{entries: make(map[*can.Member]*Entry)}
-			sh.maps[region] = rm
+			s.maps[region] = rm
 		}
-		prev, inShard := rm.entries[m]
-		if !inShard {
-			added++
-			if prev = prevByRegion[region]; prev == nil {
-				prev = nil
-			}
-		}
-		existed := prev != nil
 		e := &Entry{
 			Member:  m,
 			Host:    m.Host,
@@ -495,22 +389,21 @@ func (s *Store) Publish(m *can.Member, vec landmark.Vector, opts ...PublishOptio
 			Number:  num,
 			Expires: now + s.cfg.TTL,
 		}
-		if existed {
+		kind := EventRefreshed
+		if prev, ok := rm.entries[m]; ok {
 			e.Capacity, e.Load = prev.Capacity, prev.Load
+		} else {
+			kind = EventPublished
+			s.live++
 		}
 		for _, opt := range opts {
 			opt(e)
 		}
 		rm.entries[m] = e
 		rm.dirty = true
-		kind := EventPublished
-		if existed {
-			kind = EventRefreshed
-		}
 		events = append(events, Event{Kind: kind, Region: region, Entry: e})
 	}
-	sh.live.Add(int64(added))
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	s.emitAll(events)
 	if dropped > 0 {
@@ -532,14 +425,13 @@ func (s *Store) PublishMeasured(m *can.Member, opts ...PublishOption) error {
 // publication path). Entries are replaced copy-on-write: snapshots held
 // from earlier lookups keep the load they were taken with.
 func (s *Store) UpdateLoad(m *can.Member, load float64) {
-	st, ok := s.loadMember(m)
-	if !ok {
+	var events []Event
+	s.mu.Lock()
+	if _, ok := s.members[m]; !ok {
+		s.mu.Unlock()
 		return
 	}
-	sh := s.shards[s.shardOf(st.number)]
-	var events []Event
-	sh.mu.Lock()
-	for region, rm := range sh.maps {
+	for region, rm := range s.maps {
 		if e, ok := rm.entries[m]; ok {
 			ne := *e
 			ne.Load = load
@@ -548,7 +440,7 @@ func (s *Store) UpdateLoad(m *can.Member, load float64) {
 			events = append(events, Event{Kind: EventLoadChanged, Region: region, Entry: &ne})
 		}
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	s.emitAll(events)
 	if len(events) > 0 {
 		s.env.CountMessages("publish", len(events))
@@ -557,26 +449,23 @@ func (s *Store) UpdateLoad(m *can.Member, load float64) {
 
 // deleteAll removes every entry describing m from every map, emitting
 // EventRemoved per region and metering the deletions under category.
-// All of m's entries live in the shard of its current number, so one
-// shard lock covers the whole deletion.
 func (s *Store) deleteAll(m *can.Member, category string) int {
-	st, ok := s.loadMember(m)
-	s.members.Delete(m)
-	if !ok {
+	var events []Event
+	s.mu.Lock()
+	if _, ok := s.members[m]; !ok {
+		s.mu.Unlock()
 		return 0
 	}
-	sh := s.shards[s.shardOf(st.number)]
-	var events []Event
-	sh.mu.Lock()
-	for region, rm := range sh.maps {
+	delete(s.members, m)
+	for region, rm := range s.maps {
 		if e, ok := rm.entries[m]; ok {
 			delete(rm.entries, m)
 			rm.dirty = true
 			events = append(events, Event{Kind: EventRemoved, Region: region, Entry: e})
 		}
 	}
-	sh.live.Add(int64(-len(events)))
-	sh.mu.Unlock()
+	s.live -= len(events)
+	s.mu.Unlock()
 	s.emitAll(events)
 	if len(events) > 0 {
 		s.env.CountMessages(category, len(events))
@@ -611,33 +500,27 @@ func (s *Store) Purge(m *can.Member) int {
 
 // SweepExpired deletes all entries past their TTL (the periodic-polling
 // maintenance mode) and returns how many were dropped. Instrumented
-// stores also count the drops in softstate_sweep_expired_total. Shards
-// are swept one at a time, so concurrent publishes to other shards never
-// wait on the sweep.
+// stores also count the drops in softstate_sweep_expired_total.
 func (s *Store) SweepExpired() int {
 	now := s.env.Clock().Now()
-	dropped := 0
-	for _, sh := range s.shards {
-		var events []Event
-		sh.mu.Lock()
-		for region, rm := range sh.maps {
-			for m, e := range rm.entries {
-				if e.Expires < now {
-					delete(rm.entries, m)
-					rm.dirty = true
-					events = append(events, Event{Kind: EventExpired, Region: region, Entry: e})
-				}
+	var events []Event
+	s.mu.Lock()
+	for region, rm := range s.maps {
+		for m, e := range rm.entries {
+			if e.Expires < now {
+				delete(rm.entries, m)
+				rm.dirty = true
+				events = append(events, Event{Kind: EventExpired, Region: region, Entry: e})
 			}
 		}
-		sh.live.Add(int64(-len(events)))
-		sh.mu.Unlock()
-		s.emitAll(events)
-		dropped += len(events)
 	}
-	if dropped > 0 && s.metrics != nil {
-		s.metrics.swept.Add(float64(dropped))
+	s.live -= len(events)
+	s.mu.Unlock()
+	s.emitAll(events)
+	if len(events) > 0 && s.metrics != nil {
+		s.metrics.swept.Add(float64(len(events)))
 	}
-	return dropped
+	return len(events)
 }
 
 // placementPath maps (region, landmark number) to the path of the spot
@@ -701,29 +584,25 @@ func (s *Store) OwnersOf(region can.Path, number uint64, k int) []*can.Member {
 // that is what the replicated placement buys.
 func (s *Store) LoseShards(down func(*can.Member) bool, k int) int {
 	lost := 0
-	for _, sh := range s.shards {
-		shardLost := 0
-		sh.mu.Lock()
-		for region, rm := range sh.maps {
-			for m, e := range rm.entries {
-				allDown := true
-				for _, o := range s.OwnersOf(region, e.Number, k) {
-					if !down(o) {
-						allDown = false
-						break
-					}
-				}
-				if allDown {
-					delete(rm.entries, m)
-					rm.dirty = true
-					shardLost++
+	s.mu.Lock()
+	for region, rm := range s.maps {
+		for m, e := range rm.entries {
+			allDown := true
+			for _, o := range s.OwnersOf(region, e.Number, k) {
+				if !down(o) {
+					allDown = false
+					break
 				}
 			}
+			if allDown {
+				delete(rm.entries, m)
+				rm.dirty = true
+				lost++
+			}
 		}
-		sh.live.Add(int64(-shardLost))
-		sh.mu.Unlock()
-		lost += shardLost
 	}
+	s.live -= lost
+	s.mu.Unlock()
 	if lost > 0 && s.metrics != nil {
 		s.metrics.live.Add(float64(-lost))
 	}
@@ -740,40 +619,6 @@ type LookupCost struct {
 	ExpandHops int
 }
 
-// catPos addresses one entry in the concatenation of per-shard sorted
-// slices: shard ranges are contiguous number ranges, so the
-// concatenation is globally number-sorted.
-type catPos struct{ sh, i int }
-
-// fwdPos normalizes p to the first populated position at or after it
-// (sh == len(slices) marks the back edge).
-func fwdPos(slices [][]*Entry, p catPos) catPos {
-	for p.sh < len(slices) && p.i >= len(slices[p.sh]) {
-		p.sh++
-		p.i = 0
-	}
-	return p
-}
-
-// nextPos advances one entry in concatenated order.
-func nextPos(slices [][]*Entry, p catPos) catPos {
-	p.i++
-	return fwdPos(slices, p)
-}
-
-// prevPos steps one entry back (sh < 0 marks the front edge).
-func prevPos(slices [][]*Entry, p catPos) catPos {
-	p.i--
-	for p.i < 0 {
-		p.sh--
-		if p.sh < 0 {
-			return catPos{sh: -1}
-		}
-		p.i = len(slices[p.sh]) - 1
-	}
-	return p
-}
-
 // Lookup implements Table 1: find up to MaxReturn entries of region's map
 // closest to vec, by indexing the map with vec's landmark number, widening
 // along the curve within ExpandBudget, then sorting by full-vector
@@ -788,32 +633,25 @@ func (s *Store) Lookup(region can.Path, vec landmark.Vector) ([]*Entry, LookupCo
 	cost := LookupCost{RouteMessages: 2} // request + reply
 	s.env.CountMessages("lookup", 2)
 
-	// Snapshot each shard's sorted view of the region under its own
-	// lock; entries are copy-on-write, so the walk below needs no lock.
-	slices := make([][]*Entry, len(s.shards))
-	total := 0
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		if rm := sh.maps[region]; rm != nil {
-			slices[i] = rm.sortedEntries()
-		}
-		sh.mu.Unlock()
-		total += len(slices[i])
+	// Snapshot the region's sorted view under the lock; entries are
+	// copy-on-write, so the walk below needs no lock.
+	var sorted []*Entry
+	s.mu.Lock()
+	if rm := s.maps[region]; rm != nil {
+		sorted = rm.sortedEntries()
 	}
-	if total == 0 {
+	s.mu.Unlock()
+	if len(sorted) == 0 {
 		return nil, cost, nil
 	}
 	now := s.env.Clock().Now()
 
-	// Position of our number in the concatenated sorted order: hi is the
-	// first entry with Number >= num, lo the entry just before it.
-	start := s.shardOf(num)
-	sl := slices[start]
-	raw := catPos{sh: start, i: sort.Search(len(sl), func(k int) bool { return sl[k].Number >= num })}
-	hi := fwdPos(slices, raw)
-	lo := prevPos(slices, raw)
+	// hi is the first entry with Number >= num, lo the entry just before
+	// it; a side is closed once its cursor leaves the slice.
+	hi := sort.Search(len(sorted), func(k int) bool { return sorted[k].Number >= num })
+	lo := hi - 1
 
-	// The shard we landed on plus curve-order expansion: walk outward
+	// The owner we landed on plus curve-order expansion: walk outward
 	// gathering live entries; each time the owner of the next entry
 	// differs from the owners already visited, it costs one expand hop.
 	owners := map[*can.Member]struct{}{}
@@ -840,32 +678,19 @@ func (s *Store) Lookup(region can.Path, vec landmark.Vector) ([]*Entry, LookupCo
 	// Gather up to 3*MaxReturn entries around the index position so the
 	// full-vector sort has slack to reorder curve neighbors.
 	want := 3 * s.cfg.MaxReturn
-	loOK := lo.sh >= 0
-	hiOK := hi.sh < len(slices)
-	for len(gathered) < want && (loOK || hiOK) {
-		// Prefer the side whose number is closer to ours.
-		pickLo := false
-		switch {
-		case !loOK:
-		case !hiOK:
-			pickLo = true
-		default:
-			pickLo = num-slices[lo.sh][lo.i].Number <= slices[hi.sh][hi.i].Number-num
-		}
-		if pickLo {
-			if !visit(slices[lo.sh][lo.i]) {
-				loOK = false
-				continue
+	for len(gathered) < want && (lo >= 0 || hi < len(sorted)) {
+		// Prefer the side whose number is closer to ours, the lower on a
+		// tie.
+		if lo >= 0 && (hi == len(sorted) || num-sorted[lo].Number <= sorted[hi].Number-num) {
+			if visit(sorted[lo]) {
+				lo--
+			} else {
+				lo = -1
 			}
-			lo = prevPos(slices, lo)
-			loOK = lo.sh >= 0
+		} else if visit(sorted[hi]) {
+			hi++
 		} else {
-			if !visit(slices[hi.sh][hi.i]) {
-				hiOK = false
-				continue
-			}
-			hi = nextPos(slices, hi)
-			hiOK = hi.sh < len(slices)
+			hi = len(sorted)
 		}
 	}
 
@@ -880,28 +705,24 @@ func (s *Store) Lookup(region can.Path, vec landmark.Vector) ([]*Entry, LookupCo
 // and returns the per-owner counts (Figure 16's "map entries / node").
 func (s *Store) EntriesPerOwner() map[*can.Member]int {
 	counts := make(map[*can.Member]int)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for region, rm := range sh.maps {
-			for _, e := range rm.entries {
-				if owner := s.OwnerOf(region, e.Number); owner != nil {
-					counts[owner]++
-				}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for region, rm := range s.maps {
+		for _, e := range rm.entries {
+			if owner := s.OwnerOf(region, e.Number); owner != nil {
+				counts[owner]++
 			}
 		}
-		sh.mu.Unlock()
 	}
 	return counts
 }
 
 // TotalEntries returns the number of entries across all maps (including
-// any not yet swept). Lock-free: it sums the per-shard atomic counters.
+// any not yet swept).
 func (s *Store) TotalEntries() int {
-	var total int64
-	for _, sh := range s.shards {
-		total += sh.live.Load()
-	}
-	return int(total)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.live
 }
 
 // RegionEntries returns the live entries of one region's map (fresh
@@ -909,16 +730,14 @@ func (s *Store) TotalEntries() int {
 func (s *Store) RegionEntries(region can.Path) []*Entry {
 	now := s.env.Clock().Now()
 	var out []*Entry
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if rm := sh.maps[region]; rm != nil {
-			for _, e := range rm.entries {
-				if e.Expires >= now {
-					out = append(out, e)
-				}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rm := s.maps[region]; rm != nil {
+		for _, e := range rm.entries {
+			if e.Expires >= now {
+				out = append(out, e)
 			}
 		}
-		sh.mu.Unlock()
 	}
 	return out
 }
@@ -930,8 +749,8 @@ func (s *Store) RegionEntries(region can.Path) []*Entry {
 // "publish" per map (what per-entry Publish would cost). EventRefreshed
 // still fires per entry so subscribers and telemetry see every touch.
 // Members behind a publish filter keep their filtered-out regions
-// unrefreshed, exactly as Publish would. Each member's refresh takes
-// only its number's shard lock. Returns how many entries were refreshed.
+// unrefreshed, exactly as Publish would. Returns how many entries were
+// refreshed.
 func (s *Store) RefreshAll() int {
 	now := s.env.Clock().Now()
 	refreshed := 0
@@ -954,10 +773,9 @@ func (s *Store) RefreshAll() int {
 			kept = append(kept, region)
 		}
 		events = events[:0]
-		sh := s.shards[s.shardOf(num)]
-		sh.mu.Lock()
+		s.mu.Lock()
 		for _, region := range kept {
-			rm := sh.maps[region]
+			rm := s.maps[region]
 			if rm == nil {
 				continue
 			}
@@ -971,7 +789,7 @@ func (s *Store) RefreshAll() int {
 			rm.dirty = true
 			events = append(events, Event{Kind: EventRefreshed, Region: region, Entry: &ne})
 		}
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		s.emitAll(events)
 		if dropped > 0 {
 			s.env.CountMessages("publish-dropped", dropped)

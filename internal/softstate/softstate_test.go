@@ -9,6 +9,7 @@ import (
 	"gsso/internal/ecan"
 	"gsso/internal/landmark"
 	"gsso/internal/netsim"
+	"gsso/internal/obs"
 	"gsso/internal/simrand"
 	"gsso/internal/topology"
 )
@@ -57,6 +58,15 @@ func newHarness(t testing.TB, members int, cfg Config) *harness {
 	return &harness{net: net, env: env, overlay: ov, space: space, store: store}
 }
 
+// vector returns a landmark vector with every component at frac·MaxRTT.
+func (h *harness) vector(frac float64) landmark.Vector {
+	vec := make(landmark.Vector, h.space.Set().Len())
+	for i := range vec {
+		vec[i] = frac * h.space.MaxRTT()
+	}
+	return vec
+}
+
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -69,12 +79,6 @@ func TestConfigValidate(t *testing.T) {
 		{"huge-condense", func(c *Config) { c.CondenseDepth = 33 }, false},
 		{"zero-return", func(c *Config) { c.MaxReturn = 0 }, false},
 		{"negative-expand", func(c *Config) { c.ExpandBudget = -1 }, false},
-		{"zero-shards-defaulted", func(c *Config) { c.Shards = 0 }, true},
-		{"one-shard", func(c *Config) { c.Shards = 1 }, true},
-		{"pow2-shards", func(c *Config) { c.Shards = 64 }, true},
-		{"non-pow2-shards", func(c *Config) { c.Shards = 6 }, false},
-		{"negative-shards", func(c *Config) { c.Shards = -2 }, false},
-		{"huge-shards", func(c *Config) { c.Shards = maxShardCount * 2 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,7 +178,7 @@ func TestPublishEventsAndRefresh(t *testing.T) {
 	h := newHarness(t, 32, DefaultConfig())
 	m := h.overlay.CAN().Members()[0]
 	var events []Event
-	h.store.SetEventSink(func(ev Event) { events = append(events, ev) })
+	h.store.AddEventSink(func(ev Event) { events = append(events, ev) })
 	if err := h.store.PublishMeasured(m, WithCapacity(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +223,7 @@ func TestRefreshAllBatchesAndRestamps(t *testing.T) {
 	// sweep afterwards, having been re-stamped from the stored state.
 	h.env.Clock().Advance(90)
 	var refreshEvents int
-	h.store.SetEventSink(func(ev Event) {
+	h.store.AddEventSink(func(ev Event) {
 		if ev.Kind == EventRefreshed {
 			refreshEvents++
 		}
@@ -267,7 +271,7 @@ func TestUpdateLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	var loadEvents int
-	h.store.SetEventSink(func(ev Event) {
+	h.store.AddEventSink(func(ev Event) {
 		if ev.Kind == EventLoadChanged {
 			loadEvents++
 			if ev.Entry.Load != 0.75 {
@@ -295,7 +299,7 @@ func TestRemove(t *testing.T) {
 		t.Fatal(err)
 	}
 	removed := 0
-	h.store.SetEventSink(func(ev Event) {
+	h.store.AddEventSink(func(ev Event) {
 		if ev.Kind == EventRemoved {
 			removed++
 		}
@@ -325,7 +329,7 @@ func TestSweepExpired(t *testing.T) {
 	}
 	h.env.Clock().Advance(101)
 	expired := 0
-	h.store.SetEventSink(func(ev Event) {
+	h.store.AddEventSink(func(ev Event) {
 		if ev.Kind == EventExpired {
 			expired++
 		}
@@ -663,91 +667,86 @@ func TestEndToEndStretchOrdering(t *testing.T) {
 	}
 }
 
-// TestShardEquivalence runs the same workload on a single-lock store and
-// a sharded one: lookups must return the same members in the same order
-// (shard ranges are contiguous, so concatenated order equals global
-// order).
-func TestShardEquivalence(t *testing.T) {
-	cfg1 := DefaultConfig()
-	cfg1.Shards = 1
-	cfg8 := DefaultConfig()
-	cfg8.Shards = 8
-	h1 := newHarness(t, 48, cfg1)
-	h8 := newHarness(t, 48, cfg8)
-	if err := h1.store.PublishAll(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := h8.store.PublishAll(nil); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := h1.store.TotalEntries(), h8.store.TotalEntries(); a != b {
-		t.Fatalf("TotalEntries: single-lock %d, sharded %d", a, b)
-	}
-	members := h1.overlay.CAN().Members()
-	for i := 0; i < len(members); i += 5 {
-		m := members[i]
-		vec := h1.store.Vector(m)
-		for _, region := range h1.store.regionsOf(m) {
-			e1, _, err := h1.store.Lookup(region, vec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e8, _, err := h8.store.Lookup(region, vec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(e1) != len(e8) {
-				t.Fatalf("region %v: single-lock returned %d, sharded %d", region, len(e1), len(e8))
-			}
-			for j := range e1 {
-				if e1[j].Host != e8[j].Host {
-					t.Fatalf("region %v result %d: single-lock host %d, sharded host %d",
-						region, j, e1[j].Host, e8[j].Host)
-				}
-			}
-		}
-	}
-}
-
-// TestShardRelocationOnRepublish republishes a member with a vector
-// landing in a different shard and checks the old shard keeps no stale
-// entries: Remove afterwards must find everything.
-func TestShardRelocationOnRepublish(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 8
-	h := newHarness(t, 16, cfg)
+// TestRepublishToNewNumber republishes a member far along the curve: its
+// entries must move to the new number with their capacity, leaving no
+// stale copy behind for Remove to miss.
+func TestRepublishToNewNumber(t *testing.T) {
+	h := newHarness(t, 16, DefaultConfig())
 	m := h.overlay.CAN().Members()[0]
-	dims := len(landmark.Measure(h.env, m.Host, h.space.Set()))
-	low := make(landmark.Vector, dims)
-	high := make(landmark.Vector, dims)
-	for i := range high {
-		high[i] = h.space.MaxRTT() * 0.9
-	}
-	if err := h.store.Publish(m, low, WithCapacity(4)); err != nil {
+	if err := h.store.Publish(m, h.vector(0), WithCapacity(4)); err != nil {
 		t.Fatal(err)
 	}
 	numLow, _ := h.store.Number(m)
-	if err := h.store.Publish(m, high); err != nil {
+	if err := h.store.Publish(m, h.vector(0.9)); err != nil {
 		t.Fatal(err)
 	}
 	numHigh, _ := h.store.Number(m)
-	if h.store.shardOf(numLow) == h.store.shardOf(numHigh) {
-		t.Fatalf("test vectors landed in the same shard (%d): numbers %d vs %d",
-			h.store.shardOf(numLow), numLow, numHigh)
+	if numLow == numHigh {
+		t.Fatalf("test vectors share number %d", numLow)
 	}
-	want := len(h.store.regionsOf(m))
-	if got := h.store.TotalEntries(); got != want {
-		t.Fatalf("TotalEntries after relocation = %d, want %d", got, want)
+	regions := h.store.regionsOf(m)
+	if got := h.store.TotalEntries(); got != len(regions) {
+		t.Fatalf("TotalEntries after republish = %d, want %d", got, len(regions))
 	}
-	// Capacity must survive the move (carried from the old shard's entry).
-	for _, e := range h.store.RegionEntries(h.store.regionsOf(m)[0]) {
-		if e.Member == m && e.Capacity != 4 {
-			t.Fatalf("capacity lost in relocation: %v", e.Capacity)
+	for _, region := range regions {
+		entries := h.store.RegionEntries(region)
+		if len(entries) != 1 || entries[0].Number != numHigh || entries[0].Capacity != 4 {
+			t.Fatalf("region %v after republish: %v", region, entries)
 		}
 	}
 	h.store.Remove(m)
 	if got := h.store.TotalEntries(); got != 0 {
-		t.Fatalf("%d entries survive removal after relocation", got)
+		t.Fatalf("%d entries survive removal after republish", got)
+	}
+}
+
+// TestFilteredRepublishKeepsOldEntry republishes a member to a new number
+// while a publish filter blocks one of its regions. The write to that
+// region cannot land, so the region keeps the old entry: it is neither
+// lost silently nor miscounted.
+func TestFilteredRepublishKeepsOldEntry(t *testing.T) {
+	h := newHarness(t, 16, DefaultConfig())
+	reg := obs.NewRegistry()
+	h.store.Instrument(reg)
+	var m *can.Member
+	for _, c := range h.overlay.CAN().Members() {
+		if len(h.store.regionsOf(c)) >= 2 {
+			m = c
+			break
+		}
+	}
+	if m == nil {
+		t.Fatal("no member encloses two regions")
+	}
+	if err := h.store.Publish(m, h.vector(0)); err != nil {
+		t.Fatal(err)
+	}
+	oldNum, _ := h.store.Number(m)
+	blocked := h.store.regionsOf(m)[0]
+	h.store.SetPublishFilter(func(region can.Path, _ uint64) bool { return region != blocked })
+	var removed int
+	h.store.AddEventSink(func(ev Event) {
+		if ev.Kind == EventRemoved || ev.Kind == EventExpired {
+			removed++
+		}
+	})
+	if err := h.store.Publish(m, h.vector(0.9)); err != nil {
+		t.Fatal(err)
+	}
+	if newNum, _ := h.store.Number(m); newNum == oldNum {
+		t.Fatalf("test vectors share number %d", oldNum)
+	}
+	entries := h.store.RegionEntries(blocked)
+	if len(entries) != 1 || entries[0].Number != oldNum {
+		t.Fatalf("blocked region holds %v, want the old entry at number %d", entries, oldNum)
+	}
+	want := len(h.store.regionsOf(m))
+	live, _ := reg.Snapshot().Value("softstate_entries_live")
+	if got := h.store.TotalEntries(); got != want || int(live) != want {
+		t.Fatalf("TotalEntries = %d, softstate_entries_live = %v, want %d", got, live, want)
+	}
+	if removed != 0 {
+		t.Fatalf("%d removal events for a republish", removed)
 	}
 }
 
@@ -756,12 +755,10 @@ func TestShardRelocationOnRepublish(t *testing.T) {
 // -race this is the store's concurrency contract test; the final state
 // must also be internally consistent.
 func TestStoreConcurrentHammer(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 8
-	h := newHarness(t, 64, cfg)
+	h := newHarness(t, 64, DefaultConfig())
 	s := h.store
 	var eventCount atomic.Int64
-	s.SetEventSink(func(Event) { eventCount.Add(1) })
+	s.AddEventSink(func(Event) { eventCount.Add(1) })
 	members := h.overlay.CAN().Members()
 	if err := s.PublishAll(nil); err != nil {
 		t.Fatal(err)
@@ -814,15 +811,13 @@ func TestStoreConcurrentHammer(t *testing.T) {
 	if eventCount.Load() == 0 {
 		t.Fatal("no events reached the sink")
 	}
-	// Consistency: atomic counters must agree with a full recount.
+	// Consistency: the live count must agree with a full recount.
 	recount := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, rm := range sh.maps {
-			recount += len(rm.entries)
-		}
-		sh.mu.Unlock()
+	s.mu.Lock()
+	for _, rm := range s.maps {
+		recount += len(rm.entries)
 	}
+	s.mu.Unlock()
 	if got := s.TotalEntries(); got != recount {
 		t.Fatalf("TotalEntries = %d, recount = %d", got, recount)
 	}
