@@ -61,7 +61,6 @@ check: build vet fmt-check bench-module examples race
 	go run ./cmd/topobench -run ext-scale -scale quick -seed $(SEED) > /dev/null
 	go test -fuzz FuzzMembership -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/can
 	go test -fuzz FuzzZoneGeometry -fuzztime 10s -fuzzminimizetime 100x -run '^$$' ./internal/can
-	go test -fuzz FuzzArena -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/arena
 	go test -fuzz FuzzReadMessage -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/wire
 	go test -fuzz FuzzCodecDifferential -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/wire
 	go test -fuzz FuzzRecordStore -fuzztime 10s -fuzzminimizetime 1s -run '^$$' ./internal/wire

@@ -74,6 +74,7 @@ import (
 	"syscall"
 	"time"
 
+	"gsso/internal/cluster"
 	"gsso/internal/obs"
 	"gsso/internal/obs/span"
 	"gsso/internal/wire"
@@ -433,24 +434,10 @@ func runDemo(n int, ttl, timeout time.Duration, metricsAddr string, hold time.Du
 	if n < 2 {
 		return fmt.Errorf("demo needs at least 2 nodes, got %d", n)
 	}
-	// First pass: reserve addresses.
-	boot := make([]*wire.Node, n)
-	addrs := make([]string, n)
-	stub := wire.SpaceConfig{Landmarks: []string{"boot"}, IndexDims: 1, BitsPerDim: 4, MaxRTTMs: 50}
-	for i := range boot {
-		node, err := wire.NewNode("127.0.0.1:0", stub, nil, ttl)
-		if err != nil {
-			return err
-		}
-		boot[i] = node
-		addrs[i] = node.Addr()
+	addrs, err := cluster.ReserveAddrs(n)
+	if err != nil {
+		return err
 	}
-	for _, b := range boot {
-		if err := b.Close(); err != nil {
-			return err
-		}
-	}
-	// Second pass: the real cluster.
 	lmCount := 3
 	if lmCount > n {
 		lmCount = n

@@ -134,10 +134,6 @@ type Member struct {
 	Host topology.NodeID
 	// JoinPoint is the random point the member routed to at join time.
 	JoinPoint Point
-	// Tag is an opaque slot reference for the embedding layer (core packs
-	// an arena handle here so per-member state is a slice index away
-	// instead of a map[*Member] lookup). The overlay never reads it.
-	Tag uint64
 
 	leaf  *zone    // nil once the member has left
 	owner *Overlay // the overlay leaf belongs to
@@ -321,7 +317,7 @@ type Overlay struct {
 
 // blocks hands out elements of T from arrays it never grows in place, so a
 // pointer to an element stays valid for the overlay's lifetime (unlike an
-// arena.Arena, whose slice moves as it grows). Each new block holds an
+// element of a slice grown by append, which moves). Each new block holds an
 // eighth of everything handed out before it, at least minBlock: n elements
 // take O(log n) blocks, at most an eighth of them spare, and a small
 // overlay makes a few small ones.

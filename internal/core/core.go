@@ -3,14 +3,16 @@
 // landmark+RTT proximity information stored as global soft-state on the
 // overlay itself, with publish/subscribe maintenance.
 //
-// It is the integration layer the examples and the wire daemon build on;
-// the individual mechanisms live in the focused packages (can, ecan,
-// landmark, hilbert, softstate, pubsub, proximity, loadbal).
+// It is the integration layer the simulator examples and experiments
+// build on; the individual mechanisms live in the focused packages (can,
+// ecan, landmark, hilbert, softstate, pubsub, proximity, loadbal).
+// The live daemon (cmd/overlayd) does not use it: it runs internal/wire.
 package core
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gsso/internal/can"
 	"gsso/internal/ecan"
@@ -107,12 +109,18 @@ type System struct {
 	store   *softstate.Store
 	bus     *pubsub.Bus
 	rng     *simrand.Source
-	members memberStore
+
+	// Per-member state beyond what the overlay knows, keyed by member
+	// pointer. Members are never reused, so a departed member's entries
+	// are simply deleted. kv holds each member's DHT shard, created on its
+	// first Put; suspects holds the failure detector's evidence.
+	kv       map[*can.Member]map[string][]byte
+	suspects map[*can.Member]*suspicion
 
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	tm     *telemetry
-	heal   *healState
+	heal   healMetrics
 }
 
 // telemetry holds the system's pre-resolved metric series plus the
@@ -262,14 +270,9 @@ func New(opts ...Option) (*System, error) {
 	s := &System{
 		cfg: cfg, net: net, env: env, overlay: overlay,
 		space: space, store: store, bus: bus, rng: rng,
-		reg: reg, tracer: obs.NewTracer(), tm: newTelemetry(reg),
+		kv: make(map[*can.Member]map[string][]byte), suspects: make(map[*can.Member]*suspicion),
+		reg: reg, tracer: obs.NewTracer(), tm: newTelemetry(reg), heal: newHealMetrics(reg),
 	}
-	// Bind every bootstrap member into the arena-backed member store; later
-	// joiners bind in JoinHost.
-	for _, m := range overlay.CAN().Members() {
-		s.members.bind(m)
-	}
-	s.heal = newHealState(reg)
 	// The failure detector listens to map churn alongside the pub/sub bus:
 	// entry expiry is §5.2's implicit failure signal.
 	store.AddEventSink(s.observeStoreEvent)
@@ -428,7 +431,6 @@ func (s *System) topRegions() []can.Path {
 // landmark distance, and probes the top candidates.
 func (s *System) nearestFromRegions(from topology.NodeID, vec landmark.Vector,
 	regions []can.Path, exclude *can.Member) (NearestResult, error) {
-	s.members.beginVisit()
 	var cands []*softstate.Entry
 	for _, region := range regions {
 		entries, _, err := s.store.Lookup(region, vec)
@@ -439,7 +441,10 @@ func (s *System) nearestFromRegions(from topology.NodeID, vec landmark.Vector,
 			if e.Member == exclude || e.Host == from {
 				continue
 			}
-			if s.members.seen(e.Member) {
+			// A member appears in several regions' maps; keep its first
+			// entry. cands stays under 3x the probe budget plus one
+			// lookup, so a linear scan beats a set.
+			if slices.ContainsFunc(cands, func(c *softstate.Entry) bool { return c.Member == e.Member }) {
 				continue
 			}
 			cands = append(cands, e)
@@ -523,9 +528,11 @@ func (s *System) JoinHost(host topology.NodeID) (*can.Member, NearestResult, err
 	if err != nil {
 		return nil, NearestResult{}, err
 	}
-	s.members.bind(m)
 	// Membership changed: re-snapshot regions and drop cached entries.
 	s.overlay.Refresh()
+	// m took half of one neighbor's zone; that neighbor's keys in m's half
+	// are now m's.
+	s.rehomeKeys(m.Neighbors())
 	if err := s.store.PublishMeasured(m); err != nil {
 		return nil, NearestResult{}, err
 	}
@@ -536,7 +543,7 @@ func (s *System) JoinHost(host topology.NodeID) (*can.Member, NearestResult, err
 // proactive departure case of §5.2), its subscriptions are canceled (a
 // departed member must stop receiving notifications — and watchers of it
 // can never fire again), its zone is handed over per the CAN protocol,
-// and routing state is refreshed.
+// its DHT keys go to their new owners, and routing state is refreshed.
 func (s *System) DepartMember(m *can.Member) error {
 	if m == nil {
 		return errors.New("core: nil member")
@@ -545,11 +552,13 @@ func (s *System) DepartMember(m *can.Member) error {
 	s.bus.RemoveSubscriber(m)
 	s.bus.DropWatching(m)
 	s.forgetSuspect(m)
-	if err := s.overlay.CAN().Depart(m); err != nil {
+	// Takeover is Depart's zone handover, reporting who moved.
+	hand, err := s.overlay.CAN().Takeover(m)
+	if err != nil {
 		return err
 	}
-	s.members.unbind(m)
 	s.overlay.Refresh()
+	s.rehomeKeys(append(hand.Relocated, m))
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gsso/internal/can"
+	"gsso/internal/obs"
 	"gsso/internal/pubsub"
 	"gsso/internal/simrand"
 	"gsso/internal/softstate"
@@ -178,6 +179,23 @@ func TestNearestMember(t *testing.T) {
 	}
 	if _, err := sys.NearestMember(nil); err == nil {
 		t.Fatal("nil member accepted")
+	}
+
+	// A member sits in several regions' maps, but a query probes its host
+	// once.
+	var tr obs.Trace
+	sys.SetTraceSink(func(got obs.Trace) { tr = got })
+	for _, m := range members {
+		if _, err := sys.NearestMember(m); err != nil {
+			t.Fatal(err)
+		}
+		probed := map[string]bool{}
+		for _, h := range tr.Hops {
+			if probed[h.Node] {
+				t.Fatalf("query from %v probed %s twice", m, h.Node)
+			}
+			probed[h.Node] = true
+		}
 	}
 }
 

@@ -13,6 +13,11 @@ import (
 // fault-tolerant storage space that maps keys to values" the paper's
 // first sentence promises — with the topology-aware routing underneath
 // making each hop short.
+//
+// Keys follow their points through membership changes: a join, a
+// graceful depart and a crash repair's zone moves hand each affected key
+// to its point's new owner, one kv-handoff message per key. Nothing is
+// replicated, so a confirmed crash loses the keys the dead member held.
 
 // keyPoint hashes a key to a point in the unit cube, one independent
 // hash per dimension. FNV-1a's high bits avalanche poorly on short keys,
@@ -55,11 +60,7 @@ func (s *System) Put(from *can.Member, key string, value []byte) (PutResult, err
 		return PutResult{}, err
 	}
 	owner := res.Members[len(res.Members)-1]
-	shard := s.members.kvShard(owner, true)
-	if shard == nil {
-		return PutResult{}, errors.New("core: key owner is not a tracked member")
-	}
-	shard[key] = append([]byte(nil), value...)
+	s.shard(owner)[key] = append([]byte(nil), value...)
 	s.env.CountMessages("kv-put", 1)
 	return PutResult{Owner: owner, Hops: res.Hops(), LatencyMs: res.Latency(s.env)}, nil
 }
@@ -87,7 +88,7 @@ func (s *System) Get(from *can.Member, key string) (GetResult, error) {
 	owner := res.Members[len(res.Members)-1]
 	s.env.CountMessages("kv-get", 1)
 	out := GetResult{Owner: owner, Hops: res.Hops(), LatencyMs: res.Latency(s.env)}
-	if v, ok := s.members.kvShard(owner, false)[key]; ok {
+	if v, ok := s.kv[owner][key]; ok {
 		out.Value = append([]byte(nil), v...)
 		out.Found = true
 	}
@@ -95,4 +96,34 @@ func (s *System) Get(from *can.Member, key string) (GetResult, error) {
 }
 
 // KeysAt returns how many keys a member currently stores.
-func (s *System) KeysAt(m *can.Member) int { return len(s.members.kvShard(m, false)) }
+func (s *System) KeysAt(m *can.Member) int { return len(s.kv[m]) }
+
+// shard returns m's KV shard, creating it on first use.
+func (s *System) shard(m *can.Member) map[string][]byte {
+	sh := s.kv[m]
+	if sh == nil {
+		sh = make(map[string][]byte)
+		s.kv[m] = sh
+	}
+	return sh
+}
+
+// rehomeKeys hands every key a holder stores to the member that now owns
+// the key's point, one kv-handoff message per key moved. A holder that
+// has left the overlay owns no point, so its whole shard moves and is
+// dropped.
+func (s *System) rehomeKeys(holders []*can.Member) {
+	for _, h := range holders {
+		sh := s.kv[h]
+		for key, v := range sh {
+			if owner := s.Lookup(s.keyPoint(key)); owner != h {
+				s.shard(owner)[key] = v
+				delete(sh, key)
+				s.env.CountMessages("kv-handoff", 1)
+			}
+		}
+		if len(sh) == 0 {
+			delete(s.kv, h)
+		}
+	}
+}

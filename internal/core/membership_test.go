@@ -9,20 +9,11 @@ import (
 func TestJoinHost(t *testing.T) {
 	sys := newSystem(t)
 	before := len(sys.Members())
-	memberHosts := map[topology.NodeID]bool{}
-	for _, m := range sys.Members() {
-		memberHosts[m.Host] = true
-	}
-	var newcomer topology.NodeID = topology.None
-	for _, h := range sys.Net().StubHosts() {
-		if !memberHosts[h] {
-			newcomer = h
-			break
-		}
-	}
-	if newcomer == topology.None {
+	spare := spareHosts(sys, 1)
+	if len(spare) == 0 {
 		t.Skip("no spare host")
 	}
+	newcomer := spare[0]
 	m, nearest, err := sys.JoinHost(newcomer)
 	if err != nil {
 		t.Fatal(err)
@@ -86,21 +77,8 @@ func TestDepartMember(t *testing.T) {
 
 func TestJoinDepartChurn(t *testing.T) {
 	sys := newSystem(t)
-	memberHosts := map[topology.NodeID]bool{}
-	for _, m := range sys.Members() {
-		memberHosts[m.Host] = true
-	}
-	var spares []topology.NodeID
-	for _, h := range sys.Net().StubHosts() {
-		if !memberHosts[h] {
-			spares = append(spares, h)
-		}
-		if len(spares) == 8 {
-			break
-		}
-	}
 	rng := sys.RNG("churn")
-	for i, h := range spares {
+	for i, h := range spareHosts(sys, 8) {
 		if _, _, err := sys.JoinHost(h); err != nil {
 			t.Fatalf("join %d: %v", i, err)
 		}
@@ -117,4 +95,22 @@ func TestJoinDepartChurn(t *testing.T) {
 	if _, err := sys.RouteTo(members[0], members[len(members)/2]); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// spareHosts returns up to n stub hosts that hold no member.
+func spareHosts(sys *System, n int) []topology.NodeID {
+	used := map[topology.NodeID]bool{}
+	for _, m := range sys.Members() {
+		used[m.Host] = true
+	}
+	var out []topology.NodeID
+	for _, h := range sys.Net().StubHosts() {
+		if len(out) == n {
+			break
+		}
+		if !used[h] {
+			out = append(out, h)
+		}
+	}
+	return out
 }

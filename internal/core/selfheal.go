@@ -27,11 +27,11 @@ import (
 	"gsso/internal/softstate"
 )
 
-// healState is the failure detector's metric series. The suspicion
-// evidence itself lives inline in each member's arena slot (memberState),
-// so accumulating and clearing signals is slice indexing, not map churn.
-type healState struct {
-	metrics healMetrics
+// suspicion is the failure detector's evidence against one member: how
+// many signals it has drawn and when the first arrived.
+type suspicion struct {
+	count int
+	since netsim.Time
 }
 
 type healMetrics struct {
@@ -42,39 +42,45 @@ type healMetrics struct {
 	suspected *obs.Gauge
 }
 
-func newHealState(reg *obs.Registry) *healState {
-	return &healState{
-		metrics: healMetrics{
-			takeovers: reg.Counter("core_takeover_total",
-				"Ungraceful zone takeovers performed by the self-healing loop.").With(),
-			repairLat: reg.Histogram("core_repair_latency_ms",
-				"Virtual time from first suspicion to completed takeover, milliseconds.",
-				[]float64{1, 10, 100, 500, 1000, 2000, 5000, 10_000, 30_000, 100_000}).With(),
-			falsePos: reg.Counter("core_suspicion_false_positive_total",
-				"Suspected members later proven alive (republish or confirmation probe).").With(),
-			orphans: reg.Counter("core_orphan_purged_total",
-				"Orphaned soft-state entries purged during crash repair.").With(),
-			suspected: reg.Gauge("core_suspected_members",
-				"Members currently on the suspicion list.").With(),
-		},
+func newHealMetrics(reg *obs.Registry) healMetrics {
+	return healMetrics{
+		takeovers: reg.Counter("core_takeover_total",
+			"Ungraceful zone takeovers performed by the self-healing loop.").With(),
+		repairLat: reg.Histogram("core_repair_latency_ms",
+			"Virtual time from first suspicion to completed takeover, milliseconds.",
+			[]float64{1, 10, 100, 500, 1000, 2000, 5000, 10_000, 30_000, 100_000}).With(),
+		falsePos: reg.Counter("core_suspicion_false_positive_total",
+			"Suspected members later proven alive (republish or confirmation probe).").With(),
+		orphans: reg.Counter("core_orphan_purged_total",
+			"Orphaned soft-state entries purged during crash repair.").With(),
+		suspected: reg.Gauge("core_suspected_members",
+			"Members currently on the suspicion list.").With(),
 	}
 }
 
 // forgetSuspect drops m from the suspicion list without judging the
 // suspicion (used when m departs gracefully).
 func (s *System) forgetSuspect(m *can.Member) {
-	if s.members.clearSuspicion(m) {
-		s.heal.metrics.suspected.Set(float64(s.members.suspected))
+	if s.clearSuspicion(m) {
+		s.heal.suspected.Set(float64(len(s.suspects)))
 	}
 }
 
 // acquitSuspect removes a suspect proven alive and counts the false
 // positive.
 func (s *System) acquitSuspect(m *can.Member) {
-	if s.members.clearSuspicion(m) {
-		s.heal.metrics.falsePos.Inc()
-		s.heal.metrics.suspected.Set(float64(s.members.suspected))
+	if s.clearSuspicion(m) {
+		s.heal.falsePos.Inc()
+		s.heal.suspected.Set(float64(len(s.suspects)))
 	}
+}
+
+// clearSuspicion drops m from the suspicion list, reporting whether it
+// was on it.
+func (s *System) clearSuspicion(m *can.Member) bool {
+	_, ok := s.suspects[m]
+	delete(s.suspects, m)
+	return ok
 }
 
 // observeStoreEvent is the detector's soft-state sink, installed by New
@@ -100,19 +106,22 @@ func (s *System) SuspectMember(m *can.Member) {
 	if m == nil || !s.overlay.CAN().IsMember(m) {
 		return
 	}
-	_, first := s.members.suspect(m, s.env.Clock().Now())
-	if first {
-		s.heal.metrics.suspected.Set(float64(s.members.suspected))
+	sus := s.suspects[m]
+	if sus == nil {
+		sus = &suspicion{since: s.env.Clock().Now()}
+		s.suspects[m] = sus
+		s.heal.suspected.Set(float64(len(s.suspects)))
 	}
+	sus.count++
 }
 
 // Suspects returns the current suspicion list in canonical zone-path
 // order (diagnostics and tests).
 func (s *System) Suspects() []*can.Member {
-	out := make([]*can.Member, 0, s.members.suspected)
-	s.members.eachSuspect(func(m *can.Member, _ *memberState) {
+	out := make([]*can.Member, 0, len(s.suspects))
+	for m := range s.suspects {
 		out = append(out, m)
-	})
+	}
 	sortByPath(out)
 	return out
 }
@@ -206,19 +215,19 @@ func (r *HealReport) add(o HealReport) {
 func (s *System) HealStep() HealReport {
 	var rep HealReport
 	var ripe []*can.Member
-	s.members.eachSuspect(func(m *can.Member, st *memberState) {
+	for m, sus := range s.suspects {
 		if !s.overlay.CAN().IsMember(m) {
-			s.members.clearSuspicion(m)
-			return
+			delete(s.suspects, m)
+			continue
 		}
-		if st.susCount >= s.effectiveThreshold(m) {
+		if sus.count >= s.effectiveThreshold(m) {
 			ripe = append(ripe, m)
 		}
-	})
+	}
 	sortByPath(ripe)
 	for _, m := range ripe {
-		st := s.members.state(m)
-		if st == nil || !st.suspected || !s.overlay.CAN().IsMember(m) {
+		sus := s.suspects[m]
+		if sus == nil || !s.overlay.CAN().IsMember(m) {
 			continue
 		}
 		if !s.confirmDown(m) {
@@ -227,11 +236,10 @@ func (s *System) HealStep() HealReport {
 			continue
 		}
 		rep.Confirmed++
-		since := st.susSince
-		s.members.clearSuspicion(m)
-		s.repairMember(m, since, &rep)
+		delete(s.suspects, m)
+		s.repairMember(m, sus.since, &rep)
 	}
-	s.heal.metrics.suspected.Set(float64(s.members.suspected))
+	s.heal.suspected.Set(float64(len(s.suspects)))
 	return rep
 }
 
@@ -276,18 +284,20 @@ func (s *System) repairMember(m *can.Member, since netsim.Time, rep *HealReport)
 		return
 	}
 	h := s.heal
-	h.metrics.takeovers.Inc()
-	h.metrics.repairLat.Observe(float64(s.env.Clock().Now() - since))
+	h.takeovers.Inc()
+	h.repairLat.Observe(float64(s.env.Clock().Now() - since))
 	rep.Takeovers++
 	rep.Relocated += len(hand.Relocated)
 
 	purged := s.store.Purge(m)
-	h.metrics.orphans.Add(float64(purged))
+	h.orphans.Add(float64(purged))
 	rep.PurgedEntries += purged
 	rep.DroppedSubs += s.bus.RemoveSubscriber(m) + s.bus.DropWatching(m)
-	// The member is out of the overlay for good: release its arena slot
-	// (KV shard included) so a stale Tag can never reach recycled state.
-	s.members.unbind(m)
+	// The member is out of the overlay for good. Its keys were never
+	// replicated, so they go with it; the members the takeover moved
+	// hand theirs to their points' new owners.
+	delete(s.kv, m)
+	s.rehomeKeys(hand.Relocated)
 
 	// Routing: re-snapshot the region index and invalidate exactly the
 	// cached entries pointing at the dead member or a relocated one.

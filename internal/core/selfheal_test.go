@@ -172,6 +172,24 @@ func TestPublishAcquitsSuspect(t *testing.T) {
 	}
 }
 
+// TestResuspectListedOnce: a suspect acquitted by a republish and then
+// suspected again is on the list once, as the gauge counts it.
+func TestResuspectListedOnce(t *testing.T) {
+	sys := healSystem(t)
+	m := sys.Members()[2]
+	sys.SuspectMember(m)
+	if err := sys.Store().PublishMeasured(m); err != nil {
+		t.Fatal(err)
+	}
+	sys.SuspectMember(m)
+	if got := sys.Suspects(); len(got) != 1 || got[0] != m {
+		t.Fatalf("suspects = %v, want just %v", got, m)
+	}
+	if v, ok := sys.Registry().Snapshot().Value("core_suspected_members"); !ok || v != 1 {
+		t.Fatalf("suspected gauge = %v", v)
+	}
+}
+
 // TestDepartDropsSubscriptions is the leak regression: a graceful
 // departure must cancel the member's subscriptions and any watchers
 // aimed at it, and clear its suspicion without a false-positive count.

@@ -15,7 +15,7 @@ import (
 	"gsso/internal/simrand"
 )
 
-// The differential equivalence suite: the flat, arena-backed topology must
+// The differential equivalence suite: the flat, star-factored topology must
 // be observably byte-identical to the pointer-based seed implementation.
 // Golden fixtures under testdata/ were generated from the pre-refactor
 // implementation (run with GSSO_GOLDEN_WRITE=1 to regenerate — only do that
