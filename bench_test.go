@@ -5,7 +5,6 @@ import (
 
 	"gsso/internal/core"
 	"gsso/internal/experiment"
-	"gsso/internal/obs"
 	"gsso/internal/simrand"
 	"gsso/internal/topology"
 )
@@ -58,13 +57,9 @@ func BenchmarkExtPastrySelection(b *testing.B)      { benchExperiment(b, "ext-pa
 func BenchmarkExtSVDDenoising(b *testing.B)         { benchExperiment(b, "ext-svd") }
 func BenchmarkExtOrderingBaseline(b *testing.B)     { benchExperiment(b, "ext-ordering") }
 
-// benchNearest times one nearest-member query per iteration on a fixed
-// live stack. The traced variant installs a sink; the difference between
-// the two is the telemetry subsystem's hot-path cost, which must stay
-// within run-to-run noise when tracing is off (the disabled path is one
-// atomic load).
-func benchNearest(b *testing.B, sink func(obs.Trace)) {
-	b.Helper()
+// BenchmarkNearestMember times one nearest-member query per iteration on
+// a fixed 96-member system.
+func BenchmarkNearestMember(b *testing.B) {
 	net, err := topology.Generate(topology.TSKLarge(topology.GTITMLatency()).Scaled(0.15),
 		simrand.New(1).Split("topo"))
 	if err != nil {
@@ -79,7 +74,6 @@ func benchNearest(b *testing.B, sink func(obs.Trace)) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys.SetTraceSink(sink)
 	members := sys.Members()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -87,12 +81,4 @@ func benchNearest(b *testing.B, sink func(obs.Trace)) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkNearestMemberNoTrace(b *testing.B) { benchNearest(b, nil) }
-
-func BenchmarkNearestMemberTraced(b *testing.B) {
-	var hops int
-	benchNearest(b, func(tr obs.Trace) { hops += len(tr.Hops) })
-	_ = hops
 }

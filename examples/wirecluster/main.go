@@ -14,6 +14,7 @@ import (
 	"log"
 	"time"
 
+	"gsso/internal/cluster"
 	"gsso/internal/wire"
 )
 
@@ -24,23 +25,11 @@ func main() {
 		timeout   = 2 * time.Second
 	)
 
-	// Reserve addresses with throwaway listeners, then start the real
-	// cluster with the agreed landmark/peer lists.
-	stub := wire.SpaceConfig{Landmarks: []string{"boot"}, IndexDims: 1, BitsPerDim: 4, MaxRTTMs: 50}
-	boot := make([]*wire.Node, nodes)
-	addrs := make([]string, nodes)
-	for i := range boot {
-		n, err := wire.NewNode("127.0.0.1:0", stub, nil, time.Minute)
-		if err != nil {
-			log.Fatal(err)
-		}
-		boot[i] = n
-		addrs[i] = n.Addr()
-	}
-	for _, n := range boot {
-		if err := n.Close(); err != nil {
-			log.Fatal(err)
-		}
+	// Reserve the addresses first, then start the real cluster with the
+	// agreed landmark/peer lists.
+	addrs, err := cluster.ReserveAddrs(nodes)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := wire.SpaceConfig{
@@ -49,21 +38,21 @@ func main() {
 		BitsPerDim: 5,
 		MaxRTTMs:   50,
 	}
-	cluster := make([]*wire.Node, nodes)
-	for i := range cluster {
+	fleet := make([]*wire.Node, nodes)
+	for i := range fleet {
 		n, err := wire.NewNode(addrs[i], cfg, addrs, time.Minute)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer n.Close()
-		cluster[i] = n
+		fleet[i] = n
 	}
 	fmt.Printf("cluster up: %d nodes, %d landmarks\n\n", nodes, landmarks)
 
 	// Publish: measure landmark vector (3 pings per landmark, min taken),
 	// derive the landmark number, store the record at its owner. The
 	// refresh loop keeps it alive against the TTL.
-	for _, n := range cluster {
+	for _, n := range fleet {
 		rec, err := n.Publish(3, timeout)
 		if err != nil {
 			log.Fatal(err)
@@ -74,7 +63,7 @@ func main() {
 	}
 
 	fmt.Println("\nnearest-peer discovery (soft-state lookup + 3 probes each):")
-	for _, n := range cluster {
+	for _, n := range fleet {
 		addr, rtt, err := n.FindNearest(3, timeout)
 		if err != nil {
 			fmt.Printf("  %s: %v\n", n.Addr(), err)

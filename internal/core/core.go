@@ -18,7 +18,6 @@ import (
 	"gsso/internal/ecan"
 	"gsso/internal/landmark"
 	"gsso/internal/netsim"
-	"gsso/internal/obs"
 	"gsso/internal/pubsub"
 	"gsso/internal/simrand"
 	"gsso/internal/softstate"
@@ -113,86 +112,10 @@ type System struct {
 	// Per-member state beyond what the overlay knows, keyed by member
 	// pointer. Members are never reused, so a departed member's entries
 	// are simply deleted. kv holds each member's DHT shard, created on its
-	// first Put; suspects holds the failure detector's evidence.
+	// first Put; suspects counts the failure-suspicion signals each
+	// suspected member has drawn.
 	kv       map[*can.Member]map[string][]byte
-	suspects map[*can.Member]*suspicion
-
-	reg    *obs.Registry
-	tracer *obs.Tracer
-	tm     *telemetry
-	heal   healMetrics
-}
-
-// telemetry holds the system's pre-resolved metric series plus the
-// high-water marks used to mirror the env's monotone counters into
-// registry counters.
-type telemetry struct {
-	hosts     *obs.Gauge
-	members   *obs.Gauge
-	landmarks *obs.Gauge
-	probes    *obs.Counter
-	messages  *obs.CounterVec
-	msgSeries map[string]*obs.Counter
-
-	routeHops     *obs.Histogram
-	routeLatency  *obs.Histogram
-	nearestProbes *obs.Histogram
-	nearestRTT    *obs.Histogram
-
-	lastProbes int64
-	lastMsgs   map[string]int64
-}
-
-// newTelemetry registers the system's metric families on reg.
-func newTelemetry(reg *obs.Registry) *telemetry {
-	return &telemetry{
-		hosts:     reg.Gauge("core_hosts", "Physical hosts in the topology.").With(),
-		members:   reg.Gauge("core_members", "Overlay members.").With(),
-		landmarks: reg.Gauge("core_landmarks", "Landmark nodes.").With(),
-		probes: reg.Counter("core_probes_total",
-			"RTT measurements spent (the paper's probe-budget axis).").With(),
-		messages: reg.Counter("core_messages_total",
-			"Overlay messages, by category (publish, lookup, notify, ...).", "category"),
-		msgSeries: make(map[string]*obs.Counter),
-		routeHops: reg.Histogram("core_route_hops",
-			"Overlay hop count per routed lookup.",
-			[]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}).With(),
-		routeLatency: reg.Histogram("core_route_latency_ms",
-			"Accumulated physical latency per routed lookup, milliseconds.",
-			obs.DefBuckets).With(),
-		nearestProbes: reg.Histogram("core_nearest_probes",
-			"RTT probes spent per nearest-member query.",
-			[]float64{1, 2, 3, 5, 8, 10, 15, 20, 30}).With(),
-		nearestRTT: reg.Histogram("core_nearest_rtt_ms",
-			"RTT to the winner of each nearest-member query, milliseconds.",
-			obs.DefBuckets).With(),
-		lastMsgs: make(map[string]int64),
-	}
-}
-
-// sync mirrors the env's counters and the topology's sizes into the
-// registry (counters advance by the delta since the last sync, so they
-// stay monotone).
-func (s *System) sync() {
-	tm := s.tm
-	tm.hosts.Set(float64(s.net.Len()))
-	tm.members.Set(float64(s.overlay.CAN().Size()))
-	tm.landmarks.Set(float64(s.space.Set().Len()))
-	if p := s.env.Probes(); p > tm.lastProbes {
-		tm.probes.Add(float64(p - tm.lastProbes))
-		tm.lastProbes = p
-	}
-	for k, v := range s.env.MessageTotals() {
-		c := tm.msgSeries[k]
-		if c == nil {
-			c = tm.messages.With(k)
-			tm.msgSeries[k] = c
-		}
-		if last := tm.lastMsgs[k]; v > last {
-			c.Add(float64(v - last))
-			tm.lastMsgs[k] = v
-		}
-	}
+	suspects map[*can.Member]int
 }
 
 // New builds a simulated deployment over the WithNetwork topology: joins
@@ -253,11 +176,6 @@ func New(opts ...Option) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Instrument before the bulk publish so the live-entry gauge counts
-	// the bootstrap.
-	reg := obs.NewRegistry()
-	store.Instrument(reg)
-	bus.Instrument(reg)
 	if err := store.PublishAll(nil); err != nil {
 		return nil, err
 	}
@@ -270,8 +188,7 @@ func New(opts ...Option) (*System, error) {
 	s := &System{
 		cfg: cfg, net: net, env: env, overlay: overlay,
 		space: space, store: store, bus: bus, rng: rng,
-		kv: make(map[*can.Member]map[string][]byte), suspects: make(map[*can.Member]*suspicion),
-		reg: reg, tracer: obs.NewTracer(), tm: newTelemetry(reg), heal: newHealMetrics(reg),
+		kv: make(map[*can.Member]map[string][]byte), suspects: make(map[*can.Member]int),
 	}
 	// The failure detector listens to map churn alongside the pub/sub bus:
 	// entry expiry is §5.2's implicit failure signal.
@@ -299,19 +216,6 @@ func (s *System) Space() *landmark.Space { return s.space }
 
 // RNG returns a derived random stream for application use.
 func (s *System) RNG(label string) *simrand.Source { return s.rng.Split("app/" + label) }
-
-// Registry returns the system's telemetry registry. Env counters are
-// mirrored in on Stats(); call Stats before snapshotting if you need
-// them fresh.
-func (s *System) Registry() *obs.Registry { return s.reg }
-
-// Tracer returns the system's route tracer.
-func (s *System) Tracer() *obs.Tracer { return s.tracer }
-
-// SetTraceSink attaches fn as the trace consumer for RouteTo and
-// nearest-member queries (nil detaches it). While detached, the traced
-// paths pay a single atomic load.
-func (s *System) SetTraceSink(fn func(obs.Trace)) { s.tracer.SetSink(fn) }
 
 // Members returns the overlay members.
 func (s *System) Members() []*can.Member { return s.overlay.CAN().Members() }
@@ -350,18 +254,6 @@ func (s *System) RouteTo(src, dst *can.Member) (Route, error) {
 		r.Stretch = r.LatencyMs / r.DirectMs
 	} else {
 		r.Stretch = 1
-	}
-	s.tm.routeHops.Observe(float64(r.Hops))
-	s.tm.routeLatency.Observe(r.LatencyMs)
-	if tr := s.tracer.Begin("route"); tr != nil {
-		prev := r.Path[0]
-		tr.Hop(fmt.Sprintf("host:%d", prev.Host), prev.Path().String(), 0)
-		for _, m := range r.Path[1:] {
-			tr.Hop(fmt.Sprintf("host:%d", m.Host), m.Path().String(),
-				s.env.Latency(prev.Host, m.Host))
-			prev = m
-		}
-		s.tracer.Emit(tr)
 	}
 	return r, nil
 }
@@ -453,19 +345,12 @@ func (s *System) nearestFromRegions(from topology.NodeID, vec landmark.Vector,
 			break
 		}
 	}
-	tr := s.tracer.Begin("nearest")
 	if len(cands) == 0 {
-		err := errors.New("core: soft-state returned no candidates")
-		tr.Fail(err)
-		s.tracer.Emit(tr)
-		return NearestResult{}, err
+		return NearestResult{}, errors.New("core: soft-state returned no candidates")
 	}
 	softstate.RankEntries(cands, vec)
 	best, rtt, probes := landmark.ProbeBest(cands, s.cfg.probeBudget, func(e *softstate.Entry) (float64, float64, bool) {
 		rtt := s.env.ProbeRTT(from, e.Host)
-		if tr != nil {
-			tr.Hop(fmt.Sprintf("host:%d", e.Host), e.Member.Path().String(), rtt)
-		}
 		return rtt, rtt, true
 	}, func(e *softstate.Entry) {
 		// A timed-out candidate probe is a suspicion signal (§5.2's
@@ -475,11 +360,6 @@ func (s *System) nearestFromRegions(from topology.NodeID, vec landmark.Vector,
 	res := NearestResult{RTTMs: rtt, Probes: probes}
 	if best >= 0 {
 		res.Member = cands[best].Member
-	}
-	s.tracer.Emit(tr)
-	s.tm.nearestProbes.Observe(float64(res.Probes))
-	if res.Member != nil {
-		s.tm.nearestRTT.Observe(res.RTTMs)
 	}
 	return res, nil
 }
@@ -551,7 +431,7 @@ func (s *System) DepartMember(m *can.Member) error {
 	s.store.Remove(m)
 	s.bus.RemoveSubscriber(m)
 	s.bus.DropWatching(m)
-	s.forgetSuspect(m)
+	delete(s.suspects, m)
 	// Takeover is Depart's zone handover, reporting who moved.
 	hand, err := s.overlay.CAN().Takeover(m)
 	if err != nil {
@@ -562,9 +442,9 @@ func (s *System) DepartMember(m *can.Member) error {
 	return nil
 }
 
-// Stats is a snapshot of system-wide counters. It is a view assembled
-// from the telemetry registry (see Registry for the full data,
-// histograms included).
+// Stats is a snapshot of system-wide counters, read straight from the
+// topology, the overlay, the landmark set, the env's meters and the
+// soft-state store.
 type Stats struct {
 	Hosts        int
 	Members      int
@@ -574,30 +454,14 @@ type Stats struct {
 	TotalEntries int
 }
 
-// Stats syncs the registry and returns the counter view.
+// Stats returns the current counters.
 func (s *System) Stats() Stats {
-	s.sync()
-	snap := s.reg.Snapshot()
-	st := Stats{Messages: make(map[string]int64)}
-	if v, ok := snap.Value("core_hosts"); ok {
-		st.Hosts = int(v)
+	return Stats{
+		Hosts:        s.net.Len(),
+		Members:      s.overlay.CAN().Size(),
+		Landmarks:    s.space.Set().Len(),
+		Probes:       s.env.Probes(),
+		Messages:     s.env.MessageTotals(),
+		TotalEntries: s.store.TotalEntries(),
 	}
-	if v, ok := snap.Value("core_members"); ok {
-		st.Members = int(v)
-	}
-	if v, ok := snap.Value("core_landmarks"); ok {
-		st.Landmarks = int(v)
-	}
-	if v, ok := snap.Value("core_probes_total"); ok {
-		st.Probes = int64(v)
-	}
-	if v, ok := snap.Value("softstate_entries_live"); ok {
-		st.TotalEntries = int(v)
-	}
-	if f, ok := snap.Family("core_messages_total"); ok {
-		for _, se := range f.Series {
-			st.Messages[se.LabelValues[0]] = int64(se.Value)
-		}
-	}
-	return st
 }

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"sync"
 	"testing"
 
 	"gsso/internal/can"
-	"gsso/internal/obs"
+	"gsso/internal/netsim"
 	"gsso/internal/pubsub"
 	"gsso/internal/simrand"
 	"gsso/internal/softstate"
@@ -183,20 +184,32 @@ func TestNearestMember(t *testing.T) {
 
 	// A member sits in several regions' maps, but a query probes its host
 	// once.
-	var tr obs.Trace
-	sys.SetTraceSink(func(got obs.Trace) { tr = got })
 	for _, m := range members {
+		probed := probeLog{}
+		sys.Env().SetPerturbation(probed)
 		if _, err := sys.NearestMember(m); err != nil {
 			t.Fatal(err)
 		}
-		probed := map[string]bool{}
-		for _, h := range tr.Hops {
-			if probed[h.Node] {
-				t.Fatalf("query from %v probed %s twice", m, h.Node)
+		if len(probed) == 0 {
+			t.Fatalf("query from %v probed nothing", m)
+		}
+		for pair, n := range probed {
+			if n > 1 {
+				t.Fatalf("query from %v probed host %d %d times", m, pair[1], n)
 			}
-			probed[h.Node] = true
 		}
 	}
+	sys.Env().SetPerturbation(nil)
+}
+
+// probeLog is an identity netsim.Perturbation that counts the latency
+// reads per host pair. A nearest-member query reads latency only through
+// its RTT probes, so the log is the query's probe sequence.
+type probeLog map[[2]topology.NodeID]int
+
+func (l probeLog) Apply(a, b topology.NodeID, base float64, _ netsim.Time) float64 {
+	l[[2]topology.NodeID{a, b}]++
+	return base
 }
 
 func TestNearestToHost(t *testing.T) {
@@ -294,6 +307,54 @@ func TestStatsProbeCounting(t *testing.T) {
 	}
 	if sys.Stats().Probes <= before {
 		t.Fatal("nearest query did not meter probes")
+	}
+}
+
+// TestStatsMessageTotals: Stats reads the env's meters and the store's
+// entry count, so it agrees with them at any point, also after the env's
+// meters are reset mid-run.
+func TestStatsMessageTotals(t *testing.T) {
+	sys := newSystem(t)
+	members := sys.Members()
+	env := sys.Env()
+	agree := func(when string) Stats {
+		t.Helper()
+		st := sys.Stats()
+		if !maps.Equal(st.Messages, env.MessageTotals()) {
+			t.Fatalf("%s: Stats.Messages = %v, env says %v", when, st.Messages, env.MessageTotals())
+		}
+		if st.Probes != env.Probes() {
+			t.Fatalf("%s: Stats.Probes = %d, env says %d", when, st.Probes, env.Probes())
+		}
+		if st.TotalEntries != sys.Store().TotalEntries() {
+			t.Fatalf("%s: Stats.TotalEntries = %d, store says %d", when, st.TotalEntries, sys.Store().TotalEntries())
+		}
+		if st.Hosts != sys.Net().Len() || st.Members != len(members) || st.Landmarks != 6 {
+			t.Fatalf("%s: Stats sizes = %+v", when, st)
+		}
+		return st
+	}
+
+	if _, err := sys.NearestMember(members[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RouteTo(members[0], members[1]); err != nil {
+		t.Fatal(err)
+	}
+	st := agree("after a query and a route")
+	if st.Messages["publish"] == 0 || st.Messages["lookup"] == 0 {
+		t.Fatalf("expected publish and lookup traffic: %v", st.Messages)
+	}
+
+	// Experiments reset the env's meters between phases; Stats must follow.
+	env.ResetProbes()
+	env.ResetMessages()
+	res, err := sys.NearestMember(members[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := agree("after an env reset"); st.Probes != int64(res.Probes) {
+		t.Fatalf("Stats.Probes = %d after the reset, the one query spent %d", st.Probes, res.Probes)
 	}
 }
 

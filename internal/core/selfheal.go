@@ -22,66 +22,8 @@ import (
 	"sort"
 
 	"gsso/internal/can"
-	"gsso/internal/netsim"
-	"gsso/internal/obs"
 	"gsso/internal/softstate"
 )
-
-// suspicion is the failure detector's evidence against one member: how
-// many signals it has drawn and when the first arrived.
-type suspicion struct {
-	count int
-	since netsim.Time
-}
-
-type healMetrics struct {
-	takeovers *obs.Counter
-	repairLat *obs.Histogram
-	falsePos  *obs.Counter
-	orphans   *obs.Counter
-	suspected *obs.Gauge
-}
-
-func newHealMetrics(reg *obs.Registry) healMetrics {
-	return healMetrics{
-		takeovers: reg.Counter("core_takeover_total",
-			"Ungraceful zone takeovers performed by the self-healing loop.").With(),
-		repairLat: reg.Histogram("core_repair_latency_ms",
-			"Virtual time from first suspicion to completed takeover, milliseconds.",
-			[]float64{1, 10, 100, 500, 1000, 2000, 5000, 10_000, 30_000, 100_000}).With(),
-		falsePos: reg.Counter("core_suspicion_false_positive_total",
-			"Suspected members later proven alive (republish or confirmation probe).").With(),
-		orphans: reg.Counter("core_orphan_purged_total",
-			"Orphaned soft-state entries purged during crash repair.").With(),
-		suspected: reg.Gauge("core_suspected_members",
-			"Members currently on the suspicion list.").With(),
-	}
-}
-
-// forgetSuspect drops m from the suspicion list without judging the
-// suspicion (used when m departs gracefully).
-func (s *System) forgetSuspect(m *can.Member) {
-	if s.clearSuspicion(m) {
-		s.heal.suspected.Set(float64(len(s.suspects)))
-	}
-}
-
-// acquitSuspect removes a suspect proven alive and counts the false
-// positive.
-func (s *System) acquitSuspect(m *can.Member) {
-	if s.clearSuspicion(m) {
-		s.heal.falsePos.Inc()
-		s.heal.suspected.Set(float64(len(s.suspects)))
-	}
-}
-
-// clearSuspicion drops m from the suspicion list, reporting whether it
-// was on it.
-func (s *System) clearSuspicion(m *can.Member) bool {
-	_, ok := s.suspects[m]
-	delete(s.suspects, m)
-	return ok
-}
 
 // observeStoreEvent is the detector's soft-state sink, installed by New
 // alongside the pub/sub bus: expiry raises suspicion, a publish or
@@ -94,7 +36,7 @@ func (s *System) observeStoreEvent(ev softstate.Event) {
 	case softstate.EventExpired:
 		s.SuspectMember(ev.Entry.Member)
 	case softstate.EventPublished, softstate.EventRefreshed:
-		s.acquitSuspect(ev.Entry.Member)
+		delete(s.suspects, ev.Entry.Member)
 	}
 }
 
@@ -106,13 +48,7 @@ func (s *System) SuspectMember(m *can.Member) {
 	if m == nil || !s.overlay.CAN().IsMember(m) {
 		return
 	}
-	sus := s.suspects[m]
-	if sus == nil {
-		sus = &suspicion{since: s.env.Clock().Now()}
-		s.suspects[m] = sus
-		s.heal.suspected.Set(float64(len(s.suspects)))
-	}
-	sus.count++
+	s.suspects[m]++
 }
 
 // Suspects returns the current suspicion list in canonical zone-path
@@ -215,31 +151,29 @@ func (r *HealReport) add(o HealReport) {
 func (s *System) HealStep() HealReport {
 	var rep HealReport
 	var ripe []*can.Member
-	for m, sus := range s.suspects {
+	for m, signals := range s.suspects {
 		if !s.overlay.CAN().IsMember(m) {
 			delete(s.suspects, m)
 			continue
 		}
-		if sus.count >= s.effectiveThreshold(m) {
+		if signals >= s.effectiveThreshold(m) {
 			ripe = append(ripe, m)
 		}
 	}
 	sortByPath(ripe)
 	for _, m := range ripe {
-		sus := s.suspects[m]
-		if sus == nil || !s.overlay.CAN().IsMember(m) {
+		// An earlier repair's republish may have acquitted m already.
+		if _, ok := s.suspects[m]; !ok || !s.overlay.CAN().IsMember(m) {
 			continue
 		}
+		delete(s.suspects, m)
 		if !s.confirmDown(m) {
 			rep.FalsePositives++
-			s.acquitSuspect(m)
 			continue
 		}
 		rep.Confirmed++
-		delete(s.suspects, m)
-		s.repairMember(m, sus.since, &rep)
+		s.repairMember(m, &rep)
 	}
-	s.heal.suspected.Set(float64(len(s.suspects)))
 	return rep
 }
 
@@ -268,7 +202,7 @@ func (s *System) ConvergeRepairs(maxRounds int) (HealReport, int) {
 // republish of relocated members both restores their map entries under
 // their new paths and fires the re-armed CloserCandidate watchers — the
 // paper's mechanism 3 performing the maintenance, not a timer.
-func (s *System) repairMember(m *can.Member, since netsim.Time, rep *HealReport) {
+func (s *System) repairMember(m *can.Member, rep *HealReport) {
 	// Capture the dead member's enclosing regions before the takeover
 	// rewrites the split tree.
 	d := s.overlay.DigitLen()
@@ -283,15 +217,10 @@ func (s *System) repairMember(m *can.Member, since netsim.Time, rep *HealReport)
 	if err != nil {
 		return
 	}
-	h := s.heal
-	h.takeovers.Inc()
-	h.repairLat.Observe(float64(s.env.Clock().Now() - since))
 	rep.Takeovers++
 	rep.Relocated += len(hand.Relocated)
 
-	purged := s.store.Purge(m)
-	h.orphans.Add(float64(purged))
-	rep.PurgedEntries += purged
+	rep.PurgedEntries += s.store.Purge(m)
 	rep.DroppedSubs += s.bus.RemoveSubscriber(m) + s.bus.DropWatching(m)
 	// The member is out of the overlay for good. Its keys were never
 	// replicated, so they go with it; the members the takeover moved

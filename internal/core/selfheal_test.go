@@ -1,14 +1,9 @@
 package core
 
 import (
-	"encoding/json"
-	"io"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"gsso/internal/can"
-	"gsso/internal/obs"
 	"gsso/internal/pubsub"
 )
 
@@ -140,8 +135,8 @@ func TestFalsePositiveAcquittal(t *testing.T) {
 	if !sys.Overlay().CAN().IsMember(live) {
 		t.Fatal("live member was removed")
 	}
-	if v, ok := sys.Registry().Snapshot().Value("core_suspicion_false_positive_total"); !ok || v != 1 {
-		t.Fatalf("false-positive counter = %v", v)
+	if len(sys.Suspects()) != 0 {
+		t.Fatalf("acquitted member still suspected: %v", sys.Suspects())
 	}
 
 	// Suspicion of non-members and nil is ignored outright.
@@ -167,13 +162,15 @@ func TestPublishAcquitsSuspect(t *testing.T) {
 	if len(sys.Suspects()) != 0 {
 		t.Fatal("republish did not acquit the suspect")
 	}
-	if v, ok := sys.Registry().Snapshot().Value("core_suspicion_false_positive_total"); !ok || v != 1 {
-		t.Fatalf("false-positive counter = %v", v)
+	// Acquitted without a probe: the next heal round has nothing to do.
+	if rep := sys.HealStep(); rep != (HealReport{}) {
+		t.Fatalf("heal round after the acquittal = %+v, want nothing", rep)
 	}
 }
 
 // TestResuspectListedOnce: a suspect acquitted by a republish and then
-// suspected again is on the list once, as the gauge counts it.
+// suspected again is on the list once, and one confirmation probe
+// acquits it once.
 func TestResuspectListedOnce(t *testing.T) {
 	sys := healSystem(t)
 	m := sys.Members()[2]
@@ -185,8 +182,12 @@ func TestResuspectListedOnce(t *testing.T) {
 	if got := sys.Suspects(); len(got) != 1 || got[0] != m {
 		t.Fatalf("suspects = %v, want just %v", got, m)
 	}
-	if v, ok := sys.Registry().Snapshot().Value("core_suspected_members"); !ok || v != 1 {
-		t.Fatalf("suspected gauge = %v", v)
+	sys.SuspectMember(m) // ripe: the threshold is at most 2
+	if rep := sys.HealStep(); rep.FalsePositives != 1 || rep.Confirmed != 0 {
+		t.Fatalf("report = %+v, want one acquittal", rep)
+	}
+	if len(sys.Suspects()) != 0 {
+		t.Fatalf("suspects after the acquittal = %v", sys.Suspects())
 	}
 }
 
@@ -221,100 +222,13 @@ func TestDepartDropsSubscriptions(t *testing.T) {
 	if len(sys.Suspects()) != 0 {
 		t.Fatal("departed member still suspected")
 	}
-	if v, _ := sys.Registry().Snapshot().Value("core_suspicion_false_positive_total"); v != 0 {
-		t.Fatalf("graceful departure counted as false positive (%v)", v)
+	// The suspicion is dropped, not judged: no heal round probes or
+	// acquits the departed member.
+	if rep := sys.HealStep(); rep != (HealReport{}) {
+		t.Fatalf("heal round after the departure = %+v, want nothing", rep)
 	}
 	if err := sys.Overlay().CAN().CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestHealMetricsExposed drives one full crash-repair cycle and checks
-// every new metric family is present in the registry snapshot, the
-// Prometheus text exposition, and the JSON exposition.
-func TestHealMetricsExposed(t *testing.T) {
-	sys := healSystem(t)
-	victim := sys.Members()[9]
-	if err := sys.CrashMember(victim); err != nil {
-		t.Fatal(err)
-	}
-	sys.Env().Clock().Advance(101)
-	refreshLive(t, sys)
-	sys.Store().SweepExpired()
-	// A second crash reported by probes (the live-mode signal path): its
-	// entries have not expired yet, so the repair purges orphans.
-	second := sys.Members()[3]
-	if err := sys.CrashMember(second); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		sys.SuspectMember(second)
-	}
-	// A live suspect with enough signals to go ripe → false positive.
-	for i := 0; i < 3; i++ {
-		sys.SuspectMember(sys.Members()[1])
-	}
-	if _, rounds := sys.ConvergeRepairs(8); rounds == 0 {
-		t.Fatal("no repair rounds ran")
-	}
-
-	snap := sys.Registry().Snapshot()
-	wantPositive := []string{
-		"core_takeover_total",
-		"core_suspicion_false_positive_total",
-		"core_orphan_purged_total",
-		"softstate_sweep_expired_total",
-	}
-	for _, name := range wantPositive {
-		if v, ok := snap.Value(name); !ok || v == 0 {
-			t.Fatalf("%s = %v, want > 0", name, v)
-		}
-	}
-	if v, ok := snap.Value("core_suspected_members"); !ok || v != 0 {
-		t.Fatalf("core_suspected_members = %v after convergence", v)
-	}
-	f, ok := snap.Family("core_repair_latency_ms")
-	if !ok || len(f.Series) == 0 || f.Series[0].Hist == nil || f.Series[0].Hist.Count == 0 {
-		t.Fatal("repair latency histogram missing or empty")
-	}
-
-	// Text exposition.
-	srv := httptest.NewServer(obs.Handler(sys.Registry()))
-	defer srv.Close()
-	body := func(path string) string {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	text := body("/metrics")
-	for _, name := range append(wantPositive, "core_suspected_members", "core_repair_latency_ms") {
-		if !strings.Contains(text, name) {
-			t.Fatalf("/metrics missing %s", name)
-		}
-	}
-	var js struct {
-		Families []struct {
-			Name string `json:"name"`
-		} `json:"families"`
-	}
-	if err := json.Unmarshal([]byte(body("/metrics.json")), &js); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, f := range js.Families {
-		seen[f.Name] = true
-	}
-	for _, name := range append(wantPositive, "core_repair_latency_ms") {
-		if !seen[name] {
-			t.Fatalf("/metrics.json missing %s", name)
-		}
 	}
 }
 

@@ -1,15 +1,16 @@
 // Package obs is the repo's telemetry layer: a dependency-free metrics
 // registry (atomic counters, gauges, and fixed-bucket histograms with
-// labeled families), a nil-safe route tracer, and exposition encoders
-// (Prometheus text format and JSON) over point-in-time snapshots.
+// labeled families) and exposition encoders (Prometheus text format and
+// JSON) over point-in-time snapshots.
 //
 // The paper's claims are quantitative — lookup stretch, probe budgets,
-// soft-state message overhead — so every layer of the stack reports here:
-// the wire protocol counts requests and observes latencies, the
-// soft-state store gauges live entries, the pub/sub bus counts
-// notifications fired versus suppressed, and cmd/overlayd serves it all
-// over HTTP. Everything is safe for concurrent use; the hot-path cost of
-// an update is one or two atomic operations.
+// soft-state message overhead — and two users report here: the live
+// stack's wire nodes count requests and observe latencies, which
+// cmd/overlayd serves over HTTP, and every simulated netsim.Env mirrors
+// its probe and message meters into the process-global Default registry,
+// which cmd/topobench diffs around each experiment. Cross-process request
+// tracing lives in obs/span. Everything is safe for concurrent use; the
+// hot-path cost of an update is one or two atomic operations.
 package obs
 
 import (

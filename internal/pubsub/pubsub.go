@@ -16,7 +16,6 @@ import (
 	"gsso/internal/can"
 	"gsso/internal/landmark"
 	"gsso/internal/netsim"
-	"gsso/internal/obs"
 	"gsso/internal/softstate"
 )
 
@@ -106,34 +105,6 @@ type Bus struct {
 	byRegion  map[can.Path][]*Subscription
 	nextID    int
 	delivered int
-	metrics   *busMetrics
-}
-
-// busMetrics reports notification outcomes: fired (condition matched,
-// notification delivered) versus suppressed (a subscriber saw the event
-// but its condition filtered it — the saving pub/sub claims over
-// polling). Nil when the bus is uninstrumented.
-type busMetrics struct {
-	fired      *obs.Counter
-	suppressed *obs.Counter
-	subs       *obs.Gauge
-}
-
-// Instrument mirrors the bus's activity into reg: the counter family
-// pubsub_notifications_total{result="fired"|"suppressed"} and the gauge
-// pubsub_subscriptions.
-func (b *Bus) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	notif := reg.Counter("pubsub_notifications_total",
-		"Subscription evaluations, by result.", "result")
-	b.metrics = &busMetrics{
-		fired:      notif.With("fired"),
-		suppressed: notif.With("suppressed"),
-		subs: reg.Gauge("pubsub_subscriptions",
-			"Live subscriptions across all regions.").With(),
-	}
 }
 
 // NewBus attaches a bus to store.
@@ -184,9 +155,6 @@ func (b *Bus) Subscribe(subscriber *can.Member, region can.Path, cond Condition,
 	b.nextID++
 	b.byRegion[region] = append(b.byRegion[region], sub)
 	b.env.CountMessages("subscribe", 1)
-	if b.metrics != nil {
-		b.metrics.subs.Add(1)
-	}
 	return sub, nil
 }
 
@@ -205,9 +173,6 @@ func (b *Bus) Unsubscribe(sub *Subscription) {
 		}
 	}
 	b.env.CountMessages("subscribe", 1) // the cancel message
-	if b.metrics != nil {
-		b.metrics.subs.Add(-1)
-	}
 }
 
 // RemoveSubscriber cancels every subscription held BY member m (the
@@ -233,9 +198,6 @@ func (b *Bus) RemoveSubscriber(m *can.Member) int {
 			b.byRegion[region] = kept
 		}
 	}
-	if dropped > 0 && b.metrics != nil {
-		b.metrics.subs.Add(float64(-dropped))
-	}
 	return dropped
 }
 
@@ -260,9 +222,6 @@ func (b *Bus) DropWatching(m *can.Member) int {
 		} else {
 			b.byRegion[region] = kept
 		}
-	}
-	if dropped > 0 && b.metrics != nil {
-		b.metrics.subs.Add(float64(-dropped))
 	}
 	return dropped
 }
@@ -302,13 +261,7 @@ func (b *Bus) handle(ev softstate.Event) {
 			continue
 		}
 		if !b.matches(sub, ev) {
-			if b.metrics != nil {
-				b.metrics.suppressed.Inc()
-			}
 			continue
-		}
-		if b.metrics != nil {
-			b.metrics.fired.Inc()
 		}
 		b.delivered++
 		b.env.CountMessages("notify", 1)

@@ -9,7 +9,6 @@ import (
 	"gsso/internal/can"
 	"gsso/internal/landmark"
 	"gsso/internal/netsim"
-	"gsso/internal/obs"
 )
 
 // modelEntry is one entry of the reference model, tagged with its region.
@@ -190,8 +189,7 @@ func (md *lookupModel) lookup(region can.Path, vec landmark.Vector, now netsim.T
 // FuzzStoreLookup runs a byte script of publishes, republishes, removals,
 // purges, load updates, clock steps, sweeps, refreshes, publish-filter
 // changes and lookups against a Store and against lookupModel. After every
-// step the live-entry count, the softstate_entries_live gauge and every
-// message counter must agree; every lookup must return the same entries in
+// step the live-entry count and every message counter must agree; every lookup must return the same entries in
 // the same order at the same LookupCost.
 //
 // Script layout: a header of five bytes (index dims 1–4, bits per dim
@@ -231,8 +229,6 @@ func FuzzStoreLookup(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := obs.NewRegistry()
-		s.Instrument(reg)
 		md := &lookupModel{s: s, cfg: cfg, numbers: map[*can.Member]uint64{}, messages: map[string]int64{}}
 
 		member := func() *can.Member { return members[int(next())%len(members)] }
@@ -313,9 +309,8 @@ func FuzzStoreLookup(f *testing.F) {
 						step, region, describe(got), cost, describe(want), wantCost)
 				}
 			}
-			live, _ := reg.Snapshot().Value("softstate_entries_live")
-			if n := s.TotalEntries(); n != len(md.entries) || int(live) != n {
-				t.Fatalf("step %d: TotalEntries = %d, gauge %v, model %d", step, n, live, len(md.entries))
+			if n := s.TotalEntries(); n != len(md.entries) {
+				t.Fatalf("step %d: TotalEntries = %d, model %d", step, n, len(md.entries))
 			}
 			for _, category := range []string{"publish", "publish-dropped", "repair", "reactive-delete",
 				"refresh-batch", "lookup", "lookup-expand"} {

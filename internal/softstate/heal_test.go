@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gsso/internal/can"
-	"gsso/internal/obs"
 )
 
 func TestEventSinkFanout(t *testing.T) {
@@ -194,28 +193,5 @@ func TestLoseShardsReplicationSurvives(t *testing.T) {
 	lost2 := h2.store.LoseShards(func(m *can.Member) bool { return m == down2 }, 2)
 	if lost2 >= lost1 {
 		t.Fatalf("k=2 lost %d entries, k=1 lost %d; replication gave no protection", lost2, lost1)
-	}
-}
-
-func TestSweepExpiredCounter(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TTL = 100
-	h := newHarness(t, 16, cfg)
-	reg := obs.NewRegistry()
-	h.store.Instrument(reg)
-	if err := h.store.PublishAll(nil); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := reg.Snapshot().Value("softstate_sweep_expired_total"); !ok || v != 0 {
-		t.Fatalf("sweep counter = %v before expiry", v)
-	}
-	h.env.Clock().Advance(101)
-	dropped := h.store.SweepExpired()
-	if dropped == 0 {
-		t.Fatal("nothing expired")
-	}
-	v, ok := reg.Snapshot().Value("softstate_sweep_expired_total")
-	if !ok || int(v) != dropped {
-		t.Fatalf("softstate_sweep_expired_total = %v, want %d", v, dropped)
 	}
 }

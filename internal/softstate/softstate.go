@@ -24,8 +24,7 @@
 // snapshots Lookup and events hand out stay valid without the lock. The
 // publish filter runs before the lock is taken and event sinks run after
 // it is released, so both may re-enter the store. Configuration
-// (AddEventSink, SetPublishFilter, Instrument) must happen before
-// concurrent use.
+// (AddEventSink, SetPublishFilter) must happen before concurrent use.
 package softstate
 
 import (
@@ -38,7 +37,6 @@ import (
 	"gsso/internal/ecan"
 	"gsso/internal/landmark"
 	"gsso/internal/netsim"
-	"gsso/internal/obs"
 	"gsso/internal/topology"
 )
 
@@ -191,42 +189,8 @@ type Store struct {
 	members map[*can.Member]memberState
 	live    int // entries across all maps
 
-	sinks   []func(Event)
-	filter  func(region can.Path, number uint64) bool
-	metrics *storeMetrics
-}
-
-// storeMetrics mirrors map churn into a telemetry registry: a live-entry
-// gauge plus one counter per event kind (published, refreshed, removed,
-// expired, load-changed) and a dedicated sweep counter. Nil when the
-// store is uninstrumented.
-type storeMetrics struct {
-	live   *obs.Gauge
-	events map[EventKind]*obs.Counter
-	swept  *obs.Counter
-}
-
-// Instrument mirrors the store's churn into reg: the gauge
-// softstate_entries_live and the counter family
-// softstate_events_total{kind}. Call once, before publishing.
-func (s *Store) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	events := reg.Counter("softstate_events_total",
-		"Soft-state map mutations, by event kind.", "kind")
-	m := &storeMetrics{
-		live: reg.Gauge("softstate_entries_live",
-			"Entries currently held across all region maps.").With(),
-		events: make(map[EventKind]*obs.Counter),
-		swept: reg.Counter("softstate_sweep_expired_total",
-			"Entries dropped by SweepExpired (periodic-polling maintenance).").With(),
-	}
-	for _, k := range []EventKind{EventPublished, EventRefreshed, EventRemoved, EventExpired, EventLoadChanged} {
-		m.events[k] = events.With(k.String())
-	}
-	m.live.Set(float64(s.TotalEntries()))
-	s.metrics = m
+	sinks  []func(Event)
+	filter func(region can.Path, number uint64) bool
 }
 
 // NewStore builds an empty store over ov.
@@ -281,17 +245,7 @@ func (s *Store) SetPublishFilter(fn func(region can.Path, number uint64) bool) {
 // emitAll delivers events collected during a locked mutation. It runs
 // with the store's lock released, so sinks may re-enter the store freely.
 func (s *Store) emitAll(evs []Event) {
-	for i := range evs {
-		ev := evs[i]
-		if m := s.metrics; m != nil {
-			m.events[ev.Kind].Inc()
-			switch ev.Kind {
-			case EventPublished:
-				m.live.Add(1)
-			case EventRemoved, EventExpired:
-				m.live.Add(-1)
-			}
-		}
+	for _, ev := range evs {
 		for _, sink := range s.sinks {
 			sink(ev)
 		}
@@ -499,8 +453,7 @@ func (s *Store) Purge(m *can.Member) int {
 }
 
 // SweepExpired deletes all entries past their TTL (the periodic-polling
-// maintenance mode) and returns how many were dropped. Instrumented
-// stores also count the drops in softstate_sweep_expired_total.
+// maintenance mode) and returns how many were dropped.
 func (s *Store) SweepExpired() int {
 	now := s.env.Clock().Now()
 	var events []Event
@@ -517,9 +470,6 @@ func (s *Store) SweepExpired() int {
 	s.live -= len(events)
 	s.mu.Unlock()
 	s.emitAll(events)
-	if len(events) > 0 && s.metrics != nil {
-		s.metrics.swept.Add(float64(len(events)))
-	}
 	return len(events)
 }
 
@@ -579,7 +529,7 @@ func (s *Store) OwnersOf(region can.Path, number uint64, k int) []*can.Member {
 // LoseShards models crash-induced shard loss: every entry whose entire
 // k-owner chain satisfies down is dropped from its map — the data died
 // with its holders, so no removal events fire (nobody is left to
-// announce them), but the live-entry gauge is adjusted. Returns the
+// announce them), but the live-entry count is adjusted. Returns the
 // number of entries lost. Entries with at least one live owner survive:
 // that is what the replicated placement buys.
 func (s *Store) LoseShards(down func(*can.Member) bool, k int) int {
@@ -603,9 +553,6 @@ func (s *Store) LoseShards(down func(*can.Member) bool, k int) int {
 	}
 	s.live -= lost
 	s.mu.Unlock()
-	if lost > 0 && s.metrics != nil {
-		s.metrics.live.Add(float64(-lost))
-	}
 	return lost
 }
 
@@ -747,10 +694,9 @@ func (s *Store) RegionEntries(region can.Path) []*Entry {
 // batched refresh: a member's refreshes to all of its region maps are
 // coalesced into one metered "refresh-batch" message instead of one
 // "publish" per map (what per-entry Publish would cost). EventRefreshed
-// still fires per entry so subscribers and telemetry see every touch.
-// Members behind a publish filter keep their filtered-out regions
-// unrefreshed, exactly as Publish would. Returns how many entries were
-// refreshed.
+// still fires per entry so every event sink sees every touch. Members
+// behind a publish filter keep their filtered-out regions unrefreshed,
+// exactly as Publish would. Returns how many entries were refreshed.
 func (s *Store) RefreshAll() int {
 	now := s.env.Clock().Now()
 	refreshed := 0

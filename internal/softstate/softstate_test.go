@@ -9,7 +9,6 @@ import (
 	"gsso/internal/ecan"
 	"gsso/internal/landmark"
 	"gsso/internal/netsim"
-	"gsso/internal/obs"
 	"gsso/internal/simrand"
 	"gsso/internal/topology"
 )
@@ -706,8 +705,6 @@ func TestRepublishToNewNumber(t *testing.T) {
 // lost silently nor miscounted.
 func TestFilteredRepublishKeepsOldEntry(t *testing.T) {
 	h := newHarness(t, 16, DefaultConfig())
-	reg := obs.NewRegistry()
-	h.store.Instrument(reg)
 	var m *can.Member
 	for _, c := range h.overlay.CAN().Members() {
 		if len(h.store.regionsOf(c)) >= 2 {
@@ -741,9 +738,8 @@ func TestFilteredRepublishKeepsOldEntry(t *testing.T) {
 		t.Fatalf("blocked region holds %v, want the old entry at number %d", entries, oldNum)
 	}
 	want := len(h.store.regionsOf(m))
-	live, _ := reg.Snapshot().Value("softstate_entries_live")
-	if got := h.store.TotalEntries(); got != want || int(live) != want {
-		t.Fatalf("TotalEntries = %d, softstate_entries_live = %v, want %d", got, live, want)
+	if got := h.store.TotalEntries(); got != want {
+		t.Fatalf("TotalEntries = %d, want %d", got, want)
 	}
 	if removed != 0 {
 		t.Fatalf("%d removal events for a republish", removed)

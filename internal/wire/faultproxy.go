@@ -116,8 +116,10 @@ func (p *FaultProxy) SetLoss(rate float64) {
 	p.mu.Unlock()
 }
 
-// SetDelay holds each forwarded connection for d before dialing the
-// backend, modeling a degraded link.
+// SetDelay holds each forwarded connection for d from the client's first
+// bytes before dialing the backend and forwarding them, modeling a
+// degraded link: the client's first round trip on the connection takes
+// at least d longer.
 func (p *FaultProxy) SetDelay(d time.Duration) {
 	p.mu.Lock()
 	p.delay = d
@@ -263,12 +265,13 @@ func (p *FaultProxy) pipe(client net.Conn, delay time.Duration, blackhole bool, 
 		}
 		return
 	}
+	// A delayed connection is held from the client's first bytes, not
+	// from the accept: the client times its request from the write, which
+	// can lag the accept by a scheduling quantum.
+	var first []byte
 	if delay > 0 {
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-p.stop:
-			t.Stop()
+		var ok bool
+		if first, ok = p.hold(client, delay); !ok {
 			return
 		}
 	}
@@ -282,8 +285,9 @@ func (p *FaultProxy) pipe(client net.Conn, delay time.Duration, blackhole bool, 
 	} else {
 		p.forwarded.Add(1)
 	}
-	// One request/response per connection in this protocol, so the pipes
-	// are short-lived; bound them anyway against wedged endpoints.
+	// Clients pool connections and keep them open, so a pipe may carry
+	// many requests; a deadline still caps its life against wedged
+	// endpoints (the client redials after it).
 	deadline := time.Now().Add(time.Minute)
 	_ = client.SetDeadline(deadline)
 	_ = server.SetDeadline(deadline)
@@ -308,9 +312,42 @@ func (p *FaultProxy) pipe(client net.Conn, delay time.Duration, blackhole bool, 
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		_, _ = io.Copy(toBackend, client)
+		if _, err := toBackend.Write(first); err == nil {
+			_, _ = io.Copy(toBackend, client)
+		}
 		once.Do(closeBoth)
 	}()
 	_, _ = io.Copy(fromBackend, server)
 	once.Do(closeBoth)
+}
+
+// hold waits for the client's first bytes, then for delay, and returns
+// the bytes read. It reports false when the client hung up first or the
+// proxy closed, which also unblocks the read.
+func (p *FaultProxy) hold(client net.Conn, delay time.Duration) ([]byte, bool) {
+	buf := make([]byte, 4096)
+	read := make(chan int, 1)
+	go func() {
+		n, _ := client.Read(buf)
+		read <- n
+	}()
+	var n int
+	select {
+	case n = <-read:
+	case <-p.stop:
+		_ = client.Close()
+		<-read
+		return nil, false
+	}
+	if n == 0 {
+		return nil, false
+	}
+	t := time.NewTimer(delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return buf[:n], true
+	case <-p.stop:
+		return nil, false
+	}
 }

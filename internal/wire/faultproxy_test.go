@@ -89,6 +89,49 @@ func TestFaultProxyDelay(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
 		t.Fatalf("delayed ping returned in %v", elapsed)
 	}
+
+	// The hold starts at the client's first bytes, so a client that writes
+	// late on its connection still waits the whole delay from its write.
+	conn, err := net.DialTimeout("tcp", p.Addr(), testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	start = time.Now()
+	if err := writeMessage(bufio.NewWriter(conn), Message{Type: MsgPing, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := ReadMessage(bufio.NewReader(conn)); err != nil || resp.Type != MsgPong {
+		t.Fatalf("ping on a late-writing conn = %v, %v", resp, err)
+	}
+	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
+		t.Fatalf("ping written 60 ms after the dial returned %v after the write", elapsed)
+	}
+	conn.Close() // Close waits for established pipes to drain
+
+	// Close unblocks a connection held before and after its first bytes.
+	p.SetDelay(time.Hour)
+	idle, err := net.DialTimeout("tcp", p.Addr(), testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	held, err := net.DialTimeout("tcp", p.Addr(), testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	if err := writeMessage(bufio.NewWriter(held), Message{Type: MsgPing, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // let the proxy read the held bytes
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(testTimeout):
+		t.Fatal("Close hung on held connections")
+	}
 }
 
 func TestFaultProxyCloseIdempotent(t *testing.T) {
