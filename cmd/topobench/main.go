@@ -33,7 +33,7 @@ import (
 
 	"gsso/internal/experiment"
 	"gsso/internal/experiment/engine"
-	"gsso/internal/obs"
+	"gsso/internal/netsim"
 )
 
 func main() {
@@ -119,7 +119,7 @@ func run(args []string, out io.Writer) (err error) {
 
 	// Fan experiments out as top-level units. Results are stitched back in
 	// registry order below, so stdout is identical at every pool width; the
-	// run-labeled telemetry mirrors keep each experiment's meters separate
+	// run-labeled simulator totals keep each experiment's meters separate
 	// from its concurrent neighbors'.
 	type outcome struct {
 		tables []*experiment.Table
@@ -127,15 +127,12 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	results, err := engine.Map(len(todo), func(i int) (outcome, error) {
 		e := todo[i]
-		before := obs.Default().Snapshot()
+		probes0, msgs0 := netsim.RunTotals(e.ID)
 		tables, err := e.Run(sc)
 		if err != nil {
 			return outcome{}, fmt.Errorf("%s: %w", e.ID, err)
 		}
-		return outcome{
-			tables: tables,
-			tel:    telemetryDelta(e.ID, before, obs.Default().Snapshot()),
-		}, nil
+		return outcome{tables: tables, tel: telemetryDelta(e.ID, probes0, msgs0)}, nil
 	})
 	if err != nil {
 		return err
@@ -168,35 +165,26 @@ func run(args []string, out io.Writer) (err error) {
 	return nil
 }
 
-// telemetry is the per-experiment cost summary, computed by diffing the
-// experiment's own run-labeled series of the process-global registry
-// around the run. It reports what the paper's axes meter: RTT probes spent
-// and overlay messages sent, by category.
+// telemetry is the per-experiment cost summary: what the paper's axes
+// meter, RTT probes spent and overlay messages sent by category, read
+// from the simulator's totals under the experiment's run label.
 type telemetry struct {
 	Experiment string           `json:"experiment"`
 	Probes     int64            `json:"probes"`
 	Messages   map[string]int64 `json:"messages"`
 }
 
-// telemetryDelta subtracts the registry counters at before from those at
-// after, considering only series whose run label is the experiment's ID.
-// Concurrent experiments write disjoint run labels and shared cache fills
-// land under run "shared", so the delta is exactly what this run spent —
-// at any worker count, in any completion order.
-func telemetryDelta(id string, before, after obs.Snapshot) telemetry {
-	tel := telemetry{Experiment: id, Messages: map[string]int64{}}
-	pb, _ := before.Value("sim_probes_total", id)
-	pa, _ := after.Value("sim_probes_total", id)
-	tel.Probes = int64(pa - pb)
-	if f, ok := after.Family("sim_messages_total"); ok {
-		for _, s := range f.Series {
-			if len(s.LabelValues) != 2 || s.LabelValues[1] != id {
-				continue
-			}
-			prev, _ := before.Value("sim_messages_total", s.LabelValues...)
-			if d := int64(s.Value - prev); d != 0 {
-				tel.Messages[s.LabelValues[0]] = d
-			}
+// telemetryDelta subtracts the run totals of experiment id taken before
+// the run from its totals now. Concurrent experiments write disjoint run
+// labels and shared cache fills land under run "shared", so the delta is
+// exactly what this run spent — at any worker count, in any completion
+// order.
+func telemetryDelta(id string, probes0 int64, msgs0 map[string]int64) telemetry {
+	probes, msgs := netsim.RunTotals(id)
+	tel := telemetry{Experiment: id, Probes: probes - probes0, Messages: map[string]int64{}}
+	for k, v := range msgs {
+		if d := v - msgs0[k]; d != 0 {
+			tel.Messages[k] = d
 		}
 	}
 	return tel

@@ -77,8 +77,8 @@ func TestTelemetrySummary(t *testing.T) {
 	if err := run([]string{"-run", "tab1", "-csv", dir}, &buf); err != nil {
 		t.Fatal(err)
 	}
-	// The run ends with a one-line cost summary fed by the registry
-	// mirror of the simulator's meters.
+	// The run ends with a one-line cost summary fed by the simulator's
+	// run totals.
 	re := regexp.MustCompile(`(?m)^# telemetry tab1: probes=(\d+) messages=(\d+)`)
 	m := re.FindStringSubmatch(buf.String())
 	if m == nil {
@@ -107,7 +107,7 @@ func TestTelemetrySummary(t *testing.T) {
 	}
 
 	// Back-to-back runs must report per-run deltas, not process totals
-	// (the global mirror only ever grows).
+	// (the run totals only ever grow).
 	var buf2 bytes.Buffer
 	if err := run([]string{"-run", "tab1"}, &buf2); err != nil {
 		t.Fatal(err)

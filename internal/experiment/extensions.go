@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"gsso/internal/can"
 	"gsso/internal/chord"
@@ -367,31 +366,15 @@ func RunExtChord(sc Scale) ([]*Table, error) {
 		}
 	}
 
-	queries := make([]topology.NodeID, sc.NNQueries)
+	queries := make([]int, sc.NNQueries)
 	qRNG := rng.Split("queries")
 	for i := range queries {
-		queries[i] = hosts[qRNG.Intn(len(hosts))]
+		queries[i] = qRNG.Intn(len(hosts))
 	}
 	budget := sc.RTTs
 
-	meanOf := func(find func(q topology.NodeID) topology.NodeID) float64 {
-		total, n := 0.0, 0
-		for _, q := range queries {
-			found := find(q)
-			s := proximity.Stretch(net, q, found, hosts)
-			if math.IsInf(s, 1) {
-				continue
-			}
-			total += s
-			n++
-		}
-		if n == 0 {
-			return math.Inf(1)
-		}
-		return total / float64(n)
-	}
-
-	chordStretch := meanOf(func(q topology.NodeID) topology.NodeID {
+	chordStretch := meanNNStretch(net, hosts, queries, func(qi int) topology.NodeID {
+		q := hosts[qi]
 		vec := index.VectorOf(q)
 		num, err := space.Number(vec)
 		if err != nil {
@@ -415,14 +398,14 @@ func RunExtChord(sc Scale) ([]*Table, error) {
 		return items[best].Value.(rec).host
 	})
 
-	flatStretch := meanOf(func(q topology.NodeID) topology.NodeID {
-		return index.SearchHybrid(env, q, budget).Found
+	flatStretch := meanNNStretch(net, hosts, queries, func(qi int) topology.NodeID {
+		return index.SearchHybrid(env, hosts[qi], budget).Found
 	})
 
-	randStretch := meanOf(func(q topology.NodeID) topology.NodeID {
+	randStretch := meanNNStretch(net, hosts, queries, func(qi int) topology.NodeID {
 		for {
 			h := hosts[qRNG.Intn(len(hosts))]
-			if h != q {
+			if h != hosts[qi] {
 				return h
 			}
 		}

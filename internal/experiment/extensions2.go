@@ -145,29 +145,8 @@ func RunExtGroups(sc Scale) ([]*Table, error) {
 	}
 	maxRTT := landmark.EstimateMaxRTT(net, set, net.RandomStubHosts(rng.Split("est"), 32))
 
-	qRNG := rng.Split("queries")
-	qIdx := qRNG.Sample(len(hosts), sc.NNQueries)
-	queries := make([]int, len(qIdx))
-	copy(queries, qIdx)
-
+	queries := rng.Split("queries").Sample(len(hosts), sc.NNQueries)
 	budget := sc.RTTs
-	meanStretchOf := func(search func(q int) proximity.Result) float64 {
-		total, n := 0.0, 0
-		for _, qi := range queries {
-			q := hosts[qi]
-			res := search(qi)
-			s := proximity.Stretch(net, q, res.Found, hosts)
-			if math.IsInf(s, 1) {
-				continue
-			}
-			total += s
-			n++
-		}
-		if n == 0 {
-			return math.Inf(1)
-		}
-		return total / float64(n)
-	}
 
 	t := &Table{
 		ID:      "ext-groups",
@@ -182,8 +161,8 @@ func RunExtGroups(sc Scale) ([]*Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		return meanStretchOf(func(qi int) proximity.Result {
-			return gi.SearchHybrid(env, hosts[qi], budget)
+		return meanNNStretch(net, hosts, queries, func(qi int) topology.NodeID {
+			return gi.SearchHybrid(env, hosts[qi], budget).Found
 		}), nil
 	})
 	if err != nil {
@@ -239,26 +218,8 @@ func RunExtHier(sc Scale) ([]*Table, error) {
 		return nil, err
 	}
 
-	qRNG := rng.Split("queries")
-	qIdx := qRNG.Sample(len(hosts), sc.NNQueries)
+	queries := rng.Split("queries").Sample(len(hosts), sc.NNQueries)
 	budget := sc.RTTs
-	meanOf := func(search func(q topology.NodeID) proximity.Result) float64 {
-		total, n := 0.0, 0
-		for _, qi := range qIdx {
-			q := hosts[qi]
-			res := search(q)
-			s := proximity.Stretch(net, q, res.Found, hosts)
-			if math.IsInf(s, 1) {
-				continue
-			}
-			total += s
-			n++
-		}
-		if n == 0 {
-			return math.Inf(1)
-		}
-		return total / float64(n)
-	}
 
 	t := &Table{
 		ID: "ext-hier",
@@ -269,13 +230,13 @@ func RunExtHier(sc Scale) ([]*Table, error) {
 	// The index builds above are sequential (the local and flat stages
 	// derive from the global maxRTT); the three measurements are read-only
 	// and run as units.
-	searches := []func(q topology.NodeID) proximity.Result{
-		func(q topology.NodeID) proximity.Result { return hx.GlobalOnly().SearchHybrid(env, q, budget) },
-		func(q topology.NodeID) proximity.Result { return flat.SearchHybrid(env, q, budget) },
-		func(q topology.NodeID) proximity.Result { return hx.SearchHybrid(env, q, budget) },
+	searches := []func(*netsim.Env, topology.NodeID, int) proximity.Result{
+		hx.GlobalOnly().SearchHybrid, flat.SearchHybrid, hx.SearchHybrid,
 	}
 	stretches, err := engine.Map(len(searches), func(i int) (float64, error) {
-		return meanOf(searches[i]), nil
+		return meanNNStretch(net, hosts, queries, func(qi int) topology.NodeID {
+			return searches[i](env, hosts[qi], budget).Found
+		}), nil
 	})
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
@@ -59,34 +58,16 @@ func RunExtOrdering(sc Scale) ([]*Table, error) {
 		sizes = append(sizes, float64(len(members)))
 	}
 
-	qRNG := rng.Split("queries")
-	qIdx := qRNG.Sample(len(hosts), sc.NNQueries)
+	queries := rng.Split("queries").Sample(len(hosts), sc.NNQueries)
 	pickRNG := rng.Split("pick")
-
-	meanOf := func(find func(q topology.NodeID) topology.NodeID) float64 {
-		total, n := 0.0, 0
-		for _, qi := range qIdx {
-			q := hosts[qi]
-			found := find(q)
-			s := proximity.Stretch(net, q, found, hosts)
-			if math.IsInf(s, 1) {
-				continue
-			}
-			total += s
-			n++
-		}
-		if n == 0 {
-			return math.Inf(1)
-		}
-		return total / float64(n)
-	}
 
 	// Three units, one per technique. The ordering unit owns pickRNG (its
 	// stream is consumed sequentially inside the unit); the two hybrid
 	// units are read-only index searches.
 	measurements := []func() float64{
 		func() float64 {
-			return meanOf(func(q topology.NodeID) topology.NodeID {
+			return meanNNStretch(net, hosts, queries, func(qi int) topology.NodeID {
+				q := hosts[qi]
 				cluster := clusters[orderKey(q)]
 				// A random other member of the same ordering cluster;
 				// clusters of one fall back to a uniformly random host (the
@@ -107,13 +88,13 @@ func RunExtOrdering(sc Scale) ([]*Table, error) {
 			})
 		},
 		func() float64 {
-			return meanOf(func(q topology.NodeID) topology.NodeID {
-				return index.SearchHybrid(env, q, 1).Found
+			return meanNNStretch(net, hosts, queries, func(qi int) topology.NodeID {
+				return index.SearchHybrid(env, hosts[qi], 1).Found
 			})
 		},
 		func() float64 {
-			return meanOf(func(q topology.NodeID) topology.NodeID {
-				return index.SearchHybrid(env, q, sc.RTTs).Found
+			return meanNNStretch(net, hosts, queries, func(qi int) topology.NodeID {
+				return index.SearchHybrid(env, hosts[qi], sc.RTTs).Found
 			})
 		},
 	}

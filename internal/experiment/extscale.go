@@ -2,15 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"strconv"
 	"strings"
 
-	"gsso/internal/can"
-	"gsso/internal/landmark"
 	"gsso/internal/netsim"
-	"gsso/internal/proximity"
 	"gsso/internal/simrand"
 	"gsso/internal/topology"
 )
@@ -57,81 +53,32 @@ func scaleSweepFor(sc Scale) ([]int, error) {
 	return out, nil
 }
 
-// RunScaleCell builds one wide topology, bootstraps the hybrid index and
-// the full-population CAN over every stub host, and averages the stretch
-// of the sampled queries' searches.
+// RunScaleCell builds one wide topology and the Figures 3-6 world over
+// every stub host (buildNNCore), and averages the stretch of the sampled
+// queries' searches.
 func RunScaleCell(kind TopoKind, targetN int, sc Scale) (ScaleCell, error) {
 	spec, err := topology.Preset(string(kind), string(LatGTITM))
 	if err != nil {
 		return ScaleCell{}, err
 	}
-	spec = spec.SizedWide(targetN)
 	rng := simrand.New(sc.Seed).Split(fmt.Sprintf("ext-scale/%s/%d", kind, targetN))
-	net, err := topology.Generate(spec, rng.Split("topo"))
+	net, err := topology.Generate(spec.SizedWide(targetN), rng.Split("topo"))
 	if err != nil {
 		return ScaleCell{}, err
 	}
 	env := netsim.NewRun(net, "ext-scale")
-	hosts := net.StubHosts()
-
-	space, err := landmark.Calibrate(net, sc.Landmarks, rng.Split("landmarks"), rng.Split("est"))
+	core, err := buildNNCore(env, net, rng, sc)
 	if err != nil {
 		return ScaleCell{}, err
 	}
-	index, err := proximity.BuildIndex(env, space, hosts)
-	if err != nil {
-		return ScaleCell{}, err
-	}
-	overlay, err := can.New(2)
-	if err != nil {
-		return ScaleCell{}, err
-	}
-	joinRNG := rng.Split("join")
-	for _, h := range hosts {
-		if _, err := overlay.JoinRandom(h, joinRNG); err != nil {
-			return ScaleCell{}, err
-		}
-	}
-	ers, err := proximity.NewERS(overlay)
-	if err != nil {
-		return ScaleCell{}, err
-	}
-
-	qRNG := rng.Split("queries")
-	qIdx := qRNG.Sample(len(hosts), sc.NNQueries)
-
-	// One (sum, count) pair per search, summed in query order; a query
-	// that found nothing reachable is skipped, like Figures 3-6.
-	var sum [3]float64
-	var count [3]int
-	record := func(k int, v float64) {
-		if !math.IsInf(v, 1) {
-			sum[k] += v
-			count[k]++
-		}
-	}
-	for _, q := range qIdx {
-		host := hosts[q]
-		hres := index.SearchHybrid(env, host, sc.RTTs)
-		record(0, proximity.Stretch(net, host, hres.Found, hosts))
-		eres := ers.Search(env, host, sc.RTTs)
-		record(1, proximity.Stretch(net, host, eres.Found, hosts))
-		ebig := ers.Search(env, host, 10*sc.RTTs)
-		record(2, proximity.Stretch(net, host, ebig.Found, hosts))
-	}
-	mean := func(k int) float64 {
-		if count[k] == 0 {
-			return math.NaN()
-		}
-		return sum[k] / float64(count[k])
-	}
+	h := &nnHarness{nnCore: core, env: env}
 	return ScaleCell{
 		Kind:   kind,
 		Nodes:  net.Len(),
 		Stubs:  net.StubCount(),
-		Hybrid: mean(0),
-		ERS:    mean(1),
-		ERSBig: mean(2),
+		Hybrid: h.meanStretch(h.index.SearchHybrid, sc.RTTs),
+		ERS:    h.meanStretch(h.ers.Search, sc.RTTs),
+		ERSBig: h.meanStretch(h.ers.Search, 10*sc.RTTs),
 	}, nil
 }
 

@@ -2,12 +2,10 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 
 	"gsso/internal/experiment/engine"
 	"gsso/internal/landmark"
 	"gsso/internal/netsim"
-	"gsso/internal/proximity"
 	"gsso/internal/simrand"
 	"gsso/internal/topology"
 )
@@ -42,18 +40,16 @@ func RunExtSVD(sc Scale) ([]*Table, error) {
 		vectors[i] = landmark.Measure(env, h, set)
 	}
 
-	qRNG := rng.Split("queries")
-	qIdx := qRNG.Sample(len(hosts), sc.NNQueries)
+	queries := rng.Split("queries").Sample(len(hosts), sc.NNQueries)
 	budget := sc.RTTs
 
 	// meanStretchWith ranks every other host by dist(vecs[i], vecs[q]),
 	// probes the top budget (noisy probes), and scores the pick against
 	// the unjittered ground truth.
 	meanStretchWith := func(vecs []landmark.Vector) float64 {
-		total, n := 0.0, 0
 		order := make([]int, len(hosts)) // per-call scratch: units rank concurrently
 		var scratch []landmark.Ranked[int, topology.NodeID]
-		for _, qi := range qIdx {
+		return meanNNStretch(net, hosts, queries, func(qi int) topology.NodeID {
 			q := hosts[qi]
 			for i := range order {
 				order[i] = i
@@ -61,27 +57,18 @@ func RunExtSVD(sc Scale) ([]*Table, error) {
 			scratch = landmark.Rank(order, vecs[qi],
 				func(i int) landmark.Vector { return vecs[i] },
 				func(i int) topology.NodeID { return hosts[i] }, scratch)
-			best := topology.None
-			if i, _, _ := landmark.ProbeBest(order, budget, func(i int) (float64, float64, bool) {
+			i, _, _ := landmark.ProbeBest(order, budget, func(i int) (float64, float64, bool) {
 				if hosts[i] == q {
 					return 0, 0, false
 				}
 				rtt := env.ProbeRTT(q, hosts[i])
 				return rtt, rtt, true
-			}, nil); i >= 0 {
-				best = hosts[order[i]]
+			}, nil)
+			if i < 0 {
+				return topology.None
 			}
-			s := proximity.Stretch(net, q, best, hosts)
-			if math.IsInf(s, 1) {
-				continue
-			}
-			total += s
-			n++
-		}
-		if n == 0 {
-			return math.Inf(1)
-		}
-		return total / float64(n)
+			return hosts[order[i]]
+		})
 	}
 
 	t := &Table{

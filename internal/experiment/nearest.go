@@ -6,6 +6,7 @@ import (
 	"gsso/internal/experiment/engine"
 	"gsso/internal/netsim"
 	"gsso/internal/proximity"
+	"gsso/internal/topology"
 )
 
 // nnHarness is the shared setup of Figures 3-6: every stub host of the
@@ -28,48 +29,23 @@ func buildNNHarness(kind TopoKind, sc Scale, run string) (*nnHarness, error) {
 	return &nnHarness{nnCore: core, env: netsim.NewRun(core.net, run)}, nil
 }
 
-// meanHybridStretch averages hybrid-search stretch over the query set.
-func (h *nnHarness) meanHybridStretch(budget int) float64 {
-	total, n := 0.0, 0
-	for _, q := range h.queries {
-		res := h.index.SearchHybrid(h.env, q, budget)
-		s := proximity.Stretch(h.net, q, res.Found, h.hosts)
-		if math.IsInf(s, 1) {
-			continue
-		}
-		total += s
-		n++
-	}
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return total / float64(n)
+// meanStretch averages one search's stretch at a probe budget over the
+// query set.
+func (h *nnHarness) meanStretch(search func(*netsim.Env, topology.NodeID, int) proximity.Result, budget int) float64 {
+	return meanNNStretch(h.net, h.hosts, h.queries, func(qi int) topology.NodeID {
+		return search(h.env, h.hosts[qi], budget).Found
+	})
 }
 
-// meanERSStretch averages expanding-ring-search stretch over the query set.
-func (h *nnHarness) meanERSStretch(budget int) float64 {
+// meanNNStretch scores a nearest-neighbor search the way Figures 3-6 do:
+// for each query hosts[qi], in query order, the stretch of find(qi)
+// against the true nearest other member of hosts. A query whose stretch
+// is +Inf (the search found nothing) is skipped; with none left the mean
+// is +Inf.
+func meanNNStretch(net *topology.Network, hosts []topology.NodeID, queries []int, find func(qi int) topology.NodeID) float64 {
 	total, n := 0.0, 0
-	for _, q := range h.queries {
-		res := h.ers.Search(h.env, q, budget)
-		s := proximity.Stretch(h.net, q, res.Found, h.hosts)
-		if math.IsInf(s, 1) {
-			continue
-		}
-		total += s
-		n++
-	}
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return total / float64(n)
-}
-
-// meanHillClimbStretch averages hill-climbing stretch over the query set.
-func (h *nnHarness) meanHillClimbStretch(budget int) float64 {
-	total, n := 0.0, 0
-	for _, q := range h.queries {
-		res := h.ers.SearchHillClimb(h.env, q, budget)
-		s := proximity.Stretch(h.net, q, res.Found, h.hosts)
+	for _, qi := range queries {
+		s := proximity.Stretch(net, hosts[qi], find(qi), hosts)
 		if math.IsInf(s, 1) {
 			continue
 		}
@@ -100,7 +76,11 @@ func RunFig3(sc Scale) ([]*Table, error) {
 	}
 	rows, err := engine.Map(len(sc.RTTSweep), func(i int) ([3]float64, error) {
 		b := sc.RTTSweep[i]
-		return [3]float64{h.meanERSStretch(b), h.meanHillClimbStretch(b), h.meanHybridStretch(b)}, nil
+		return [3]float64{
+			h.meanStretch(h.ers.Search, b),
+			h.meanStretch(h.ers.SearchHillClimb, b),
+			h.meanStretch(h.index.SearchHybrid, b),
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -127,7 +107,7 @@ func RunFig4(sc Scale) ([]*Table, error) {
 		Columns: []string{"rtts", "ERS"},
 	}
 	rows, err := engine.Map(len(sc.ERSSweep), func(i int) (float64, error) {
-		return h.meanERSStretch(sc.ERSSweep[i]), nil
+		return h.meanStretch(h.ers.Search, sc.ERSSweep[i]), nil
 	})
 	if err != nil {
 		return nil, err
@@ -155,7 +135,7 @@ func RunFig5(sc Scale) ([]*Table, error) {
 	last := budgets[len(budgets)-1]
 	budgets = append(budgets, 2*last, 3*last) // the paper pushes to ~90 probes here
 	rows, err := engine.Map(len(budgets), func(i int) (float64, error) {
-		return h.meanHybridStretch(budgets[i]), nil
+		return h.meanStretch(h.index.SearchHybrid, budgets[i]), nil
 	})
 	if err != nil {
 		return nil, err
@@ -179,7 +159,7 @@ func RunFig6(sc Scale) ([]*Table, error) {
 		Columns: []string{"rtts", "ERS"},
 	}
 	rows, err := engine.Map(len(sc.ERSSweep), func(i int) (float64, error) {
-		return h.meanERSStretch(sc.ERSSweep[i]), nil
+		return h.meanStretch(h.ers.Search, sc.ERSSweep[i]), nil
 	})
 	if err != nil {
 		return nil, err

@@ -69,15 +69,15 @@ func buildNet(kind TopoKind, lat LatKind, sc Scale) (*topology.Network, error) {
 
 // nnCore is the immutable heart of the Figures 3-6 harness: the topology,
 // the landmark-vector index over every stub host, the full-population CAN
-// for expanding-ring search, and the query set. All of it is read-only
-// after construction and shared across experiments; per-experiment meters
-// live in the nnHarness wrapper.
+// for expanding-ring search, and the query set (positions in hosts). All
+// of it is read-only after construction and shared across experiments;
+// per-experiment meters live in the nnHarness wrapper.
 type nnCore struct {
 	net     *topology.Network
 	index   *proximity.Index
 	ers     *proximity.ERS
 	hosts   []topology.NodeID
-	queries []topology.NodeID
+	queries []int
 }
 
 // sharedNNCore returns the cached harness core for a topology kind,
@@ -94,40 +94,40 @@ func sharedNNCore(kind TopoKind, sc Scale) (*nnCore, error) {
 		if err != nil {
 			return nil, err
 		}
-		env := netsim.NewRun(net, SharedRun)
 		rng := simrand.New(sc.Seed).Split("nn/" + string(kind))
-		hosts := net.StubHosts()
-
-		space, err := landmark.Calibrate(net, sc.Landmarks, rng.Split("landmarks"), rng.Split("est"))
-		if err != nil {
-			return nil, err
-		}
-		index, err := proximity.BuildIndex(env, space, hosts)
-		if err != nil {
-			return nil, err
-		}
-
-		overlay, err := can.New(2)
-		if err != nil {
-			return nil, err
-		}
-		joinRNG := rng.Split("join")
-		for _, h := range hosts {
-			if _, err := overlay.JoinRandom(h, joinRNG); err != nil {
-				return nil, err
-			}
-		}
-		ers, err := proximity.NewERS(overlay)
-		if err != nil {
-			return nil, err
-		}
-
-		qRNG := rng.Split("queries")
-		qIdx := qRNG.Sample(len(hosts), sc.NNQueries)
-		queries := make([]topology.NodeID, len(qIdx))
-		for i, q := range qIdx {
-			queries[i] = hosts[q]
-		}
-		return &nnCore{net: net, index: index, ers: ers, hosts: hosts, queries: queries}, nil
+		return buildNNCore(netsim.NewRun(net, SharedRun), net, rng, sc)
 	})
+}
+
+// buildNNCore builds the nearest-neighbor world over every stub host of
+// net: sc.Landmarks landmarks calibrated from rng's "landmarks" and "est"
+// streams, the landmark index (its measurements metered on env), a 2-d
+// CAN joined from the "join" stream with its ERS, and sc.NNQueries
+// distinct query hosts sampled from the "queries" stream.
+func buildNNCore(env *netsim.Env, net *topology.Network, rng *simrand.Source, sc Scale) (*nnCore, error) {
+	hosts := net.StubHosts()
+	space, err := landmark.Calibrate(net, sc.Landmarks, rng.Split("landmarks"), rng.Split("est"))
+	if err != nil {
+		return nil, err
+	}
+	index, err := proximity.BuildIndex(env, space, hosts)
+	if err != nil {
+		return nil, err
+	}
+	overlay, err := can.New(2)
+	if err != nil {
+		return nil, err
+	}
+	joinRNG := rng.Split("join")
+	for _, h := range hosts {
+		if _, err := overlay.JoinRandom(h, joinRNG); err != nil {
+			return nil, err
+		}
+	}
+	ers, err := proximity.NewERS(overlay)
+	if err != nil {
+		return nil, err
+	}
+	queries := rng.Split("queries").Sample(len(hosts), sc.NNQueries)
+	return &nnCore{net: net, index: index, ers: ers, hosts: hosts, queries: queries}, nil
 }

@@ -106,9 +106,9 @@ func TestSharedNNCoreSingleBuild(t *testing.T) {
 			}
 			// Read-only searches from concurrent goroutines.
 			env := netsim.NewRun(core.net, fmt.Sprintf("nncheck-%d", i))
-			for _, q := range core.queries[:min(4, len(core.queries))] {
-				core.index.SearchHybrid(env, q, 1)
-				core.ers.Search(env, q, 1)
+			for _, qi := range core.queries[:min(4, len(core.queries))] {
+				core.index.SearchHybrid(env, core.hosts[qi], 1)
+				core.ers.Search(env, core.hosts[qi], 1)
 			}
 			cores[i] = core
 		}(i)

@@ -142,7 +142,6 @@ type NodeView struct {
 	// this incarnation applied (cluster_reconfig_total).
 	Epoch        float64  `json:"epoch"`
 	Reconfigs    float64  `json:"reconfigs"`
-	Suspected    float64  `json:"suspected"`
 	OpenBreakers []string `json:"open_breakers,omitempty"`
 }
 
@@ -232,7 +231,6 @@ func BuildView(scrapes []ScrapeResult, top int) ClusterView {
 		nv.ConnsOpen = sumSeries(sc.Snap, "wire_conns_open")
 		nv.Epoch = sumSeries(sc.Snap, "wire_ring_epoch")
 		nv.Reconfigs = sumSeries(sc.Snap, "cluster_reconfig_total")
-		nv.Suspected = sumSeries(sc.Snap, "core_suspected_members")
 		if f, ok := sc.Snap.Family("wire_breaker_state"); ok {
 			for _, se := range f.Series {
 				if se.Value == 2 && len(se.LabelValues) == 1 {

@@ -14,7 +14,7 @@ func RenderText(w io.Writer, v ClusterView) {
 	fmt.Fprintf(w, "cluster: %d/%d healthy, %d ready, %.0f records on %d/%d nodes, %d traced\n",
 		v.Healthy, len(v.Nodes), v.Ready, v.TotalRecords, v.CoverageNodes, v.Healthy, v.TracedNodes)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "NODE\tHEALTH\tREADY\tEPOCH\tRECORDS\tREQUESTS\tREQ/S\tREFRESH_FAIL\tCONNS\tSUSPECTED\tOPEN_BREAKERS")
+	fmt.Fprintln(tw, "NODE\tHEALTH\tREADY\tEPOCH\tRECORDS\tREQUESTS\tREQ/S\tREFRESH_FAIL\tCONNS\tOPEN_BREAKERS")
 	for _, n := range v.Nodes {
 		health := "up"
 		if !n.Healthy {
@@ -48,9 +48,9 @@ func RenderText(w io.Writer, v ClusterView) {
 				epoch = fmt.Sprintf("%.0f (+%.0f)", n.Epoch, n.Reconfigs)
 			}
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%.0f\t%.0f\t%s\t%.0f\t%.0f\t%.0f\t%s\n",
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%.0f\t%.0f\t%s\t%.0f\t%.0f\t%s\n",
 			n.Addr, health, ready, epoch, n.Records, n.Requests, rps,
-			n.RefreshFailures, n.ConnsOpen, n.Suspected, breakers)
+			n.RefreshFailures, n.ConnsOpen, breakers)
 	}
 	tw.Flush()
 	if len(v.RPC) > 0 {

@@ -5,37 +5,61 @@
 //
 // The paper's techniques are evaluated by how few RTT measurements and
 // overlay messages they need; this package is where those costs are
-// metered. All latency perturbations preserve symmetry.
+// metered: per Env, and summed per run label across every Env that
+// shares it (RunTotals). All latency perturbations preserve symmetry.
 package netsim
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
 
-	"gsso/internal/obs"
 	"gsso/internal/topology"
 )
 
-// The env's meters are mirrored onto the process-global telemetry
-// registry so harnesses (cmd/topobench) can report per-run overhead even
-// for environments created deep inside an experiment. Per-Env totals
-// remain authoritative; the mirror aggregates across all Envs sharing a
-// run label. The "run" dimension exists because experiments execute in
-// parallel: without it, concurrent runs would interleave into one series
-// and bracketing snapshots around a run would charge it for its
-// neighbors' probes. Envs created with New land in run "main"; shared
-// cache fills use run "shared" so their cost is attributed to no
-// experiment in particular (and per-experiment telemetry stays identical
-// no matter which experiment happened to trigger the fill).
+// runTotal is what every Env under one run label has spent since the
+// process started. The label exists because experiments execute in
+// parallel: cmd/topobench brackets each run with RunTotals under its
+// experiment ID, and without the label concurrent runs would charge each
+// other's probes. Envs created with New land in run "main"; shared cache
+// fills use run "shared" so their cost is attributed to no experiment in
+// particular.
+type runTotal struct {
+	probes atomic.Int64
+
+	mu       sync.Mutex
+	messages map[string]int64
+}
+
 var (
-	globalMessages = obs.Default().Counter("sim_messages_total",
-		"Overlay messages metered across all simulation environments, by category and run.", "category", "run")
-	globalProbes = obs.Default().Counter("sim_probes_total",
-		"RTT probes metered across all simulation environments, by run.", "run")
+	runsMu sync.Mutex
+	runs   = map[string]*runTotal{}
 )
+
+// totalFor returns the running total of a label, creating it on first use.
+func totalFor(run string) *runTotal {
+	runsMu.Lock()
+	defer runsMu.Unlock()
+	t := runs[run]
+	if t == nil {
+		t = &runTotal{messages: map[string]int64{}}
+		runs[run] = t
+	}
+	return t
+}
+
+// RunTotals returns the probes and the messages by category that every Env
+// created under run has metered so far. Env.ResetProbes and
+// Env.ResetMessages do not rewind them.
+func RunTotals(run string) (probes int64, messages map[string]int64) {
+	t := totalFor(run)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.probes.Load(), maps.Clone(t.messages)
+}
 
 // Time is virtual simulation time in milliseconds.
 type Time float64
@@ -74,18 +98,16 @@ type Perturbation interface {
 // Env couples a static topology with the simulation's dynamic state. All
 // methods are safe for concurrent use.
 type Env struct {
-	net         *topology.Network
-	run         string
-	probeMirror *obs.Counter
-	clock       *Clock
-	perturb     Perturbation
-	plan        *FaultPlan
+	net     *topology.Network
+	total   *runTotal
+	clock   *Clock
+	perturb Perturbation
+	plan    *FaultPlan
 
 	probes int64 // atomic
 
 	mu       sync.Mutex
 	messages map[string]int64
-	mirrors  map[string]*obs.Counter // global-registry series, cached per category
 	// Down hosts are tracked in a flat bitset indexed by the dense NodeID
 	// space rather than a map: at 10^6 hosts the bitset is 128 KB, cheap
 	// enough to size once and index without hashing on every probe.
@@ -96,32 +118,28 @@ type Env struct {
 }
 
 // New returns an Env over net with a fresh clock and no perturbation,
-// mirroring its meters under the default run label "main".
+// metering under the default run label "main".
 func New(net *topology.Network) *Env {
 	return NewRun(net, "main")
 }
 
-// NewRun is New with an explicit run label for the global telemetry
-// mirrors. Experiment harnesses pass their experiment ID so parallel runs
-// stay distinguishable; an empty run falls back to "main".
+// NewRun is New with an explicit run label for RunTotals. Experiment
+// harnesses pass their experiment ID so parallel runs stay
+// distinguishable; an empty run falls back to "main".
 func NewRun(net *topology.Network, run string) *Env {
 	if run == "" {
 		run = "main"
 	}
 	return &Env{
-		net:         net,
-		run:         run,
-		probeMirror: globalProbes.With(run),
-		clock:       &Clock{},
-		messages:    make(map[string]int64),
+		net:      net,
+		total:    totalFor(run),
+		clock:    &Clock{},
+		messages: make(map[string]int64),
 	}
 }
 
 // Net returns the underlying topology.
 func (e *Env) Net() *topology.Network { return e.net }
-
-// Run returns the env's telemetry run label.
-func (e *Env) Run() string { return e.run }
 
 // Clock returns the virtual clock.
 func (e *Env) Clock() *Clock { return e.clock }
@@ -157,7 +175,7 @@ func (e *Env) Latency(a, b topology.NodeID) float64 {
 // ResetProbes therefore also rewinds the loss stream).
 func (e *Env) ProbeRTT(a, b topology.NodeID) float64 {
 	seq := uint64(atomic.AddInt64(&e.probes, 1))
-	e.probeMirror.Inc()
+	e.total.probes.Add(1)
 	if e.Crashed(a) || e.Crashed(b) {
 		return math.Inf(1)
 	}
@@ -191,7 +209,7 @@ func (e *Env) ProbeRTTs(a topology.NodeID, targets []topology.NodeID, dst []floa
 		return
 	}
 	atomic.AddInt64(&e.probes, int64(len(targets)))
-	e.probeMirror.Add(float64(len(targets)))
+	e.total.probes.Add(int64(len(targets)))
 	if e.perturb == nil && e.downCount.Load() == 0 {
 		e.net.RTTs(a, targets, dst)
 		return
@@ -274,16 +292,10 @@ func (e *Env) ResetProbes() int64 { return atomic.SwapInt64(&e.probes, 0) }
 func (e *Env) CountMessages(category string, n int) {
 	e.mu.Lock()
 	e.messages[category] += int64(n)
-	mirror := e.mirrors[category]
-	if mirror == nil {
-		mirror = globalMessages.With(category, e.run)
-		if e.mirrors == nil {
-			e.mirrors = make(map[string]*obs.Counter)
-		}
-		e.mirrors[category] = mirror
-	}
 	e.mu.Unlock()
-	mirror.Add(float64(n))
+	e.total.mu.Lock()
+	e.total.messages[category] += int64(n)
+	e.total.mu.Unlock()
 }
 
 // Messages returns the count in one category.

@@ -113,6 +113,74 @@ func TestConcurrentAccounting(t *testing.T) {
 	}
 }
 
+// TestRunTotals: concurrent Envs under one run label sum into that label's
+// totals and no other's, and resetting an Env rewinds its own meters but
+// not the totals (ext-pubsub and ext-churn reset their envs mid-run, and
+// their telemetry counts what was spent before the reset).
+func TestRunTotals(t *testing.T) {
+	net := testEnv(t).Net()
+	hosts := net.StubHosts()
+	labels := []string{"totals-a", "totals-b"}
+	type before struct {
+		probes int64
+		msgs   map[string]int64
+	}
+	start := map[string]before{} // totals outlive -count reruns
+	for _, l := range labels {
+		p, m := RunTotals(l)
+		start[l] = before{p, m}
+	}
+	envs := []*Env{NewRun(net, labels[0]), NewRun(net, labels[0]), NewRun(net, labels[0]),
+		NewRun(net, labels[1]), NewRun(net, labels[1])}
+	var wg sync.WaitGroup
+	for i, e := range envs {
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dst := make([]float64, 3)
+				for k := 0; k <= 10*i; k++ {
+					e.ProbeRTT(hosts[0], hosts[1])
+					e.ProbeRTTs(hosts[2], hosts[:3], dst)
+					e.CountMessages("publish", i+1)
+					e.CountMessages(labels[i/3], 1)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+
+	want := map[string]before{}
+	for i, e := range envs {
+		l := labels[i/3]
+		w := want[l]
+		if w.msgs == nil {
+			w.msgs = map[string]int64{}
+		}
+		w.probes += e.Probes()
+		for k, v := range e.MessageTotals() {
+			w.msgs[k] += v
+		}
+		want[l] = w
+		e.ResetProbes()
+		e.ResetMessages()
+	}
+	for _, l := range labels {
+		probes, msgs := RunTotals(l)
+		if got := probes - start[l].probes; got != want[l].probes {
+			t.Errorf("%s: probes grew by %d, want %d", l, got, want[l].probes)
+		}
+		if len(msgs) != len(want[l].msgs) {
+			t.Errorf("%s: categories %v, want %v", l, msgs, want[l].msgs)
+		}
+		for k, v := range want[l].msgs {
+			if got := msgs[k] - start[l].msgs[k]; got != v {
+				t.Errorf("%s: %s messages grew by %d, want %d", l, k, got, v)
+			}
+		}
+	}
+}
+
 func TestStaticJitterSymmetricAndBounded(t *testing.T) {
 	e := testEnv(t)
 	e.SetPerturbation(StaticJitter{Seed: 42, Amplitude: 0.3})
@@ -341,8 +409,8 @@ func TestSetDownConcurrentWithProbes(t *testing.T) {
 }
 
 // TestProbeRTTsMatchesSingleProbes pins the batched probe to the per-probe
-// loop it replaces: same results bit for bit, same Probes(), same mirrored
-// telemetry. With nothing installed the row comes from the topology in one
+// loop it replaces: same results bit for bit, same Probes(), same growth of
+// the run totals. With nothing installed the row comes from the topology in one
 // pass (Network.RTTs); with a perturbation, crashed hosts (which time out
 // and are still counted), or a seeded fault plan, whose loss stream keys on
 // each probe's sequence number, it must fall back to the per-probe path.
@@ -394,8 +462,10 @@ func TestProbeRTTsMatchesSingleProbes(t *testing.T) {
 				single, batched := NewRun(net, run+"-single"), NewRun(net, run+"-batched")
 				install(single)
 				install(batched)
-				// The mirrors are process-global series: compare their growth.
-				single0, batched0 := single.probeMirror.Value(), batched.probeMirror.Value()
+				// Run totals are process-wide and outlive -count reruns:
+				// compare their growth.
+				single0, _ := RunTotals(run + "-single")
+				batched0, _ := RunTotals(run + "-batched")
 				infs, moved := 0, 0
 				got := make([]float64, len(targets))
 				for _, a := range probers {
@@ -426,9 +496,10 @@ func TestProbeRTTsMatchesSingleProbes(t *testing.T) {
 				if batched.Probes() != want || single.Probes() != want {
 					t.Fatalf("Probes: batched %d, single %d, want %d", batched.Probes(), single.Probes(), want)
 				}
-				b, s := batched.probeMirror.Value()-batched0, single.probeMirror.Value()-single0
-				if b != s || b != float64(want) {
-					t.Fatalf("mirrored probe counters grew by: batched %v, single %v", b, s)
+				b, _ := RunTotals(run + "-batched")
+				s, _ := RunTotals(run + "-single")
+				if b-batched0 != want || s-single0 != want {
+					t.Fatalf("run totals grew by: batched %d, single %d, want %d", b-batched0, s-single0, want)
 				}
 			})
 		}

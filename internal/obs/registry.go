@@ -3,13 +3,11 @@
 // labeled families) and exposition encoders (Prometheus text format and
 // JSON) over point-in-time snapshots.
 //
-// The paper's claims are quantitative — lookup stretch, probe budgets,
-// soft-state message overhead — and two users report here: the live
-// stack's wire nodes count requests and observe latencies, which
-// cmd/overlayd serves over HTTP, and every simulated netsim.Env mirrors
-// its probe and message meters into the process-global Default registry,
-// which cmd/topobench diffs around each experiment. Cross-process request
-// tracing lives in obs/span. Everything is safe for concurrent use; the
+// The live stack reports here: its wire nodes count requests and observe
+// latencies into a registry that cmd/overlayd serves over HTTP, and
+// cmd/overlaymon merges across nodes. There is no process-global
+// registry; the simulator meters its probes and messages in netsim.
+// Cross-process request tracing lives in obs/span. Everything is safe for concurrent use; the
 // hot-path cost of an update is one or two atomic operations.
 package obs
 
@@ -87,14 +85,6 @@ type histogram struct {
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
-
-// defaultRegistry is the process-global registry used by components that
-// have no natural owner to hang a registry on (the simulator's message
-// meter, for one). Prefer explicit registries everywhere else.
-var defaultRegistry = NewRegistry()
-
-// Default returns the process-global registry.
-func Default() *Registry { return defaultRegistry }
 
 // getOrCreate returns the named family, creating it on first use. A
 // second registration must agree on kind and label names; disagreement is

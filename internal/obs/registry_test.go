@@ -152,9 +152,3 @@ func TestConcurrentWriters(t *testing.T) {
 		t.Fatalf("observations = %d, want %d", totalObs, workers*perWorker)
 	}
 }
-
-func TestDefaultRegistryIsSingleton(t *testing.T) {
-	if Default() != Default() {
-		t.Fatal("Default() changed identity")
-	}
-}

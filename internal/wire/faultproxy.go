@@ -184,7 +184,8 @@ func (p *FaultProxy) Partitioned() int64 { return p.partitioned.Load() }
 func (p *FaultProxy) Killed() int64 { return p.killed.Load() }
 
 // Close stops accepting, unblocks black-holed and delayed connections,
-// and waits for the pipes to drain.
+// closes every established pipe (pooled clients keep theirs open), and
+// waits for the pipes to wind down.
 func (p *FaultProxy) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -192,6 +193,9 @@ func (p *FaultProxy) Close() error {
 		return nil
 	}
 	p.closed = true
+	for c := range p.established {
+		_ = c.Close()
+	}
 	p.mu.Unlock()
 	close(p.stop)
 	err := p.ln.Close()
@@ -199,14 +203,18 @@ func (p *FaultProxy) Close() error {
 	return err
 }
 
-// track registers a live pipe endpoint for partition kills; untrack
-// removes it again when the pipe winds down.
-func (p *FaultProxy) track(c net.Conn) {
+// track registers a pipe's endpoints for partition kills and Close; it
+// reports false, registering nothing, once the proxy is closed. untrack
+// removes an endpoint again when the pipe winds down.
+func (p *FaultProxy) track(client, server net.Conn) bool {
 	p.mu.Lock()
-	if !p.closed {
-		p.established[c] = struct{}{}
+	defer p.mu.Unlock()
+	if p.closed {
+		return false
 	}
-	p.mu.Unlock()
+	p.established[client] = struct{}{}
+	p.established[server] = struct{}{}
+	return true
 }
 
 func (p *FaultProxy) untrack(c net.Conn) {
@@ -291,8 +299,9 @@ func (p *FaultProxy) pipe(client net.Conn, delay time.Duration, blackhole bool, 
 	deadline := time.Now().Add(time.Minute)
 	_ = client.SetDeadline(deadline)
 	_ = server.SetDeadline(deadline)
-	p.track(client)
-	p.track(server)
+	if !p.track(client, server) {
+		return
+	}
 	defer p.untrack(client)
 	defer p.untrack(server)
 	var once sync.Once

@@ -107,7 +107,7 @@ func TestFaultProxyDelay(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
 		t.Fatalf("ping written 60 ms after the dial returned %v after the write", elapsed)
 	}
-	conn.Close() // Close waits for established pipes to drain
+	conn.Close()
 
 	// Close unblocks a connection held before and after its first bytes.
 	p.SetDelay(time.Hour)
@@ -131,6 +131,40 @@ func TestFaultProxyDelay(t *testing.T) {
 	case <-closed:
 	case <-time.After(testTimeout):
 		t.Fatal("Close hung on held connections")
+	}
+}
+
+// TestFaultProxyCloseWithOpenConnection: a pooled client keeps its
+// forwarded connection open, and Close must sever it rather than wait for
+// the pipe's one-minute deadline.
+func TestFaultProxyCloseWithOpenConnection(t *testing.T) {
+	n := startNode(t, stubCfg(), nil)
+	p, err := NewFaultProxy(n.Addr(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialTimeout("tcp", p.Addr(), testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeMessage(bufio.NewWriter(conn), Message{Type: MsgPing, Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if resp, err := ReadMessage(br); err != nil || resp.Type != MsgPong {
+		t.Fatalf("ping on a forwarded conn = %v, %v", resp, err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close blocked on an open forwarded connection")
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(testTimeout))
+	if _, err := ReadMessage(br); err == nil {
+		t.Fatal("the forwarded connection outlived Close")
 	}
 }
 
